@@ -166,7 +166,7 @@ def _cmd_mdlaw(args) -> int:
     if not sample.points:
         raise InputError("sampling produced no usable points")
     records = experiments.mdlaw_records(pc.target, sample.points)
-    report = experiments.mdlaw_report(pc.target, sample.points, h_min=args.h_min)
+    report = experiments.mdlaw_report(pc.target, records, h_min=args.h_min)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             experiments.write_mdlaw_csv(fh, sample.params, records)

@@ -211,26 +211,22 @@ def resolve(f: PolyLike, max_depth: int = 64) -> ResolutionTree:
         raise ZeroInputError("cannot resolve the zero polynomial")
     nodes: list[ResolutionNode] = []
     contacts: set[int] = set()
-
-    def visit(
-        local: Poly2,
-        axis_x: int | None,
-        axis_y: int | None,
-        parent: int | None,
-        chart: str | None,
-        shift: Fraction | None,
-        depth: int,
-    ) -> None:
+    # Centers still to visit, as (strict transform, axis_x, axis_y, parent,
+    # chart, shift, depth).  Children are pushed in reverse so that they pop
+    # in order and node ids follow a depth-first pre-order.
+    pending = [(poly, None, None, None, None, None, 1)] if poly.evaluate(0, 0) == 0 else []
+    while pending:
+        local, axis_x, axis_y, parent, chart, shift, depth = pending.pop()
         m = local.order()
         axes = [a for a in (axis_x, axis_y) if a is not None]
         if m == 1:
             if not axes:
-                return
+                continue
             if len(axes) == 1:
                 which = "x" if axis_x is not None else "y"
                 if local.contact_order_with_axis(which) == 1:
                     contacts.add(axes[0])
-                    return
+                    continue
         if depth > max_depth:
             raise DepthExceededError(f"resolution needs more than {max_depth} blowup levels")
         nid = len(nodes) + 1
@@ -255,32 +251,15 @@ def resolve(f: PolyLike, max_depth: int = 64) -> ResolutionTree:
             raise NonRationalCenterError(
                 "tangent directions include an irreducible factor of degree >= 2 over Q"
             )
-        for t in roots:
-            child = transformed.translate(0, t)
-            visit(
-                child,
-                axis_x=nid,
-                axis_y=(axis_y if t == 0 else None),
-                parent=nid,
-                chart="x",
-                shift=t,
-                depth=depth + 1,
-            )
+        children = [
+            (transformed.translate(0, t), nid, axis_y if t == 0 else None, nid, "x", t, depth + 1)
+            for t in roots
+        ]
         if len(restriction) - 1 < m:
             child, stripped_y = local.blowup_y()
             assert stripped_y == m
-            visit(
-                child,
-                axis_x=axis_x,
-                axis_y=nid,
-                parent=nid,
-                chart="y",
-                shift=None,
-                depth=depth + 1,
-            )
-
-    if poly.evaluate(0, 0) == 0:
-        visit(poly, None, None, None, None, None, depth=1)
+            children.append((child, axis_x, nid, nid, "y", None, depth + 1))
+        pending.extend(reversed(children))
     return ResolutionTree(curve=poly, nodes=tuple(nodes), curve_contacts=frozenset(contacts))
 
 
@@ -425,16 +404,12 @@ def tree_ideal_member(
     kind: IdealKind,
 ) -> bool:
     """Membership of g in the chosen ideal of (plane, c * curve) at the origin."""
-    c = Fraction(c)
-    if c < 0:
-        raise InputError(f"boundary coefficient must be nonnegative, got {c}")
+    *exceptional, strict = pair_discrepancies(tree, vd, c).rows
     orders = ord_along(tree, g)
-    for node in tree.nodes:
-        a = vd.k[node.id] - c * vd.v[node.id]
-        b = c * vd.v[node.id]
-        if orders.by_divisor[node.id] < ideal_threshold(kind, a, b):
+    for node, row in zip(tree.nodes, exceptional):
+        if orders.by_divisor[node.id] < ideal_threshold(kind, row.a, row.b):
             return False
-    return orders.strict >= ideal_threshold(kind, Fraction(-c), Fraction(c))
+    return orders.strict >= ideal_threshold(kind, strict.a, strict.b)
 
 
 def ideal_member(f: PolyLike, c: Fraction | int, g: Poly2, kind: IdealKind, max_depth: int = 64) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from statistics import StatisticsError, linear_regression
 from typing import IO, Iterable, Sequence
@@ -32,10 +32,10 @@ from .heights import (
     ProjPoint,
     Subscheme,
     counting_gcd,
-    log_fraction,
     normalize_point,
     weil_arch_ratio,
 )
+from .places import log_fraction
 from .polynomials import Poly2, univariate_gcd
 
 ORIGIN_COORDS = (0, 0, 1)
@@ -199,18 +199,16 @@ class SlopeReport:
     slope_fit: float
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "d": self.d,
-            "samples": self.samples,
-            "max_abs_residual": self.max_abs_residual,
-            "max_abs_residual_high": self.max_abs_residual_high,
-            "slope_fit": self.slope_fit,
-        }
+        return asdict(self)
 
 
 def _origin_subscheme() -> Subscheme:
     return Subscheme.of_coordinates(3, (0, 1))
+
+
+def _origin_multiplicity(target: HomogPoly) -> int:
+    """Multiplicity m of the target curve at the distinguished point (0:0:1)."""
+    return multiplicity_at(dehomogenize_at_origin_chart(target), (0, 0))
 
 
 def mdlaw_records(target: HomogPoly, points: Sequence[ProjPoint]) -> list[ExperimentRecord]:
@@ -223,7 +221,7 @@ def mdlaw_records(target: HomogPoly, points: Sequence[ProjPoint]) -> list[Experi
     d = target.degree
     if d < 1:
         raise InputError("target curve must have positive degree")
-    m = multiplicity_at(dehomogenize_at_origin_chart(target), (0, 0))
+    m = _origin_multiplicity(target)
     z_origin = _origin_subscheme()
     records = []
     for pt in points:
@@ -235,7 +233,7 @@ def mdlaw_records(target: HomogPoly, points: Sequence[ProjPoint]) -> list[Experi
         n_val = math.log(g)
         prox = -log_fraction(ratio) + 0.0
         q_exact = (Fraction(g) / ratio) ** d / Fraction(big) ** m
-        residual = (math.log(q_exact.numerator) - math.log(q_exact.denominator)) / d
+        residual = log_fraction(q_exact) / d
         records.append(
             ExperimentRecord(
                 point=pt,
@@ -248,20 +246,21 @@ def mdlaw_records(target: HomogPoly, points: Sequence[ProjPoint]) -> list[Experi
     return records
 
 
-def mdlaw_report(target: HomogPoly, points: Sequence[ProjPoint], h_min: float = 0.0) -> SlopeReport:
-    """Aggregate residuals and a diagnostic least-squares slope of hO on h."""
-    if not points:
+def mdlaw_report(
+    target: HomogPoly, records: Sequence[ExperimentRecord], h_min: float = 0.0
+) -> SlopeReport:
+    """Aggregate the residuals of ``mdlaw_records(target, ...)`` and a
+    diagnostic least-squares slope of hO on h."""
+    if not records:
         raise InputError("cannot build a report from an empty sample")
-    records = mdlaw_records(target, points)
     residuals = [abs(r.residual) for r in records]
     high = [abs(r.residual) for r in records if r.h >= h_min]
     try:
         slope = linear_regression([r.h for r in records], [r.hO for r in records]).slope
     except StatisticsError:
         slope = 0.0
-    m = multiplicity_at(dehomogenize_at_origin_chart(target), (0, 0))
     return SlopeReport(
-        m=m,
+        m=_origin_multiplicity(target),
         d=target.degree,
         samples=len(records),
         max_abs_residual=max(residuals),
@@ -295,15 +294,7 @@ class GcdFamilyReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "d": self.d,
-            "m": self.m,
-            "a_min": self.a_min,
-            "a_max": self.a_max,
-            "checked": self.checked,
-            "violations": [list(v) for v in self.violations],
-        }
+        return {**asdict(self), "violations": [list(v) for v in self.violations]}
 
 
 def gcd_family_check(kind: str, d: int, m: int, a_range: tuple[int, int]) -> GcdFamilyReport:
@@ -357,17 +348,7 @@ class GcdBoundsReport:
     exponent_high: float
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "d": self.d,
-            "eps": self.eps,
-            "delta": self.delta,
-            "samples": self.samples,
-            "c_lower": self.c_lower,
-            "c_upper": self.c_upper,
-            "exponent_low": self.exponent_low,
-            "exponent_high": self.exponent_high,
-        }
+        return asdict(self)
 
 
 def gcd_bounds_check(
@@ -382,7 +363,7 @@ def gcd_bounds_check(
     if eps <= 0 or delta <= 0:
         raise BadRangeError("eps and delta must be positive")
     d = target.degree
-    m = multiplicity_at(dehomogenize_at_origin_chart(target), (0, 0))
+    m = _origin_multiplicity(target)
     lo = m / d - eps
     hi = m / d + eps
     frac_delta = Fraction(delta)

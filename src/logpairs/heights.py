@@ -22,16 +22,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import AllZeroError, NotPrimeError, SupportPointError, ZeroInputError
-from .places import Place, _int_valuation, is_prime
+from .places import Place, _int_valuation, is_prime, log_fraction
 
 RatLike = Union[Fraction, int, str]
-
-
-def log_fraction(q: Fraction) -> float:
-    """Natural log of a positive rational, safe for huge numerators."""
-    if q <= 0:
-        raise ZeroInputError("log of a nonpositive rational")
-    return math.log(q.numerator) - math.log(q.denominator)
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,13 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
+def log_fraction(q: Fraction) -> float:
+    """Natural log of a positive rational, safe for huge numerators."""
+    if q <= 0:
+        raise ZeroInputError("log of a nonpositive rational")
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
 def padic_valuation(q: Rat, p: int) -> int:
     """Exact exponent v with ``q = p**v * u`` and u a p-unit.
 
@@ -109,5 +116,5 @@ def local_log_norm(q: Rat, v: Place) -> float:
     if q == 0:
         raise ZeroInputError("local norm of zero is undefined")
     if v.is_archimedean:
-        return math.log(abs(q.numerator)) - math.log(q.denominator)
+        return log_fraction(abs(q))
     return -padic_valuation(q, v.prime) * math.log(v.prime)

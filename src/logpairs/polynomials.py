@@ -22,25 +22,37 @@ def _coeff(c: CoeffLike) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
+def _sum_terms(acc: dict, terms: Iterable) -> dict:
+    """Add ``(exponents, coefficient)`` pairs into ``acc``, dropping every
+    exponent whose coefficients sum to zero; returns ``acc``."""
+    for key, c in terms:
+        s = acc.get(key)
+        s = c if s is None else s + c
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+    return acc
+
+
 class Poly2:
     """A polynomial in two variables x, y with exact rational coefficients."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], CoeffLike] | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in items:
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        for (i, j), _ in items:
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in term {(i, j)}")
-            c = _coeff(c)
-            key = (int(i), int(j))
-            c += acc.get(key, Fraction(0))
-            if c:
-                acc[key] = c
-            else:
-                acc.pop(key, None)
-        self.terms = acc
+        self.terms = _sum_terms({}, (((int(i), int(j)), _coeff(c)) for (i, j), c in items))
+
+    @classmethod
+    def _of(cls, terms: dict[tuple[int, int], Fraction]) -> "Poly2":
+        """Wrap a term dict that already holds no zero coefficient."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     # -- constructors -----------------------------------------------------
 
@@ -104,36 +116,21 @@ class Poly2:
     # -- arithmetic ---------------------------------------------------------
 
     def __neg__(self) -> "Poly2":
-        return Poly2({k: -c for k, c in self.terms.items()})
+        return Poly2._of({k: -c for k, c in self.terms.items()})
 
     def __add__(self, other: "Poly2") -> "Poly2":
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            s = acc.get(k, Fraction(0)) + c
-            if s:
-                acc[k] = s
-            else:
-                acc.pop(k, None)
-        out = Poly2.__new__(Poly2)
-        out.terms = acc
-        return out
+        return Poly2._of(_sum_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "Poly2") -> "Poly2":
         return self + (-other)
 
     def __mul__(self, other: "Poly2") -> "Poly2":
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
-            for (k, l), d in other.terms.items():
-                key = (i + k, j + l)
-                s = acc.get(key, Fraction(0)) + c * d
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        out = Poly2.__new__(Poly2)
-        out.terms = acc
-        return out
+        products = (
+            ((i + k, j + l), c * d)
+            for (i, j), c in self.terms.items()
+            for (k, l), d in other.terms.items()
+        )
+        return Poly2._of(_sum_terms({}, products))
 
     def scale(self, c: CoeffLike) -> "Poly2":
         c = _coeff(c)
@@ -178,17 +175,9 @@ class Poly2:
         for (i, j), c in self.terms.items():
             for r in range(i + 1):
                 cr = c * math.comb(i, r) * ax ** (i - r)
-                for s in range(j + 1):
-                    key = (r, s)
-                    val = cr * math.comb(j, s) * ay ** (j - s)
-                    t = acc.get(key, Fraction(0)) + val
-                    if t:
-                        acc[key] = t
-                    else:
-                        acc.pop(key, None)
-        out = Poly2.__new__(Poly2)
-        out.terms = acc
-        return out
+                row = (((r, s), cr * math.comb(j, s) * ay ** (j - s)) for s in range(j + 1))
+                _sum_terms(acc, row)
+        return Poly2._of(acc)
 
     def blowup_x(self, shift: CoeffLike = 0) -> tuple["Poly2", int]:
         """Strict transform in the chart x = x, y = x*(y + shift).
@@ -200,21 +189,15 @@ class Poly2:
         if not self.terms:
             raise ZeroInputError("blowup of the zero polynomial")
         shift = _coeff(shift)
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
-            # x^i * (x*(y+shift))^j = x^(i+j) * (y+shift)^j
-            for r in range(j + 1):
-                key = (i + j, r)
-                val = c * math.comb(j, r) * shift ** (j - r)
-                t = acc.get(key, Fraction(0)) + val
-                if t:
-                    acc[key] = t
-                else:
-                    acc.pop(key, None)
+        # x^i * (x*(y+shift))^j = x^(i+j) * (y+shift)^j
+        substituted = (
+            ((i + j, r), c * math.comb(j, r) * shift ** (j - r))
+            for (i, j), c in self.terms.items()
+            for r in range(j + 1)
+        )
+        acc = _sum_terms({}, substituted)
         power = min(i for i, _ in acc)
-        out = Poly2.__new__(Poly2)
-        out.terms = {(i - power, j): c for (i, j), c in acc.items()}
-        return out, power
+        return Poly2._of({(i - power, j): c for (i, j), c in acc.items()}), power
 
     def blowup_y(self) -> tuple["Poly2", int]:
         """Strict transform in the chart x = x*y, y = y (the vertical direction)."""
@@ -222,9 +205,7 @@ class Poly2:
             raise ZeroInputError("blowup of the zero polynomial")
         acc = {(i, i + j): c for (i, j), c in self.terms.items()}
         power = min(j for _, j in acc)
-        out = Poly2.__new__(Poly2)
-        out.terms = {(i, j - power): c for (i, j), c in acc.items()}
-        return out, power
+        return Poly2._of({(i, j - power): c for (i, j), c in acc.items()}), power
 
     def on_x_axis_restriction(self) -> list[Fraction]:
         """Coefficients of f(0, y) as a dense list indexed by the power of y."""

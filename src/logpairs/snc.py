@@ -106,28 +106,26 @@ def totaldiscrep(pair: SNCPair) -> ExtRat:
     return min(candidates)
 
 
-def classify(pair: SNCPair) -> PairClass:
-    """Strictest singularity class read off the coefficients alone."""
-    coeffs = [c for _, c in pair.divisors]
-    if all(c <= 0 for c in coeffs):
+def _ladder(worst: ExtRat) -> PairClass:
+    """Class of a pair whose smallest discrepancy is ``worst``: strongly
+    canonical at >= 0, Kawamata log terminal above -1, log canonical at -1."""
+    if worst >= 0:
         return PairClass.STRONGLY_CANONICAL
-    if all(c < 1 for c in coeffs):
+    if worst > -1:
         return PairClass.KAWAMATA_LOG_TERMINAL
-    if all(c <= 1 for c in coeffs):
+    if worst >= -1:
         return PairClass.LOG_CANONICAL
     return PairClass.NOT_LOG_CANONICAL
+
+
+def classify(pair: SNCPair) -> PairClass:
+    """Strictest singularity class read off the coefficients alone."""
+    return _ladder(-max((c for _, c in pair.divisors), default=0))
 
 
 def classify_via_totaldiscrep(pair: SNCPair) -> PairClass:
     """Same classes, but through thresholds on the total discrepancy."""
-    td = totaldiscrep(pair)
-    if td >= 0:
-        return PairClass.STRONGLY_CANONICAL
-    if td > -1:
-        return PairClass.KAWAMATA_LOG_TERMINAL
-    if td >= -1:
-        return PairClass.LOG_CANONICAL
-    return PairClass.NOT_LOG_CANONICAL
+    return _ladder(totaldiscrep(pair))
 
 
 @dataclass(frozen=True)
@@ -179,16 +177,7 @@ def loci_divisors(data: ResolvedPairData) -> LociSets:
 
 def classify_resolved(data: ResolvedPairData) -> PairClass:
     """Classify a pair from the discrepancies on a resolved model."""
-    if not data.rows:
-        return PairClass.STRONGLY_CANONICAL
-    worst = min(r.a for r in data.rows)
-    if worst >= 0:
-        return PairClass.STRONGLY_CANONICAL
-    if worst > -1:
-        return PairClass.KAWAMATA_LOG_TERMINAL
-    if worst >= -1:
-        return PairClass.LOG_CANONICAL
-    return PairClass.NOT_LOG_CANONICAL
+    return _ladder(min((r.a for r in data.rows), default=0))
 
 
 def vojta_reduced_divisor(data: ResolvedPairData) -> frozenset[str]:

@@ -93,7 +93,7 @@ def test_criterion_02_exact_power_law():
             points = [normalize_point((a**m, a**d, 1)) for a in bases]
             records = mdlaw_records(target, points)
             assert all(r.residual == 0.0 for r in records)
-            report = mdlaw_report(target, points)
+            report = mdlaw_report(target, records)
             assert report.max_abs_residual == 0.0
             assert report.m == m and report.d == d
 
@@ -145,13 +145,15 @@ def test_criterion_03_nodal_cubic_law(nodal_cubic_rho):
         for params, records in ((sample60.params, records60), (shell_params, shell_records)):
             for (p, q), rec in zip(params, records):
                 assert rec.residual == nodal_cubic_residual(p, q)
+                assert abs(rec.hO - 2 / 3 * rec.h - rec.residual) <= 1e-9
         high = [rec for rec in shell_records if rec.h >= 20.0]
         assert high
         for rec in high:
             assert abs(rec.hO / rec.h - 2 / 3) <= 0.05
-        report60 = mdlaw_report(pc.target, sample60.points, h_min=20.0)
-        report30 = mdlaw_report(pc.target, sample_param_points(pc, 30).points, h_min=20.0)
-        shell_report = mdlaw_report(pc.target, shell_points, h_min=20.0)
+        report60 = mdlaw_report(pc.target, records60, h_min=20.0)
+        records30 = mdlaw_records(pc.target, sample_param_points(pc, 30).points)
+        report30 = mdlaw_report(pc.target, records30, h_min=20.0)
+        shell_report = mdlaw_report(pc.target, shell_records, h_min=20.0)
         assert time.monotonic() - start < 30.0
         # The residual depends only on t = p/q and lies in (-log rho, 0]: Q is
         # 1 for |t| <= 1, and max(|t|(t^2 - 1), 1) / |t|^3 >= 1/rho^3 for

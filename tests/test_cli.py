@@ -111,6 +111,17 @@ def test_gcd_family_ok(capsys):
     code, out, _ = run(capsys, "gcd-family", "pure", "3", "2", "-40", "40", "--json")
     assert code == EXIT_OK
     assert json.loads(out)["violations"] == []
+    code, out, _ = run(capsys, "gcd-family", "pure", "3", "2", "-40", "40")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "kind: pure",
+        "d: 3",
+        "m: 2",
+        "a_min: -40",
+        "a_max: 40",
+        "checked: 81",
+        "violations: []",
+    ]
 
 
 def test_gcd_family_violation_exit_code(capsys, monkeypatch):
@@ -126,6 +137,9 @@ def test_gcd_family_violation_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("logpairs.cli.experiments.gcd_family_check", broken)
     code, _, _ = run(capsys, "gcd-family", "pure", "3", "2", "1", "5", "--json")
     assert code == EXIT_VIOLATION
+    code, out, _ = run(capsys, "gcd-family", "pure", "3", "2", "1", "5")
+    assert code == EXIT_VIOLATION
+    assert out.splitlines()[-2:] == ["checked: 5", "violations: [[2, 1, 4]]"]
 
 
 def test_gcd_bounds(capsys):
@@ -136,6 +150,19 @@ def test_gcd_bounds(capsys):
     payload = json.loads(out)
     assert payload["samples"] > 0
     assert payload["c_lower"] <= payload["c_upper"]
+    code, out, _ = run(capsys, "gcd-bounds", json.dumps(NODAL_PARAM), "--bound", "10", "--eps", "0.05")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "m: 2",
+        "d: 3",
+        "eps: 0.05",
+        "delta: 1.0",
+        "samples: 50",
+        f"c_lower: {payload['c_lower']}",
+        "c_upper: 1.0",
+        "exponent_low: 0.6166666666666666",
+        "exponent_high: 0.7166666666666667",
+    ]
 
 
 def test_bad_input_exit_code(capsys):

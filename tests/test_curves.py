@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,22 @@ class TestResolve:
     def test_depth_limit(self):
         with pytest.raises(DepthExceededError):
             resolve(CUSP, max_depth=1)
+
+    def test_deep_tower_without_deep_stack(self):
+        # y^2 - x^151 needs a chain of 77 centers; resolve must not spend
+        # one stack frame per level.
+        resolve(CUSP)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            tree = resolve(Y**2 - X**151, max_depth=100)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [n.id for n in tree.nodes] == list(range(1, 78))
+        assert [n.parent for n in tree.nodes] == [None] + list(range(1, 77))
 
     def test_proximity_contains_parent(self):
         for curve in (CUSP, NODE, TACNODE, TRIPLE):

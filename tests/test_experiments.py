@@ -89,9 +89,10 @@ class TestMdlaw:
     def test_pure_power_residuals_exactly_zero(self):
         pc = pure_power_param(2, 3)
         points = [normalize_point((a**2, a**3, 1)) for a in range(2, 30)]
-        for record in mdlaw_records(pc.target, points):
+        records = mdlaw_records(pc.target, points)
+        for record in records:
             assert record.residual == 0.0
-        report = mdlaw_report(pc.target, points)
+        report = mdlaw_report(pc.target, records)
         assert report.max_abs_residual == 0.0
         assert report.m == 2 and report.d == 3
 
@@ -113,7 +114,7 @@ class TestMdlaw:
         points = [normalize_point((a**2, a**3 - 1, 1)) for a in range(2, 40)]
         for pt in points:
             assert target.evaluate(pt.coords) == 0
-        report = mdlaw_report(target, points)
+        report = mdlaw_report(target, mdlaw_records(target, points))
         assert report.m == 0
         assert abs(report.slope_fit) < 0.01
         # bounded distance to the missing point: residuals equal hO itself
@@ -135,8 +136,8 @@ class TestMdlaw:
         # denominators; 53/40 is in by bound 60 and 102/77 only enters at
         # bound 102.
         pc = nodal_cubic_param()
-        mid = mdlaw_report(pc.target, sample_param_points(pc, 60).points)
-        large = mdlaw_report(pc.target, sample_param_points(pc, 90).points)
+        mid = mdlaw_report(pc.target, mdlaw_records(pc.target, sample_param_points(pc, 60).points))
+        large = mdlaw_report(pc.target, mdlaw_records(pc.target, sample_param_points(pc, 90).points))
         assert large.max_abs_residual <= mid.max_abs_residual + 1e-9
         assert large.max_abs_residual < math.log(nodal_cubic_rho)
 
@@ -159,7 +160,8 @@ def shifted_power_param(m: int, d: int) -> ParamCurve:
 class TestShiftedFamily:
     def test_construction_and_multiplicity(self):
         pc = shifted_power_param(2, 3)
-        report = mdlaw_report(pc.target, [normalize_point((a**2 - 1, a**3 - 1, 1)) for a in range(2, 30)])
+        points = [normalize_point((a**2 - 1, a**3 - 1, 1)) for a in range(2, 30)]
+        report = mdlaw_report(pc.target, mdlaw_records(pc.target, points))
         assert report.m == 1 and report.d == 3
 
     def test_smooth_point_law(self):
@@ -170,7 +172,7 @@ class TestShiftedFamily:
         records = mdlaw_records(pc.target, points)
         assert all(abs(r.residual) <= math.log(2) for r in records)
         assert abs(records[-1].residual) < 0.02
-        report = mdlaw_report(pc.target, points)
+        report = mdlaw_report(pc.target, records)
         assert abs(report.slope_fit - 1 / 3) < 0.05
 
     def test_sampled_points_satisfy_equation(self):
