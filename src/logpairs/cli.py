@@ -7,6 +7,7 @@ Exit codes: 0 on success, 2 when an exact identity check reports violations,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -31,13 +32,41 @@ def _load_json_arg(arg: str):
     """Accept either a path to a JSON file or inline JSON text."""
     text = arg
     if not arg.lstrip().startswith(("{", "[")):
-        text = Path(arg).read_text()
+        try:
+            text = Path(arg).read_text()
+        except OSError as exc:
+            raise InputError(f"cannot read {arg!r}: {exc.strerror}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
 
 
+def _parser(fn):
+    """Report input of the wrong shape (a missing key, a bad number literal,
+    a non-list) as an InputError naming what was being parsed."""
+    what = fn.__name__.removeprefix("_parse_")
+
+    @functools.wraps(fn)
+    def parse(arg):
+        try:
+            return fn(arg)
+        except InputError:
+            raise
+        except KeyError as exc:
+            raise InputError(f"malformed {what}: missing key {exc}") from exc
+        except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"malformed {what}: {exc}") from exc
+
+    return parse
+
+
+@_parser
+def _parse_rational(arg: str) -> Fraction:
+    return Fraction(arg)
+
+
+@_parser
 def _parse_point(arg: str) -> heights.ProjPoint:
     if arg.lstrip().startswith("["):
         entries = json.loads(arg)
@@ -46,11 +75,13 @@ def _parse_point(arg: str) -> heights.ProjPoint:
     return heights.normalize_point([Fraction(str(e)) for e in entries])
 
 
+@_parser
 def _parse_subscheme(data: dict) -> heights.Subscheme:
     gens = tuple(heights.HomogPoly.from_json(g) for g in data["generators"])
     return heights.Subscheme(gens)
 
 
+@_parser
 def _parse_snc_pair(data: dict) -> snc.SNCPair:
     return snc.SNCPair.build(
         divisors=[(d["id"], Fraction(str(d["c"]))) for d in data["divisors"]],
@@ -58,12 +89,19 @@ def _parse_snc_pair(data: dict) -> snc.SNCPair:
     )
 
 
+@_parser
 def _parse_curve(data) -> curves.AffineCurve:
     if isinstance(data, dict):
         data = data["f"]
     return curves.AffineCurve.from_json(data)
 
 
+@_parser
+def _parse_poly(data) -> Poly2:
+    return Poly2.from_json(data)
+
+
+@_parser
 def _parse_param(data: dict) -> experiments.ParamCurve:
     return experiments.ParamCurve(
         p0=Poly2.from_json(data["p0"]),
@@ -106,12 +144,12 @@ def _cmd_classify_snc(args) -> int:
 
 def _cmd_resolve_curve(args) -> int:
     curve = _parse_curve(_load_json_arg(args.curve))
+    cs = [_parse_rational(c) for c in args.c.split(",")] if args.c else []
     tree = curves.resolve(curve, max_depth=args.max_depth)
     vd = curves.valuation_data(tree)
     threshold = curves.tree_lct(tree)
-    cs = [Fraction(c) for c in args.c.split(",")] if args.c else [threshold]
     per_c = {}
-    for c in cs:
+    for c in cs or [threshold]:
         data = curves.pair_discrepancies(tree, vd, c)
         pair = curves.dual_graph_pair(tree, data)
         per_c[str(c)] = {
@@ -153,9 +191,9 @@ def _cmd_resolve_curve(args) -> int:
 
 def _cmd_member(args) -> int:
     curve = _parse_curve(_load_json_arg(args.curve))
-    g = Poly2.from_json(_load_json_arg(args.g))
+    g = _parse_poly(_load_json_arg(args.g))
     kind = curves.IdealKind[args.kind]
-    verdict = curves.ideal_member(curve, Fraction(args.c), g, kind)
+    verdict = curves.ideal_member(curve, _parse_rational(args.c), g, kind)
     _emit({"c": args.c, "kind": args.kind, "member": verdict}, args.json)
     return EXIT_OK
 

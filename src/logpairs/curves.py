@@ -84,18 +84,26 @@ def _rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], bool]:
     """Distinct rational roots of a dense univariate polynomial, sorted.
 
     Also reports whether the factorization over Q contains an irreducible
-    factor of degree at least 2, i.e. roots that are not rational.
+    factor of degree at least 2, i.e. roots that are not rational.  The
+    lowest power of t gives the root 0 and a remaining linear part is solved
+    directly; only a remaining part of degree >= 2 is factored by sympy.
     """
+    support = [j for j, c in enumerate(coeffs) if c]
+    if not support:
+        return [], False
+    low, high = support[0], support[-1]
+    roots = [Fraction(0)] if low else []
+    if high - low == 1:
+        roots.append(-Fraction(coeffs[low], coeffs[high]))
+    if high - low <= 1:
+        return sorted(roots), False
     import sympy
 
     t = sympy.Symbol("t")
     expr = sympy.Add(
-        *[sympy.Rational(c.numerator, c.denominator) * t**j for j, c in enumerate(coeffs) if c]
+        *[sympy.Rational(c.numerator, c.denominator) * t ** (j - low) for j, c in enumerate(coeffs) if c]
     )
     poly = sympy.Poly(expr, t, domain="QQ")
-    if poly.degree() <= 0:
-        return [], False
-    roots: list[Fraction] = []
     has_irrational = False
     for factor, _mult in poly.factor_list()[1]:
         if factor.degree() == 1:

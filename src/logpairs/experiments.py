@@ -180,13 +180,15 @@ def sample_param_points(pc: ParamCurve, bound: int) -> SampleResult:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One sampled point with its heights against the distinguished point."""
+    """One sampled point with its heights against the distinguished point;
+    ``m`` is the target's multiplicity there, the one the residual uses."""
 
     point: ProjPoint
     h: float
     hO: float
     N_O: float
     residual: float
+    m: int
 
 
 @dataclass(frozen=True)
@@ -241,6 +243,7 @@ def mdlaw_records(target: HomogPoly, points: Sequence[ProjPoint]) -> list[Experi
                 hO=n_val + prox,
                 N_O=n_val,
                 residual=residual,
+                m=m,
             )
         )
     return records
@@ -250,7 +253,7 @@ def mdlaw_report(
     target: HomogPoly, records: Sequence[ExperimentRecord], h_min: float = 0.0
 ) -> SlopeReport:
     """Aggregate the residuals of ``mdlaw_records(target, ...)`` and a
-    diagnostic least-squares slope of hO on h."""
+    diagnostic least-squares slope of hO on h; m is read off the records."""
     if not records:
         raise InputError("cannot build a report from an empty sample")
     residuals = [abs(r.residual) for r in records]
@@ -260,7 +263,7 @@ def mdlaw_report(
     except StatisticsError:
         slope = 0.0
     return SlopeReport(
-        m=_origin_multiplicity(target),
+        m=records[0].m,
         d=target.degree,
         samples=len(records),
         max_abs_residual=max(residuals),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ZeroInputError
 
@@ -33,6 +33,13 @@ def _sum_terms(acc: dict, terms: Iterable) -> dict:
         else:
             acc.pop(key, None)
     return acc
+
+
+def _binomial(t: Fraction, n: int) -> Sequence[tuple[int, Fraction | int]]:
+    """(v + t)^n as ``(power of v, coefficient)`` pairs; just (n, 1) when t == 0."""
+    if not t:
+        return ((n, 1),)
+    return [(r, math.comb(n, r) * t ** (n - r)) for r in range(n + 1)]
 
 
 class Poly2:
@@ -151,6 +158,8 @@ class Poly2:
         return result
 
     def evaluate(self, ax: CoeffLike, ay: CoeffLike) -> Fraction:
+        if type(ax) is int and type(ay) is int and self.has_integer_coefficients():
+            return Fraction(sum(c.numerator * ax**i * ay**j for (i, j), c in self.terms.items()))
         ax, ay = _coeff(ax), _coeff(ay)
         total = Fraction(0)
         for (i, j), c in self.terms.items():
@@ -171,12 +180,14 @@ class Poly2:
     def translate(self, ax: CoeffLike, ay: CoeffLike) -> "Poly2":
         """f(x + ax, y + ay), expanded with binomial coefficients."""
         ax, ay = _coeff(ax), _coeff(ay)
+        if not ax and not ay:
+            return self
         acc: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in self.terms.items():
-            for r in range(i + 1):
-                cr = c * math.comb(i, r) * ax ** (i - r)
-                row = (((r, s), cr * math.comb(j, s) * ay ** (j - s)) for s in range(j + 1))
-                _sum_terms(acc, row)
+            ys = _binomial(ay, j)
+            for r, cx in _binomial(ax, i):
+                cr = c * cx
+                _sum_terms(acc, (((r, s), cr * cy) for s, cy in ys))
         return Poly2._of(acc)
 
     def blowup_x(self, shift: CoeffLike = 0) -> tuple["Poly2", int]:
@@ -191,9 +202,7 @@ class Poly2:
         shift = _coeff(shift)
         # x^i * (x*(y+shift))^j = x^(i+j) * (y+shift)^j
         substituted = (
-            ((i + j, r), c * math.comb(j, r) * shift ** (j - r))
-            for (i, j), c in self.terms.items()
-            for r in range(j + 1)
+            ((i + j, r), c * cr) for (i, j), c in self.terms.items() for r, cr in _binomial(shift, j)
         )
         acc = _sum_terms({}, substituted)
         power = min(i for i, _ in acc)

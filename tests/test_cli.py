@@ -107,6 +107,23 @@ def test_mdlaw_with_csv(tmp_path, capsys):
     assert header == "p,q,x0,x1,x2,h,hO,N_O,residual"
 
 
+def test_mdlaw_computes_origin_multiplicity_once(capsys, monkeypatch):
+    import logpairs.experiments as exp
+
+    calls = []
+    real = exp.multiplicity_at
+
+    def counted(f, pt):
+        calls.append(pt)
+        return real(f, pt)
+
+    monkeypatch.setattr(exp, "multiplicity_at", counted)
+    code, out, _ = run(capsys, "mdlaw", json.dumps(NODAL_PARAM), "--bound", "5", "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["m"] == 2
+    assert calls == [(0, 0)]
+
+
 def test_gcd_family_ok(capsys):
     code, out, _ = run(capsys, "gcd-family", "pure", "3", "2", "-40", "40", "--json")
     assert code == EXIT_OK
@@ -189,3 +206,33 @@ def test_curve_file_input(tmp_path, capsys):
     code, out, _ = run(capsys, "resolve-curve", str(path), "--json")
     assert code == EXIT_OK
     assert json.loads(out)["lct"] == "5/6"
+
+
+MIXED_DEGREE = {"generators": [{"n": 2, "terms": [[[1, 0, 0], "1"], [[0, 2, 0], "1"]]}]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("resolve-curve", "{}"),
+        ("mdlaw", "{}"),
+        ("gcd-bounds", "{}"),
+        ("resolve-curve", "[1]"),
+        ("resolve-curve", json.dumps(CUSP_CURVE), "--c", "x"),
+        ("resolve-curve", json.dumps(CUSP_CURVE), "--c", "1/0"),
+        ("member", json.dumps(CUSP_CURVE), "--c", "x", "--g", '[[[0, 0], "1"]]', "--kind", "J"),
+        ("member", json.dumps(CUSP_CURVE), "--c", "1", "--g", "[1]", "--kind", "J"),
+        ("height-eval", json.dumps(V01), "--point=a,1,2"),
+        ("height-eval", json.dumps(V01), "--point", '[1, "b", 2]'),
+        ("height-eval", "{}", "--point", "1,1,2"),
+        ("height-eval", json.dumps(MIXED_DEGREE), "--point", "1,1,2"),
+        ("classify-snc", '{"divisors": [{"id": "E1", "c": "x"}]}'),
+        ("classify-snc", "[1]"),
+        ("resolve-curve", "no-such-file.json"),
+    ],
+)
+def test_malformed_input_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ")

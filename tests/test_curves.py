@@ -9,6 +9,7 @@ import pytest
 from logpairs.curves import (
     AffineCurve,
     IdealKind,
+    _rational_roots,
     blow_up_point,
     dual_graph_pair,
     ideal_member,
@@ -118,6 +119,18 @@ class TestResolve:
             sys.setrecursionlimit(limit)
         assert [n.id for n in tree.nodes] == list(range(1, 78))
         assert [n.parent for n in tree.nodes] == [None] + list(range(1, 77))
+
+    @pytest.mark.parametrize("a, b", [(2, 401), (3, 151)])
+    def test_tower_oracle(self, a, b):
+        # y^a - c*x^b (a, b coprime) needs one center per unit of the
+        # partial quotients of b/a, and its lct is 1/a + 1/b.
+        tree = resolve(Y**a - Poly2.constant(Fraction(-5, 3)) * X**b, max_depth=b)
+        quotients, num, den = [], b, a
+        while den:
+            quotients.append(num // den)
+            num, den = den, num % den
+        assert len(tree.nodes) == sum(quotients)
+        assert tree_lct(tree) == min(1, Fraction(1, a) + Fraction(1, b))
 
     def test_proximity_contains_parent(self):
         for curve in (CUSP, NODE, TACNODE, TRIPLE):
@@ -464,3 +477,63 @@ class TestDualGraph:
             for c in (Fraction(0), Fraction(1, 2), Fraction(1)):
                 data = pair_discrepancies(tree, vd, c)
                 assert classify(dual_graph_pair(tree, data)) is classify_resolved(data)
+
+
+def _sympy_rational_roots(coeffs):
+    """Rational roots and the irrational-factor flag from a direct sympy
+    factorization of the whole polynomial."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * t**j for j, c in enumerate(coeffs))
+    poly = sympy.Poly(expr, t, domain="QQ")
+    if poly.degree() <= 0:
+        return [], False
+    roots, irrational = [], False
+    for factor, _ in poly.factor_list()[1]:
+        if factor.degree() == 1:
+            lead, const = (Fraction(int(c.p), int(c.q)) for c in factor.all_coeffs())
+            roots.append(-const / lead)
+        else:
+            irrational = True
+    return sorted(roots), irrational
+
+
+class TestRationalRoots:
+    def _dense(self, terms):
+        coeffs = [Fraction(0)] * (max(terms, default=-1) + 1)
+        for j, c in terms.items():
+            coeffs[j] = Fraction(c)
+        return coeffs
+
+    def test_monomials_and_constants(self):
+        for k in range(6):
+            for c in (1, -3, Fraction(2, 7)):
+                coeffs = self._dense({k: c})
+                assert _rational_roots(coeffs) == _sympy_rational_roots(coeffs)
+                assert _rational_roots(coeffs) == ([Fraction(0)] if k else [], False)
+        assert _rational_roots([]) == ([], False)
+        assert _rational_roots([Fraction(0)] * 3) == ([], False)
+
+    def test_power_times_linear(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            k = rng.randint(0, 4)
+            a = Fraction(rng.choice([-4, -1, 1, 3]), rng.randint(1, 5))
+            b = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            coeffs = self._dense({j: c for j, c in {k: b, k + 1: a}.items() if c})
+            assert _rational_roots(coeffs) == _sympy_rational_roots(coeffs)
+
+    def test_higher_degree_parts(self):
+        for terms in (
+            {0: -2, 2: 1},
+            {0: -1, 2: 1},
+            {2: -2, 4: 1},
+            {1: 6, 2: -5, 3: 1},
+            {0: Fraction(1, 4), 1: -1, 2: 1},
+            {3: 1, 5: -3, 6: 2},
+        ):
+            coeffs = self._dense(terms)
+            assert _rational_roots(coeffs) == _sympy_rational_roots(coeffs)
+        assert _rational_roots(self._dense({0: -2, 2: 1})) == ([], True)
+        assert _rational_roots(self._dense({0: -1, 2: 1})) == ([Fraction(-1), Fraction(1)], False)

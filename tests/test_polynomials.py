@@ -81,6 +81,59 @@ class TestBlowupSubstitutions:
         f = (Y - X**2) * (Y + X) * X
         assert f.blowup_x()[1] == f.order() == 3
 
+    def test_chart_x_identity_at_zero_shift(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            f = random_poly(rng)
+            strict, k = f.blowup_x(0)
+            assert (strict, k) == f.blowup_x(Fraction(0))
+            for a, b in [(2, 3), (Fraction(1, 2), -1), (-3, Fraction(2, 5))]:
+                a, b = Fraction(a), Fraction(b)
+                assert strict.evaluate(a, b) * a**k == f.evaluate(a, a * b)
+
+
+class TestZeroShifts:
+    def test_translate_matches_shifted_evaluation(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            f = random_poly(rng)
+            t = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3))
+            for a, b in [(0, 0), (0, t), (t, 0), (t, -t)]:
+                g = f.translate(a, b)
+                for u, v in [(2, 3), (Fraction(1, 2), -1), (-3, Fraction(2, 5))]:
+                    u, v = Fraction(u), Fraction(v)
+                    assert g.evaluate(u, v) == f.evaluate(u + a, v + b)
+
+    def test_zero_translate_is_unchanged(self):
+        rng = random.Random(9)
+        for _ in range(20):
+            f = random_poly(rng)
+            assert f.translate(0, 0) == f
+            assert f.translate(Fraction(0), 0) == f
+
+    def test_translate_in_y_keeps_powers_of_x(self):
+        f = X**3 * Y**2 - Poly2.constant(Fraction(7, 2)) * X * Y + Y**4
+        shifted = f.translate(0, Fraction(-2, 3))
+        assert {i for i, _ in shifted.terms} <= {i for i, _ in f.terms}
+
+
+class TestIntegerEvaluate:
+    def test_matches_fraction_path(self):
+        rng = random.Random(10)
+        for _ in range(50):
+            f = random_poly(rng)
+            integral = Poly2({k: c.numerator for k, c in f.terms.items()})
+            for p in (f, integral):
+                for a, b in [(0, 0), (2, -3), (-7, 5), (10**12, -(10**9))]:
+                    value = p.evaluate(a, b)
+                    assert type(value) is Fraction
+                    assert value == p.evaluate(Fraction(a), Fraction(b))
+
+    def test_non_integer_coefficients(self):
+        f = Poly2({(2, 0): Fraction(1, 2), (0, 1): 3})
+        assert f.evaluate(3, 1) == Fraction(15, 2)
+        assert f.evaluate(Fraction(1, 3), 2) == Fraction(109, 18)
+
 
 class TestExactDivision:
     def test_product_division_round_trip(self):
