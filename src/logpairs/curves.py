@@ -433,13 +433,13 @@ def dual_graph_pair(tree: ResolutionTree, data: ResolvedPairData) -> SNCPair:
 
     Valid for trees as produced by :func:`resolve`.
     """
+    # A center is proximate to at most two divisors, so E_anc and E_node are
+    # separated exactly when a later center is proximate to both of them.
+    separated = {n.proximate_to for n in tree.nodes if len(n.proximate_to) == 2}
     edges: set[tuple[str, str]] = set()
     for node in tree.nodes:
         for anc in node.proximate_to:
-            separated = any(
-                {anc, node.id} <= other.proximate_to for other in tree.nodes if other.id > node.id
-            )
-            if not separated:
+            if frozenset((anc, node.id)) not in separated:
                 edges.add((f"E{anc}", f"E{node.id}"))
     for anc in tree.curve_contacts:
         edges.add((f"E{anc}", STRICT_ID))

@@ -21,6 +21,24 @@ class AllZeroError(InputError):
     """Projective coordinates must not all vanish."""
 
 
+class NotPrimitiveError(InputError):
+    """Stored projective coordinates must be coprime with a positive leading entry."""
+
+
+class MalformedPolynomialError(InputError):
+    """A polynomial term has a negative exponent, the wrong number of
+    exponents or the wrong degree, a zero coefficient, or a repeated
+    exponent vector; or a polynomial was raised to a negative power."""
+
+
+class DimensionMismatchError(InputError):
+    """Polynomials or points of different ambient spaces were combined."""
+
+
+class MalformedConfigurationError(InputError):
+    """Divisor labels repeat, or an edge is a loop or names an unknown divisor."""
+
+
 class SupportPointError(InputError):
     """Evaluation requested at a point lying in the support of the subscheme."""
 

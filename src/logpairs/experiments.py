@@ -6,7 +6,8 @@ The residual of a record is hO - (m/d)*h.  It is computed as
 ``log(Q)/d`` for the exact rational Q = (G/R)^d / M^m, where G is the gcd of
 the first two coordinates, R the archimedean max-ratio, and M the largest
 absolute coordinate; when the law is exact (Q == 1) the float residual is
-exactly 0.0, with no tolerance needed.
+exactly 0.0, with no tolerance needed.  Sampling and Q stay in integers:
+only R is a Fraction, and Q is reduced by an integer gcd before its logs.
 """
 
 from __future__ import annotations
@@ -234,8 +235,12 @@ def mdlaw_records(target: HomogPoly, points: Sequence[ProjPoint]) -> list[Experi
         big = max(abs(c) for c in pt.coords)
         n_val = math.log(g)
         prox = -log_fraction(ratio) + 0.0
-        q_exact = (Fraction(g) / ratio) ** d / Fraction(big) ** m
-        residual = log_fraction(q_exact) / d
+        # Q = (g / ratio)^d / big^m in lowest terms, as the Fraction would
+        # hold it, so that the two logs see the same integers.
+        num = (g * ratio.denominator) ** d
+        den = ratio.numerator**d * big**m
+        k = math.gcd(num, den)
+        residual = (math.log(num // k) - math.log(den // k)) / d
         records.append(
             ExperimentRecord(
                 point=pt,
@@ -369,14 +374,14 @@ def gcd_bounds_check(
     m = _origin_multiplicity(target)
     lo = m / d - eps
     hi = m / d + eps
-    frac_delta = Fraction(delta)
+    delta_num, delta_den = Fraction(delta).as_integer_ratio()
     c_lower = math.inf
     c_upper = 0.0
     kept = 0
     for pt in points:
         x, y, z = pt.coords
         big = max(abs(x), abs(y))
-        if big < frac_delta * abs(z):
+        if big * delta_den < delta_num * abs(z):
             continue
         kept += 1
         g = math.gcd(x, y)

@@ -21,7 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import AllZeroError, NotPrimeError, SupportPointError, ZeroInputError
+from .errors import (
+    AllZeroError,
+    DimensionMismatchError,
+    MalformedPolynomialError,
+    NotPrimeError,
+    NotPrimitiveError,
+    SupportPointError,
+    ZeroInputError,
+)
 from .places import Place, _int_valuation, is_prime, log_fraction
 
 RatLike = Union[Fraction, int, str]
@@ -41,10 +49,10 @@ class ProjPoint:
         if not self.coords or all(c == 0 for c in self.coords):
             raise AllZeroError("projective point needs a nonzero coordinate")
         if math.gcd(*[abs(c) for c in self.coords]) != 1:
-            raise ValueError(f"coordinates {self.coords} are not primitive")
+            raise NotPrimitiveError(f"coordinates {self.coords} are not primitive")
         first = next(c for c in self.coords if c != 0)
         if first < 0:
-            raise ValueError(f"leading sign convention violated: {self.coords}")
+            raise NotPrimitiveError(f"leading sign convention violated: {self.coords}")
 
     @property
     def dim(self) -> int:
@@ -55,19 +63,23 @@ class ProjPoint:
 
 
 def normalize_point(raw: Sequence[RatLike]) -> ProjPoint:
-    """Clear denominators, divide by the gcd, and fix the leading sign."""
-    vals = [Fraction(v) for v in raw]
-    if all(v == 0 for v in vals):
+    """Clear denominators, divide by the gcd, and fix the leading sign.
+
+    Integer input skips the rational route: it is divided by its gcd,
+    negated with the gcd when the first nonzero entry is negative.
+    """
+    if all(type(v) is int for v in raw):
+        ints = raw
+    else:
+        vals = [Fraction(v) for v in raw]
+        lcm = math.lcm(*(v.denominator for v in vals))
+        ints = [int(v * lcm) for v in vals]
+    g = math.gcd(*ints)
+    if g == 0:
         raise AllZeroError("cannot normalize the zero vector")
-    lcm = 1
-    for v in vals:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in vals]
-    g = math.gcd(*[abs(c) for c in ints])
-    ints = [c // g for c in ints]
-    if next(c for c in ints if c != 0) < 0:
-        ints = [-c for c in ints]
-    return ProjPoint(tuple(ints))
+    if next(c for c in ints if c) < 0:
+        g = -g
+    return ProjPoint(tuple(c // g for c in ints))
 
 
 @dataclass(frozen=True)
@@ -88,13 +100,15 @@ class HomogPoly:
         seen = set()
         for exps, coeff in self.terms:
             if len(exps) != self.num_vars:
-                raise ValueError(f"term {exps} does not have {self.num_vars} exponents")
+                raise MalformedPolynomialError(
+                    f"term {exps} does not have {self.num_vars} exponents"
+                )
             if sum(exps) != self.degree:
-                raise ValueError(f"term {exps} is not of degree {self.degree}")
+                raise MalformedPolynomialError(f"term {exps} is not of degree {self.degree}")
             if coeff == 0:
-                raise ValueError("zero coefficient stored in a term")
+                raise MalformedPolynomialError("zero coefficient stored in a term")
             if exps in seen:
-                raise ValueError(f"duplicate exponent vector {exps}")
+                raise MalformedPolynomialError(f"duplicate exponent vector {exps}")
             seen.add(exps)
 
     @classmethod
@@ -134,7 +148,7 @@ class HomogPoly:
 
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         if self.num_vars != other.num_vars:
-            raise ValueError("variable count mismatch")
+            raise DimensionMismatchError("variable count mismatch")
         acc: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
@@ -154,7 +168,7 @@ class Subscheme:
             raise ZeroInputError("a subscheme needs at least one generator")
         nv = {g.num_vars for g in self.generators}
         if len(nv) != 1:
-            raise ValueError("generators live in different projective spaces")
+            raise DimensionMismatchError("generators live in different projective spaces")
 
     @property
     def num_vars(self) -> int:
@@ -167,7 +181,7 @@ class Subscheme:
 
     def values_at(self, x: ProjPoint) -> list[int]:
         if len(x.coords) != self.num_vars:
-            raise ValueError("point dimension does not match the subscheme")
+            raise DimensionMismatchError("point dimension does not match the subscheme")
         return [g.evaluate(x.coords) for g in self.generators]
 
 
@@ -224,15 +238,13 @@ def weil_arch_ratio(Z: Subscheme, x: ProjPoint) -> Fraction:
     """max over generators of |f(x)| / max_j|x_j|^(deg f), as an exact Fraction.
 
     The archimedean Weil value is ``-log`` of this ratio; the ratio is 0
-    exactly when x lies in the support.
+    exactly when x lies in the support.  With D the top generator degree,
+    the max is taken in integers over |f(x)| * max_j|x_j|^(D - deg f).
     """
     m = max(abs(c) for c in x.coords)
-    best = Fraction(0)
-    for g, v in zip(Z.generators, Z.values_at(x)):
-        r = Fraction(abs(v), m**g.degree)
-        if r > best:
-            best = r
-    return best
+    top = max(g.degree for g in Z.generators)
+    best = max(abs(v) * m ** (top - g.degree) for g, v in zip(Z.generators, Z.values_at(x)))
+    return Fraction(best, m**top)
 
 
 # -- float operations ---------------------------------------------------------

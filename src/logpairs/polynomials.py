@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import ZeroInputError
+from .errors import MalformedPolynomialError, ZeroInputError
 
 CoeffLike = Union[Fraction, int, str]
 
@@ -51,7 +51,7 @@ class Poly2:
         items = list(terms.items() if isinstance(terms, Mapping) else terms)
         for (i, j), _ in items:
             if i < 0 or j < 0:
-                raise ValueError(f"negative exponent in term {(i, j)}")
+                raise MalformedPolynomialError(f"negative exponent in term {(i, j)}")
         self.terms = _sum_terms({}, (((int(i), int(j)), _coeff(c)) for (i, j), c in items))
 
     @classmethod
@@ -147,7 +147,7 @@ class Poly2:
 
     def __pow__(self, n: int) -> "Poly2":
         if n < 0:
-            raise ValueError("negative power")
+            raise MalformedPolynomialError("negative power")
         result = Poly2.constant(1)
         base = self
         while n:
@@ -158,8 +158,16 @@ class Poly2:
         return result
 
     def evaluate(self, ax: CoeffLike, ay: CoeffLike) -> Fraction:
-        if type(ax) is int and type(ay) is int and self.has_integer_coefficients():
-            return Fraction(sum(c.numerator * ax**i * ay**j for (i, j), c in self.terms.items()))
+        if type(ax) is int and type(ay) is int:
+            # Sum in ints; the first non-integral coefficient falls through
+            # to the rational loop below.
+            total = 0
+            for (i, j), c in self.terms.items():
+                if c.denominator != 1:
+                    break
+                total += c.numerator * ax**i * ay**j
+            else:
+                return Fraction(total)
         ax, ay = _coeff(ax), _coeff(ay)
         total = Fraction(0)
         for (i, j), c in self.terms.items():

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import BadOrderError, NegativeBError
+from .errors import BadOrderError, MalformedConfigurationError, NegativeBError
 
 NEG_INFINITY: float = float("-inf")
 
@@ -53,13 +53,13 @@ class SNCPair:
     def __post_init__(self) -> None:
         ids = [d for d, _ in self.divisors]
         if len(ids) != len(set(ids)):
-            raise ValueError("divisor labels must be unique")
+            raise MalformedConfigurationError("divisor labels must be unique")
         known = set(ids)
         for e in self.edges:
             if len(e) != 2:
-                raise ValueError(f"edge {set(e)} must join two distinct divisors")
+                raise MalformedConfigurationError(f"edge {set(e)} must join two distinct divisors")
             if not e <= known:
-                raise ValueError(f"edge {set(e)} references unknown labels")
+                raise MalformedConfigurationError(f"edge {set(e)} references unknown labels")
 
     @classmethod
     def build(
@@ -153,7 +153,7 @@ class ResolvedPairData:
     def __post_init__(self) -> None:
         ids = [r.id for r in self.rows]
         if len(ids) != len(set(ids)):
-            raise ValueError("divisor ids must be unique")
+            raise MalformedConfigurationError("divisor ids must be unique")
 
     @classmethod
     def build(cls, rows: Iterable[tuple[str, Fraction, Fraction, bool]]) -> "ResolvedPairData":

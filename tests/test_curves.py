@@ -461,7 +461,33 @@ class TestErrorPaths:
         assert vojta_reduced_divisor(data) == {"E1", "E2", "E3", "C"}
 
 
+def nested_scan_edges(tree) -> set:
+    """Exceptional edges by the defining scan: E_anc and E_node meet unless
+    some later center is proximate to both."""
+    edges = set()
+    for node in tree.nodes:
+        for anc in node.proximate_to:
+            later = (other for other in tree.nodes if other.id > node.id)
+            if not any({anc, node.id} <= other.proximate_to for other in later):
+                edges.add(frozenset((f"E{anc}", f"E{node.id}")))
+    return edges
+
+
 class TestDualGraph:
+    def test_matches_nested_scan(self):
+        rng = random.Random(17)
+        curves = [(Y**2 - X**3) ** 2 - X**k * Y for k in range(7, 16)]
+        for _ in range(12):
+            a = rng.choice([2, 3, 4])
+            b = rng.choice([b for b in range(a + 1, 60) if math.gcd(a, b) == 1])
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+            curves.append(Y**a - Poly2.constant(c) * X**b)
+        for curve in curves:
+            tree = resolve(curve, max_depth=200)
+            data = pair_discrepancies(tree, valuation_data(tree), Fraction(1, 2))
+            strict = {frozenset((f"E{anc}", "C")) for anc in tree.curve_contacts}
+            assert dual_graph_pair(tree, data).edges == nested_scan_edges(tree) | strict
+
     def test_cusp_configuration(self):
         tree = resolve(CUSP)
         data = pair_discrepancies(tree, valuation_data(tree), Fraction(5, 6))

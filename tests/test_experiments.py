@@ -23,7 +23,8 @@ from logpairs.experiments import (
     sample_param_points,
     write_mdlaw_csv,
 )
-from logpairs.heights import HomogPoly, normalize_point
+from logpairs.heights import HomogPoly, Subscheme, counting_gcd, normalize_point, weil_arch_ratio
+from logpairs.places import log_fraction
 from logpairs.polynomials import Poly2
 
 
@@ -119,6 +120,18 @@ class TestMdlaw:
         assert abs(report.slope_fit) < 0.01
         # bounded distance to the missing point: residuals equal hO itself
         assert report.max_abs_residual < math.log(3)
+
+    def test_residual_is_the_log_of_the_rational_quotient(self):
+        # the integer quotient must be reduced exactly as the Fraction
+        # (G/R)^d / M^m is, or the two logs round differently
+        z = Subscheme.of_coordinates(3, (0, 1))
+        for pc in (nodal_cubic_param(), pure_power_param(2, 5), pure_power_param(3, 7)):
+            sample = sample_param_points(pc, 12)
+            for pt, record in zip(sample.points, mdlaw_records(pc.target, sample.points)):
+                big = max(abs(c) for c in pt.coords)
+                q = (Fraction(counting_gcd(z, pt)) / weil_arch_ratio(z, pt)) ** pc.degree
+                q /= Fraction(big) ** record.m
+                assert record.residual == log_fraction(q) / pc.degree
 
     def test_record_invariants(self):
         pc = nodal_cubic_param()
@@ -233,6 +246,20 @@ class TestGcdBounds:
         assert 0 < report.c_lower <= report.c_upper
         assert report.exponent_low == pytest.approx(2 / 3 - 0.05)
         assert report.exponent_high == pytest.approx(2 / 3 + 0.05)
+
+    def test_delta_filter_is_exact(self):
+        # big >= delta * |z| compared in integers, including the boundary
+        # big == delta * |z| and a float delta that is not a short decimal
+        pc = nodal_cubic_param()
+        points = sample_param_points(pc, 15).points
+        for delta in (0.1, 0.5, 1.0, 1.5, 2, 3.25, 7.0):
+            kept = [
+                (x, y, z)
+                for x, y, z in (p.coords for p in points)
+                if max(abs(x), abs(y)) >= Fraction(delta) * abs(z)
+            ]
+            report = gcd_bounds_check(pc.target, points, eps=0.05, delta=delta)
+            assert report.samples == len(kept)
 
     def test_empty_after_filter(self):
         pc = nodal_cubic_param()

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from logpairs.errors import AllZeroError, SupportPointError
+from logpairs.errors import (
+    AllZeroError,
+    DimensionMismatchError,
+    MalformedPolynomialError,
+    NotPrimitiveError,
+    SupportPointError,
+)
 from logpairs.heights import (
     HeightTriple,
     HomogPoly,
@@ -42,14 +48,36 @@ class TestNormalizePoint:
         assert pt(-3, -6, -9).coords == (1, 2, 3)
 
     def test_all_zero_rejected(self):
-        with pytest.raises(AllZeroError):
-            normalize_point([0, 0, 0])
+        for raw in ([0, 0, 0], [0], [Fraction(0), 0], ()):
+            with pytest.raises(AllZeroError):
+                normalize_point(raw)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             ProjPoint((2, 4, 6))
         with pytest.raises(ValueError):
             ProjPoint((-1, 2, 3))
+
+    def test_invariant_errors_are_typed(self):
+        with pytest.raises(NotPrimitiveError):
+            ProjPoint((2, 4, 6))
+        with pytest.raises(NotPrimitiveError):
+            ProjPoint((0, -1, 3))
+
+    def test_integer_path_matches_rational_path(self):
+        rng = random.Random(61)
+        cases = [(0, 0, -5), (0, -4, 6), (-6, 0, 9), (12, -18, 30), (-(10**30), 10**20, 0)]
+        for _ in range(300):
+            factor = rng.choice([1, -1, 2, -6, 35, 10**12])
+            size = rng.randint(1, 4)
+            coords = tuple(factor * rng.choice([0, rng.randint(-50, 50)]) for _ in range(size))
+            if any(coords):
+                cases.append(coords)
+        for coords in cases:
+            point = normalize_point(coords)
+            assert point == normalize_point([Fraction(c) for c in coords])
+            assert point == normalize_point([Fraction(c, 7) for c in coords])
+            assert all(type(c) is int for c in point.coords)
 
 
 class TestWeilLocal:
@@ -169,6 +197,22 @@ class TestTypeValidation:
         with pytest.raises(ValueError):
             HomogPoly.from_terms(3, [((1, 0, 0), 1), ((1, 0, 0), -1)])
 
+    def test_constructor_errors_are_typed(self):
+        with pytest.raises(MalformedPolynomialError):
+            HomogPoly(num_vars=3, degree=2, terms=(((1, 0, 0), 1),))
+        with pytest.raises(MalformedPolynomialError):
+            HomogPoly(num_vars=3, degree=1, terms=(((1, 0), 1),))
+        with pytest.raises(MalformedPolynomialError):
+            HomogPoly(num_vars=3, degree=1, terms=(((1, 0, 0), 0),))
+        with pytest.raises(MalformedPolynomialError):
+            HomogPoly(num_vars=3, degree=1, terms=(((1, 0, 0), 1), ((1, 0, 0), 2)))
+        with pytest.raises(DimensionMismatchError):
+            HomogPoly.coordinate(3, 0) * HomogPoly.coordinate(4, 0)
+        with pytest.raises(DimensionMismatchError):
+            Subscheme((HomogPoly.coordinate(3, 0), HomogPoly.coordinate(4, 0)))
+        with pytest.raises(DimensionMismatchError):
+            V01.values_at(ProjPoint((1, 2, 3, 4)))
+
 
 def random_subscheme(rng, max_gens=3, max_degree=3) -> Subscheme:
     gens = []
@@ -225,6 +269,23 @@ class TestStructuredIdentities:
                 lhs = weil_local(union, x, place)
                 rhs = min(weil_local(z1, x, place), weil_local(z2, x, place))
                 assert lhs == rhs
+
+    def test_arch_ratio_matches_per_generator_fractions(self):
+        # the integer max over |f(x)| * M^(D - deg f) against the max of one
+        # Fraction |f(x)| / M^deg f per generator, on mixed-degree generators
+        def per_generator_max(Z, x):
+            m = max(abs(c) for c in x.coords)
+            pairs = zip(Z.generators, Z.values_at(x))
+            return max([Fraction(abs(v), m**g.degree) for g, v in pairs] + [Fraction(0)])
+
+        rng = random.Random(77)
+        for _ in range(60):
+            z1, z2 = random_subscheme(rng), random_subscheme(rng)
+            for z in (z1, subscheme_product(z1, z2), subscheme_union_generators(z1, z2)):
+                for x in [random_point(rng) for _ in range(4)] + [pt(0, 0, 1), pt(1, 0, 0)]:
+                    ratio = weil_arch_ratio(z, x)
+                    assert type(ratio) is Fraction
+                    assert ratio == per_generator_max(z, x)
 
     def test_superset_monotone(self):
         rng = random.Random(5)

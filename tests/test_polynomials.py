@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from logpairs.errors import ZeroInputError
+from logpairs.errors import MalformedPolynomialError, ZeroInputError
 from logpairs.polynomials import Poly2, univariate_gcd
 
 X, Y = Poly2.x(), Poly2.y()
@@ -134,6 +134,21 @@ class TestIntegerEvaluate:
         assert f.evaluate(3, 1) == Fraction(15, 2)
         assert f.evaluate(Fraction(1, 3), 2) == Fraction(109, 18)
 
+    def test_non_integral_coefficient_after_integral_ones(self):
+        # the integer pass has summed some terms when it meets the fraction
+        integral = [((0, 0), 2), ((1, 0), -3), ((1, 1), 5), ((0, 3), 7)]
+        for at in range(len(integral) + 1):
+            terms = integral[:at] + [((2, 1), Fraction(-1, 6))] + integral[at:]
+            f = Poly2(terms)
+            assert list(f.terms)[at] == (2, 1)
+            for a, b in [(0, 0), (4, -3), (-5, 2), (10**9, 7)]:
+                expected = sum(
+                    Fraction(c) * Fraction(a) ** i * Fraction(b) ** j for (i, j), c in terms
+                )
+                value = f.evaluate(a, b)
+                assert type(value) is Fraction
+                assert value == expected
+
 
 class TestExactDivision:
     def test_product_division_round_trip(self):
@@ -149,6 +164,13 @@ class TestExactDivision:
     def test_divide_by_zero_rejected(self):
         with pytest.raises(ZeroInputError):
             X.divide_exact(Poly2())
+
+
+def test_negative_exponents_rejected_with_typed_errors():
+    with pytest.raises(MalformedPolynomialError):
+        Poly2({(-1, 2): 1})
+    with pytest.raises(MalformedPolynomialError):
+        X ** -1
 
 
 class TestUnivariateGcd:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from logpairs.errors import BadOrderError, NegativeBError
+from logpairs.errors import BadOrderError, MalformedConfigurationError, NegativeBError
 from logpairs.snc import (
     NEG_INFINITY,
     PairClass,
@@ -223,3 +223,13 @@ class TestValidation:
     def test_unknown_edge_rejected(self):
         with pytest.raises(ValueError):
             SNCPair.build([("E0", 1)], [("E0", "E9")])
+
+    def test_rejections_are_typed(self):
+        with pytest.raises(MalformedConfigurationError):
+            SNCPair.build([("E", 1), ("E", 2)])
+        with pytest.raises(MalformedConfigurationError):
+            SNCPair.build([("E0", 1), ("E1", 1)], [("E0", "E0")])
+        with pytest.raises(MalformedConfigurationError):
+            SNCPair.build([("E0", 1)], [("E0", "E9")])
+        with pytest.raises(MalformedConfigurationError):
+            ResolvedPairData.build([("E1", 0, 1, True), ("E1", 0, 2, True)])
