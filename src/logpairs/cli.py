@@ -206,7 +206,11 @@ def _cmd_mdlaw(args) -> int:
     records = experiments.mdlaw_records(pc.target, sample.points)
     report = experiments.mdlaw_report(pc.target, records, h_min=args.h_min)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        try:
+            fh = open(args.out, "w", newline="")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out!r}: {exc.strerror}") from exc
+        with fh:
             experiments.write_mdlaw_csv(fh, sample.params, records)
     payload = report.to_json()
     payload["origin_hits"] = [list(pq) for pq in sample.origin_params]

@@ -26,7 +26,8 @@ Chart bookkeeping keeps exceptional divisors along coordinate axes: after a
 blowup, the finite-direction chart is (x, y) -> (x, x*(y + t)) with the new
 exceptional divisor at {x = 0}, and the vertical-direction chart is
 (x, y) -> (x*y, y) with the new divisor at {y = 0}.  At any center at most
-two exceptional divisors pass through, one per axis.
+two exceptional divisors pass through, one per axis, so a center's
+proximity set is read off its two axes.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .errors import (
     DepthExceededError,
@@ -61,14 +62,10 @@ def _as_poly(f: PolyLike) -> Poly2:
     return f.poly if isinstance(f, AffineCurve) else f
 
 
-def _sympy_xy():
+def _is_squarefree(poly: Poly2) -> bool:
     import sympy
 
-    return sympy, sympy.Symbol("x"), sympy.Symbol("y")
-
-
-def _is_squarefree(poly: Poly2) -> bool:
-    sympy, x, y = _sympy_xy()
+    x, y = sympy.Symbol("x"), sympy.Symbol("y")
     expr = sympy.Add(
         *[
             sympy.Rational(c.numerator, c.denominator) * x**i * y**j
@@ -138,24 +135,27 @@ class AffineCurve:
 class ResolutionNode:
     """One blowup center.
 
-    ``proximate_to`` lists the ancestors whose exceptional divisors pass
-    through this center (it always contains the parent).  ``chart`` and
-    ``shift`` say how local coordinates at this center arise from the
-    parent's: chart "x" is (x, x*(y + shift)), chart "y" is (x*y, y).
-    ``local_poly`` is the strict transform of the curve in these
+    ``chart`` and ``shift`` say how local coordinates at this center arise
+    from the parent's: chart "x" is (x, x*(y + shift)), chart "y" is
+    (x*y, y).  ``local_poly`` is the strict transform of the curve in these
     coordinates, before this center is blown up.  ``axis_x`` and ``axis_y``
     name the exceptional divisors along the two coordinate axes here.
     """
 
     id: int
     parent: int | None
-    proximate_to: frozenset[int]
     mult: int
     chart: str | None
     shift: Fraction | None
     local_poly: Poly2
     axis_x: int | None
     axis_y: int | None
+
+    @property
+    def proximate_to(self) -> frozenset[int]:
+        """The ancestors whose exceptional divisors pass through this center:
+        the divisors along its axes (the parent is always one of them)."""
+        return frozenset(a for a in (self.axis_x, self.axis_y) if a is not None)
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,6 @@ def resolve(f: PolyLike, max_depth: int = 64) -> ResolutionTree:
             ResolutionNode(
                 id=nid,
                 parent=parent,
-                proximate_to=frozenset(axes),
                 mult=m,
                 chart=chart,
                 shift=shift,
@@ -251,8 +250,7 @@ def resolve(f: PolyLike, max_depth: int = 64) -> ResolutionTree:
                 axis_y=axis_y,
             )
         )
-        transformed, stripped = local.blowup_x()
-        assert stripped == m
+        transformed, _ = local.blowup_x()
         restriction = transformed.on_x_axis_restriction()
         roots, has_irrational = _rational_roots(restriction)
         if has_irrational:
@@ -264,8 +262,7 @@ def resolve(f: PolyLike, max_depth: int = 64) -> ResolutionTree:
             for t in roots
         ]
         if len(restriction) - 1 < m:
-            child, stripped_y = local.blowup_y()
-            assert stripped_y == m
+            child, _ = local.blowup_y()
             children.append((child, axis_x, nid, nid, "y", None, depth + 1))
         pending.extend(reversed(children))
     return ResolutionTree(curve=poly, nodes=tuple(nodes), curve_contacts=frozenset(contacts))
@@ -283,35 +280,33 @@ def blow_up_point(tree: ResolutionTree, node_id: int, shift: Fraction | int) -> 
     shift = Fraction(shift)
     node = tree.node(node_id)
     transformed, _ = node.local_poly.blowup_x(shift)
-    prox = {node_id}
-    axis_y = None
-    if shift == 0 and node.axis_y is not None:
-        prox.add(node.axis_y)
-        axis_y = node.axis_y
     new = ResolutionNode(
         id=len(tree.nodes) + 1,
         parent=node_id,
-        proximate_to=frozenset(prox),
         mult=transformed.order(),
         chart="x",
         shift=shift,
         local_poly=transformed,
         axis_x=node_id,
-        axis_y=axis_y,
+        axis_y=node.axis_y if shift == 0 else None,
     )
     return ResolutionTree(
         curve=tree.curve, nodes=tree.nodes + (new,), curve_contacts=tree.curve_contacts
     )
 
 
+def _unroll(tree: ResolutionTree, base: Callable[[ResolutionNode], int]) -> dict[int, int]:
+    """The proximity recursion x_i = base(node_i) + sum of x_j over the
+    proximity set of i, unrolled in creation (parent-first) order."""
+    x: dict[int, int] = {}
+    for node in tree.nodes:
+        x[node.id] = base(node) + sum(x[j] for j in node.proximate_to)
+    return x
+
+
 def valuation_data(tree: ResolutionTree) -> ValuationData:
     """Unroll the proximity recursions for k and v over the tree."""
-    k: dict[int, int] = {}
-    v: dict[int, int] = {}
-    for node in tree.nodes:
-        k[node.id] = 1 + sum(k[j] for j in node.proximate_to)
-        v[node.id] = node.mult + sum(v[j] for j in node.proximate_to)
-    return ValuationData(k=k, v=v)
+    return ValuationData(k=_unroll(tree, lambda node: 1), v=_unroll(tree, lambda node: node.mult))
 
 
 STRICT_ID = "C"
@@ -361,28 +356,17 @@ def ord_along(tree: ResolutionTree, g: Poly2) -> PullbackOrders:
     if g.is_zero:
         raise ZeroInputError("cannot pull back the zero polynomial")
     local: dict[int, Poly2] = {}
-    mult_g: dict[int, int] = {}
     for node in tree.nodes:
         if node.parent is None:
-            gi = g
+            local[node.id] = g
         elif node.chart == "x":
-            gi, _ = local[node.parent].blowup_x(node.shift)
+            local[node.id] = local[node.parent].blowup_x(node.shift)[0]
         else:
-            gi, _ = local[node.parent].blowup_y()
-        local[node.id] = gi
-        mult_g[node.id] = gi.order()
-    w: dict[int, int] = {}
-    for node in tree.nodes:
-        w[node.id] = mult_g[node.id] + sum(w[j] for j in node.proximate_to)
-    strict = 0
-    rem = g
-    curve = tree.curve
-    while True:
-        quotient = rem.divide_exact(curve)
-        if quotient is None:
-            break
-        rem = quotient
-        strict += 1
+            local[node.id] = local[node.parent].blowup_y()[0]
+    w = _unroll(tree, lambda node: local[node.id].order())
+    strict, rem = 0, g
+    while (quotient := rem.divide_exact(tree.curve)) is not None:
+        strict, rem = strict + 1, quotient
     return PullbackOrders(by_divisor=w, strict=strict)
 
 

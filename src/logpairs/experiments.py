@@ -368,8 +368,8 @@ def gcd_bounds_check(
     """Fit the tightest constants sandwiching gcd(x, y) between powers of
     max(|x|, |y|) with exponents m/d -+ eps, over points far enough from the
     distinguished point in the euclidean sense."""
-    if eps <= 0 or delta <= 0:
-        raise BadRangeError("eps and delta must be positive")
+    if not (0 < eps < math.inf and 0 < delta < math.inf):
+        raise BadRangeError("eps and delta must be positive and finite")
     d = target.degree
     m = _origin_multiplicity(target)
     lo = m / d - eps

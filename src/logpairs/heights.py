@@ -31,6 +31,7 @@ from .errors import (
     ZeroInputError,
 )
 from .places import Place, _int_valuation, is_prime, log_fraction
+from .polynomials import exact_int
 
 RatLike = Union[Fraction, int, str]
 
@@ -53,10 +54,6 @@ class ProjPoint:
         first = next(c for c in self.coords if c != 0)
         if first < 0:
             raise NotPrimitiveError(f"leading sign convention violated: {self.coords}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords) - 1
 
     def __str__(self) -> str:
         return "(" + ":".join(str(c) for c in self.coords) + ")"
@@ -115,8 +112,8 @@ class HomogPoly:
     def from_terms(cls, num_vars: int, terms: Iterable[tuple[Sequence[int], int]]) -> "HomogPoly":
         acc: dict[tuple[int, ...], int] = {}
         for exps, coeff in terms:
-            key = tuple(int(e) for e in exps)
-            acc[key] = acc.get(key, 0) + int(coeff)
+            key = tuple(exact_int(e, "exponent") for e in exps)
+            acc[key] = acc.get(key, 0) + exact_int(coeff, "coefficient")
         cleaned = tuple(sorted((k, v) for k, v in acc.items() if v != 0))
         if not cleaned:
             raise ZeroInputError("all terms cancelled")
@@ -130,8 +127,7 @@ class HomogPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "HomogPoly":
-        num_vars = int(data["n"]) + 1
-        return cls.from_terms(num_vars, ((e, int(c)) for e, c in data["terms"]))
+        return cls.from_terms(exact_int(data["n"], "n") + 1, data["terms"])
 
     def to_json(self) -> dict:
         return {"n": self.num_vars - 1, "terms": [[list(e), str(c)] for e, c in self.terms]}
@@ -149,12 +145,12 @@ class HomogPoly:
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         if self.num_vars != other.num_vars:
             raise DimensionMismatchError("variable count mismatch")
-        acc: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc[key] = acc.get(key, 0) + c1 * c2
-        return HomogPoly.from_terms(self.num_vars, acc.items())
+        products = (
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self.terms
+            for e2, c2 in other.terms
+        )
+        return HomogPoly.from_terms(self.num_vars, products)
 
 
 @dataclass(frozen=True)
@@ -277,7 +273,7 @@ def arakelov_decompose(Z: Subscheme, x: ProjPoint) -> HeightTriple:
     if g == 0:
         raise SupportPointError(f"point {x} lies in the support of the subscheme")
     n_val = math.log(g)
-    m_val = -log_fraction(weil_arch_ratio(Z, x)) + 0.0
+    m_val = weil_local(Z, x, Place())
     return HeightTriple(h=n_val + m_val, N=n_val, m=m_val)
 
 

@@ -22,6 +22,26 @@ def _coeff(c: CoeffLike) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
+def exact_int(value, what: str) -> int:
+    """An exponent or integer coefficient read from input, as an int: 2,
+    2.0 and "2" pass, and anything non-integral raises
+    MalformedPolynomialError instead of being truncated."""
+    try:
+        q = value if type(value) is int else Fraction(value)
+        if q.denominator == 1:
+            return q.numerator
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise MalformedPolynomialError(f"{what} {value!r} is not an integer")
+
+
+def _exponents(i, j) -> tuple[int, int]:
+    key = (exact_int(i, "exponent"), exact_int(j, "exponent"))
+    if key[0] < 0 or key[1] < 0:
+        raise MalformedPolynomialError(f"negative exponent in term {key}")
+    return key
+
+
 def _sum_terms(acc: dict, terms: Iterable) -> dict:
     """Add ``(exponents, coefficient)`` pairs into ``acc``, dropping every
     exponent whose coefficients sum to zero; returns ``acc``."""
@@ -48,11 +68,8 @@ class Poly2:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], CoeffLike] | Iterable = ()):
-        items = list(terms.items() if isinstance(terms, Mapping) else terms)
-        for (i, j), _ in items:
-            if i < 0 or j < 0:
-                raise MalformedPolynomialError(f"negative exponent in term {(i, j)}")
-        self.terms = _sum_terms({}, (((int(i), int(j)), _coeff(c)) for (i, j), c in items))
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        self.terms = _sum_terms({}, ((_exponents(i, j), _coeff(c)) for (i, j), c in items))
 
     @classmethod
     def _of(cls, terms: dict[tuple[int, int], Fraction]) -> "Poly2":
@@ -82,7 +99,7 @@ class Poly2:
     @classmethod
     def from_json(cls, data: Iterable) -> "Poly2":
         """Parse ``[[[i, j], "coeff"], ...]`` with rational coefficient strings."""
-        return cls(((int(e[0]), int(e[1])), _coeff(c)) for e, c in data)
+        return cls(((i, j), c) for (i, j), c in data)
 
     def to_json(self) -> list:
         return [[[i, j], str(c)] for (i, j), c in sorted(self.terms.items())]
@@ -139,12 +156,6 @@ class Poly2:
         )
         return Poly2._of(_sum_terms({}, products))
 
-    def scale(self, c: CoeffLike) -> "Poly2":
-        c = _coeff(c)
-        if not c:
-            return Poly2()
-        return Poly2({k: v * c for k, v in self.terms.items()})
-
     def __pow__(self, n: int) -> "Poly2":
         if n < 0:
             raise MalformedPolynomialError("negative power")
@@ -174,15 +185,6 @@ class Poly2:
             total += c * ax**i * ay**j
         return total
 
-    def derivative(self, var: str) -> "Poly2":
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
-            if var == "x" and i > 0:
-                acc[(i - 1, j)] = c * i
-            elif var == "y" and j > 0:
-                acc[(i, j - 1)] = c * j
-        return Poly2(acc)
-
     # -- substitutions used by blowups --------------------------------------
 
     def translate(self, ax: CoeffLike, ay: CoeffLike) -> "Poly2":
@@ -207,27 +209,20 @@ class Poly2:
         """
         if not self.terms:
             raise ZeroInputError("blowup of the zero polynomial")
-        shift = _coeff(shift)
-        # x^i * (x*(y+shift))^j = x^(i+j) * (y+shift)^j
-        substituted = (
-            ((i + j, r), c * cr) for (i, j), c in self.terms.items() for r, cr in _binomial(shift, j)
-        )
-        acc = _sum_terms({}, substituted)
-        power = min(i for i, _ in acc)
-        return Poly2._of({(i - power, j): c for (i, j), c in acc.items()}), power
+        # x^i * (x*y)^j = x^(i+j) * y^j, then y -> y + shift.
+        power = self.order()
+        stripped = Poly2._of({(i + j - power, j): c for (i, j), c in self.terms.items()})
+        return stripped.translate(0, shift), power
 
     def blowup_y(self) -> tuple["Poly2", int]:
         """Strict transform in the chart x = x*y, y = y (the vertical direction)."""
         if not self.terms:
             raise ZeroInputError("blowup of the zero polynomial")
-        acc = {(i, i + j): c for (i, j), c in self.terms.items()}
-        power = min(j for _, j in acc)
-        return Poly2._of({(i, j - power): c for (i, j), c in acc.items()}), power
+        power = self.order()
+        return Poly2._of({(i, i + j - power): c for (i, j), c in self.terms.items()}), power
 
     def on_x_axis_restriction(self) -> list[Fraction]:
         """Coefficients of f(0, y) as a dense list indexed by the power of y."""
-        if not self.terms:
-            return []
         coeffs = [Fraction(0)] * (max((j for i, j in self.terms if i == 0), default=-1) + 1)
         for (i, j), c in self.terms.items():
             if i == 0:

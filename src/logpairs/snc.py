@@ -71,12 +71,6 @@ class SNCPair:
         es = frozenset(frozenset(pair) for pair in edges)
         return cls(divisors=divs, edges=es)
 
-    def coefficient(self, label: str) -> Fraction:
-        for d, c in self.divisors:
-            if d == label:
-                return c
-        raise KeyError(label)
-
 
 def discrep(pair: SNCPair) -> ExtRat:
     """Infimum of exceptional discrepancies for the configuration.
@@ -187,13 +181,7 @@ def vojta_reduced_divisor(data: ResolvedPairData) -> frozenset[str]:
     discrepancy is not an integer, or it is an integer but the divisor
     carries positive pullback multiplicity.  Coefficients are always 0 or 1.
     """
-    out = set()
-    for r in data.rows:
-        if r.b < 0:
-            raise NegativeBError(f"divisor {r.id} has negative pullback multiplicity {r.b}")
-        if r.a.denominator != 1 or r.b > 0:
-            out.add(r.id)
-    return frozenset(out)
+    return frozenset(r.id for r in data.rows if r.a.denominator != 1 or r.b > 0)
 
 
 def vojta_reduced_coefficient_numeric(a: Fraction, b: Fraction, eps: Fraction) -> int:

@@ -419,14 +419,9 @@ class TestIdealMember:
 
 
 class TestResolutionIndependence:
-    def test_extra_blowup_keeps_lct_and_membership(self):
-        tree = resolve(CUSP)
-        vd = valuation_data(tree)
-        # the strict transform crosses the last exceptional divisor at t = 1
-        extended = blow_up_point(tree, 3, 1)
-        vde = valuation_data(extended)
-        assert len(extended.nodes) == 4
-        assert tree_lct(extended) == tree_lct(tree) == Fraction(5, 6)
+    @staticmethod
+    def assert_same_verdicts(tree, extended):
+        vd, vde = valuation_data(tree), valuation_data(extended)
         polys = [X**i * Y**j * CUSP.poly**e for i in range(3) for j in range(3) for e in range(2)]
         for g, c, kind in itertools.product(
             polys, [Fraction(1, 4), Fraction(5, 6), Fraction(1), Fraction(7, 6)], IdealKind
@@ -434,6 +429,28 @@ class TestResolutionIndependence:
             assert tree_ideal_member(tree, vd, c, g, kind) == tree_ideal_member(
                 extended, vde, c, g, kind
             )
+
+    def test_extra_blowup_keeps_lct_and_membership(self):
+        tree = resolve(CUSP)
+        # the strict transform crosses the last exceptional divisor at t = 1
+        extended = blow_up_point(tree, 3, 1)
+        assert len(extended.nodes) == 4
+        assert tree_lct(extended) == tree_lct(tree) == Fraction(5, 6)
+        self.assert_same_verdicts(tree, extended)
+
+    def test_zero_shift_blowup_inherits_axis_y(self):
+        # At shift 0 the center is where E3 crosses the divisor along its
+        # y-axis, so the new center is proximate to both.
+        tree = resolve(CUSP)
+        extended = blow_up_point(tree, 3, 0)
+        new = extended.nodes[-1]
+        assert tree.node(3).axis_y == 2
+        assert new.proximate_to == {3, tree.node(3).axis_y}
+        assert (new.axis_x, new.axis_y, new.mult) == (3, 2, 0)
+        vd = valuation_data(extended)
+        assert (vd.k[4], vd.v[4]) == (1 + 4 + 2, 0 + 6 + 3)
+        assert tree_lct(extended) == tree_lct(tree) == Fraction(5, 6)
+        self.assert_same_verdicts(tree, extended)
 
     def test_free_extra_blowup(self):
         tree = resolve(CUSP)

@@ -267,6 +267,16 @@ class TestGcdBounds:
         with pytest.raises(EmptyAfterFilterError):
             gcd_bounds_check(pc.target, points, eps=0.05, delta=1e9)
 
+    @pytest.mark.parametrize(
+        "eps, delta",
+        [(math.nan, 1.0), (math.inf, 1.0), (0.05, math.nan), (0.05, math.inf), (0.0, 1.0), (0.05, -1.0)],
+    )
+    def test_non_finite_or_non_positive_constants_rejected(self, eps, delta):
+        pc = nodal_cubic_param()
+        points = [normalize_point((3, 6, 1))]
+        with pytest.raises(BadRangeError):
+            gcd_bounds_check(pc.target, points, eps=eps, delta=delta)
+
 
 class TestCsv:
     def test_columns_and_formats(self):

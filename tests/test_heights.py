@@ -213,6 +213,24 @@ class TestTypeValidation:
         with pytest.raises(DimensionMismatchError):
             V01.values_at(ProjPoint((1, 2, 3, 4)))
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": 2, "terms": [[[1, 0, 0], 1.5]]},
+            {"n": 2, "terms": [[[1, 0, 0], "3/2"]]},
+            {"n": 2, "terms": [[[1.5, 0, 0], "1"]]},
+            {"n": 2.7, "terms": [[[1, 0, 0], "1"]]},
+            {"n": "x", "terms": [[[1, 0, 0], "1"]]},
+        ],
+    )
+    def test_non_integral_json_rejected(self, data):
+        with pytest.raises(MalformedPolynomialError):
+            HomogPoly.from_json(data)
+
+    def test_integral_json_of_any_type_accepted(self):
+        parsed = HomogPoly.from_json({"n": "2", "terms": [[["1", 0, 0], "2"], [[0, 1.0, 0], 3.0]]})
+        assert parsed == HomogPoly.from_terms(3, [((1, 0, 0), 2), ((0, 1, 0), 3)])
+
 
 def random_subscheme(rng, max_gens=3, max_degree=3) -> Subscheme:
     gens = []

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -171,6 +172,21 @@ def test_negative_exponents_rejected_with_typed_errors():
         Poly2({(-1, 2): 1})
     with pytest.raises(MalformedPolynomialError):
         X ** -1
+
+
+@pytest.mark.parametrize(
+    "exponents", [(1.5, 0), (0, Fraction(1, 2)), ("1.5", 0), ("x", 0), (None, 0), (math.inf, 0), (math.nan, 0)]
+)
+def test_non_integral_exponents_rejected(exponents):
+    with pytest.raises(MalformedPolynomialError):
+        Poly2.from_json([[list(exponents), "1"]])
+    with pytest.raises(MalformedPolynomialError):
+        Poly2({exponents: 1})
+
+
+def test_integral_exponents_of_any_type_accepted():
+    assert Poly2.from_json([[["1", 2.0], "3"], [[Fraction(2), True], 1]]) == Poly2({(1, 2): 3, (2, 1): 1})
+    assert Poly2.from_json([[[1, 0], "1"], [[0, 1], "1"]]) == X + Y
 
 
 class TestUnivariateGcd:
