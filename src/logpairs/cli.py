@@ -232,7 +232,10 @@ def _cmd_gcd_bounds(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call; ``parse_args`` returns a fresh namespace each time."""
     parser = _Parser(prog="logpairs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -291,9 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

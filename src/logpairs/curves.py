@@ -62,19 +62,25 @@ def _as_poly(f: PolyLike) -> Poly2:
     return f.poly if isinstance(f, AffineCurve) else f
 
 
+def _cleared(coeffs: list[Fraction]) -> list[int]:
+    """The coefficients times the lcm of their denominators; scaling by a
+    nonzero constant keeps the roots, factors and squarefreeness."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [int(c * den) for c in coeffs]
+
+
 def _is_squarefree(poly: Poly2) -> bool:
     import sympy
 
-    x, y = sympy.Symbol("x"), sympy.Symbol("y")
-    expr = sympy.Add(
-        *[
-            sympy.Rational(c.numerator, c.denominator) * x**i * y**j
-            for (i, j), c in poly.terms.items()
-        ]
+    x, y = sympy.symbols("x y")
+    f = sympy.Poly.from_dict(
+        dict(zip(poly.terms, _cleared(list(poly.terms.values())))), x, y, domain="ZZ"
     )
-    g = sympy.gcd(expr, sympy.diff(expr, x))
-    g = sympy.gcd(g, sympy.diff(expr, y))
-    return sympy.Poly(g, x, y).total_degree() == 0
+    # A repeated factor h^2 | f gives h | f_x, so a constant gcd(f, f_x) settles it.
+    g = sympy.gcd(f, f.diff(x))
+    if g.total_degree() == 0:
+        return True
+    return sympy.gcd(g, f.diff(y)).total_degree() == 0
 
 
 def _rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], bool]:
@@ -96,17 +102,13 @@ def _rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], bool]:
         return sorted(roots), False
     import sympy
 
-    t = sympy.Symbol("t")
-    expr = sympy.Add(
-        *[sympy.Rational(c.numerator, c.denominator) * t ** (j - low) for j, c in enumerate(coeffs) if c]
-    )
-    poly = sympy.Poly(expr, t, domain="QQ")
+    part = _cleared(coeffs[low : high + 1])
+    poly = sympy.Poly(part[::-1], sympy.Symbol("t"), domain="ZZ")
     has_irrational = False
     for factor, _mult in poly.factor_list()[1]:
         if factor.degree() == 1:
             lead, const = factor.all_coeffs()
-            root = -Fraction(int(const.p), int(const.q)) / Fraction(int(lead.p), int(lead.q))
-            roots.append(root)
+            roots.append(-Fraction(int(const), int(lead)))
         elif factor.degree() >= 2:
             has_irrational = True
     return sorted(roots), has_irrational

@@ -261,6 +261,8 @@ def mdlaw_report(
     diagnostic least-squares slope of hO on h; m is read off the records."""
     if not records:
         raise InputError("cannot build a report from an empty sample")
+    if not math.isfinite(h_min):
+        raise BadRangeError(f"h_min must be finite, got {h_min}")
     residuals = [abs(r.residual) for r in records]
     high = [abs(r.residual) for r in records if r.h >= h_min]
     try:
@@ -386,7 +388,10 @@ def gcd_bounds_check(
         kept += 1
         g = math.gcd(x, y)
         log_t = math.log(big) if big > 1 else 0.0
-        c_lower = min(c_lower, math.exp(math.log(g) - lo * log_t))
+        try:
+            c_lower = min(c_lower, math.exp(math.log(g) - lo * log_t))
+        except OverflowError as exc:
+            raise BadRangeError(f"eps = {eps} is too large: the lower constant overflows a float") from exc
         c_upper = max(c_upper, math.exp(math.log(g) - hi * log_t))
     if kept == 0:
         raise EmptyAfterFilterError(f"no sample has max(|x/z|, |y/z|) >= {delta}")

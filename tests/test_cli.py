@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from logpairs.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
+from logpairs.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, build_parser, main
 
 NODAL_PARAM = {
     "p0": [[[2, 1], "1"], [[0, 3], "-1"]],
@@ -234,7 +238,10 @@ MIXED_DEGREE = {"generators": [{"n": 2, "terms": [[[1, 0, 0], "1"], [[0, 2, 0], 
         ("gcd-bounds", json.dumps(NODAL_PARAM), "--bound", "5", "--delta", "nan"),
         ("gcd-bounds", json.dumps(NODAL_PARAM), "--bound", "5", "--eps", "nan"),
         ("gcd-bounds", json.dumps(NODAL_PARAM), "--bound", "5", "--eps", "inf"),
+        ("gcd-bounds", json.dumps(NODAL_PARAM), "--bound", "5", "--eps", "1e9"),
         ("mdlaw", json.dumps(NODAL_PARAM), "--bound", "5", "--out", "no-such-dir/out.csv"),
+        ("mdlaw", json.dumps(NODAL_PARAM), "--bound", "5", "--h-min", "nan"),
+        ("mdlaw", json.dumps(NODAL_PARAM), "--bound", "5", "--h-min", "inf"),
         ("resolve-curve", '{"f": [[[1.5, 0], "1"], [[0, 1], "1"]]}'),
         ("member", json.dumps(CUSP_CURVE), "--c", "1", "--g", '[[[0, 0.5], "1"]]', "--kind", "J"),
         ("height-eval", '{"generators": [{"n": 2, "terms": [[[1, 0, 0], 1.5]]}]}', "--point", "1,1,2"),
@@ -246,3 +253,114 @@ def test_malformed_input_exits_3(capsys, argv):
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith("error: ")
+
+
+DEEP_TOWER = {"f": [[[0, 2], "1"], [[15, 0], "-1"]]}
+
+
+def test_parser_reused_across_calls(capsys):
+    # main builds its parser once per process; no call may leak state into
+    # the next one.
+    assert build_parser() is build_parser()
+    assert run(capsys, "resolve-curve")[0] == EXIT_INPUT
+    code, out, _ = run(capsys, "classify-snc", json.dumps(SNC_PAIR), "--json")
+    assert code == EXIT_OK and json.loads(out)["class"] == "log_canonical"
+
+    code, _, err = run(capsys, "resolve-curve", json.dumps(DEEP_TOWER), "--max-depth", "3")
+    assert code == EXIT_INPUT and "more than 3" in err
+    code, out, _ = run(capsys, "resolve-curve", json.dumps(DEEP_TOWER), "--json")
+    assert code == EXIT_OK
+    assert len(json.loads(out)["nodes"]) == 9  # partial quotients of 15/2: 7 + 2
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "resolve-curve" in capsys.readouterr().out
+    code, out, _ = run(capsys, "gcd-family", "pure", "3", "2", "1", "5", "--json")
+    assert code == EXIT_OK and json.loads(out)["checked"] == 5
+
+
+# Fuzzed argv: each value comes from a list of valid inputs or one of
+# malformed ones; sizes stay small (--bound, gcd-family ranges, degrees) so
+# that every case is cheap.
+CURVES = (
+    [json.dumps(CUSP_CURVE), json.dumps(DEEP_TOWER), '{"f": [[[0, 2], "1"], [[2, 0], "-1"], [[3, 0], "-1"]]}'],
+    [
+        '{"f": [[[0, 2], "1"], [[2, 0], "-2"]]}',
+        '{"f": [[[0, 2], "1"]]}',
+        '{"f": [[[0, 0], "3"]]}',
+        '{"f": []}',
+        '{"f": [[[1.5, 0], "1"]]}',
+        '{"f": [[[0, 1], "1/0"]]}',
+        '{"f": [[[-1, 1], "1"]]}',
+        "{}",
+        "[1]",
+        "{",
+        "null",
+        "no-such-file.json",
+    ],
+)
+POLYS = (['[[[0, 0], "1"]]', '[[[1, 0], "1"]]', '[[[0, 3], "2/3"]]', "[]"], ["[1]", '[[[0, 0.5], "1"]]', "{"])
+SUBSCHEMES = ([json.dumps(V01)], [json.dumps(MIXED_DEGREE), '{"generators": []}', "{}", "[1]", "7"])
+POINTS = (["4,6,1", "1/2,1,3", "[1, 2, 3]"], ["0,0,1", "1,2", "a,1,2", '[1, "b", 2]', "0,0,0", "inf,1,1", ""])
+SNC_PAIRS = (
+    [json.dumps(SNC_PAIR), '{"divisors": [{"id": "E1", "c": "3/2"}]}', '{"divisors": []}'],
+    [
+        '{"divisors": [{"id": "E1", "c": "1"}], "edges": [["E1", "E2"]]}',
+        '{"divisors": [{"id": "E1", "c": "1"}], "edges": [["E1"]]}',
+        '{"divisors": [{"id": "E1", "c": "x"}]}',
+        "[1]",
+    ],
+)
+PARAMS = ([json.dumps(NODAL_PARAM)], ['{"p0": [], "p1": [], "p2": [], "target": {"n": 2, "terms": []}}', "{}"])
+RATIONALS = (["0", "1", "5/6", "1/3"], ["-1", "1/0", "x", "nan", ""])
+SMALL_INTS = (["1", "3", "5"], ["-2", "0", "x", "2.0"])
+FLOATS = (["0.05", "0.5", "1", "2"], ["0", "-1", "nan", "inf", "1e9", "x"])
+
+
+def _pick(draw, values):
+    """A valid value three times in four, else a malformed one."""
+    valid, malformed = values
+    return draw(st.sampled_from(malformed if draw(st.integers(0, 3)) == 0 else valid))
+
+
+def _flag(draw, flag, values):
+    return [] if draw(st.integers(0, 3)) == 0 else [flag, _pick(draw, values)]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(
+        st.sampled_from(
+            ["height-eval", "classify-snc", "resolve-curve", "member", "mdlaw", "gcd-family", "gcd-bounds"]
+        )
+    )
+    if command == "height-eval":
+        argv = [_pick(draw, SUBSCHEMES), *_flag(draw, "--point", POINTS)]
+    elif command == "classify-snc":
+        argv = [_pick(draw, SNC_PAIRS)]
+    elif command == "resolve-curve":
+        argv = [_pick(draw, CURVES), *_flag(draw, "--max-depth", SMALL_INTS), *_flag(draw, "--c", RATIONALS)]
+    elif command == "member":
+        argv = [_pick(draw, CURVES), *_flag(draw, "--c", RATIONALS), *_flag(draw, "--g", POLYS)]
+        argv += _flag(draw, "--kind", (["H", "J", "I"], ["K"]))
+    elif command == "gcd-family":
+        argv = [_pick(draw, (["pure", "shifted", "mixed"], ["other"]))]
+        argv += _pick(draw, ([("3", "2"), ("5", "2"), ("7", "3")], [("4", "2"), ("2", "3"), ("x", "1")]))
+        argv += _pick(draw, ([("-3", "5"), ("1", "4")], [("5", "1"), ("0", "x")]))
+    else:
+        argv = [_pick(draw, PARAMS), *_flag(draw, "--bound", SMALL_INTS)]
+        if command == "mdlaw":
+            argv += _flag(draw, "--h-min", FLOATS)
+        else:
+            argv += _flag(draw, "--eps", FLOATS) + _flag(draw, "--delta", FLOATS)
+    extra = draw(st.sampled_from([[], [], ["--json"], ["--bogus"], ["extra"]]))
+    return [command, *argv, *extra]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_exits_0_2_or_3(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_INPUT)

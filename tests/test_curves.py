@@ -9,6 +9,7 @@ import pytest
 from logpairs.curves import (
     AffineCurve,
     IdealKind,
+    _is_squarefree,
     _rational_roots,
     blow_up_point,
     dual_graph_pair,
@@ -48,6 +49,63 @@ class TestAffineCurve:
 
     def test_reducible_but_reduced_accepted(self):
         AffineCurve(X * Y * (X + Y))
+
+
+def _big_rational(rng: random.Random) -> Fraction:
+    """A nonzero rational with a large denominator."""
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**9))
+
+
+def _random_factor(rng: random.Random) -> Poly2:
+    """A line, a branch u*y^k + v*x^l, or a general conic through nothing in
+    particular, all with rational coefficients."""
+    shape = rng.choice(["line", "branch", "conic"])
+    if shape == "line":
+        return Poly2({(1, 0): _big_rational(rng), (0, 1): _big_rational(rng), (0, 0): _big_rational(rng)})
+    if shape == "branch":
+        k, l = rng.randint(1, 3), rng.randint(1, 3)
+        return Poly2({(0, k): _big_rational(rng), (l, 0): _big_rational(rng)})
+    return Poly2({(i, j): _big_rational(rng) for i in range(3) for j in range(3 - i)})
+
+
+def _sympy_is_squarefree(poly: Poly2) -> bool:
+    """Independent oracle: every multiplicity of sympy's squarefree
+    decomposition of the expression is 1."""
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i * y**j for (i, j), c in poly.terms.items())
+    return all(mult == 1 for _, mult in sympy.sqf_list(expr)[1])
+
+
+class TestSquarefree:
+    def test_random_products_of_distinct_factors(self):
+        rng = random.Random(5)
+        for _ in range(25):
+            f = ONE
+            for _ in range(rng.randint(1, 3)):
+                f = f * _random_factor(rng)
+            assert _is_squarefree(f) == _sympy_is_squarefree(f)
+
+    def test_repeated_factors(self):
+        rng = random.Random(6)
+        for _ in range(10):
+            g, h = _random_factor(rng), _random_factor(rng)
+            p_y = Poly2({(0, 2): _big_rational(rng), (0, 1): _big_rational(rng), (0, 0): _big_rational(rng)})
+            for f in (g * h**2, X**2 * g, p_y**2):
+                assert _sympy_is_squarefree(f) is False
+                assert _is_squarefree(f) is False
+
+    def test_second_gcd_decides(self):
+        # For f = y*g, y divides gcd(f, f_x), so only gcd with f_y shows
+        # that f is squarefree; a squarefree p(y) has f_x = 0.
+        rng = random.Random(7)
+        for _ in range(10):
+            g = _random_factor(rng) + Poly2.constant(_big_rational(rng))
+            p_y = Poly2({(0, 2): _big_rational(rng), (0, 1): _big_rational(rng), (0, 0): _big_rational(rng)})
+            for f in (Y * g, p_y):
+                assert _sympy_is_squarefree(f) is True
+                assert _is_squarefree(f) is True
 
 
 class TestMultiplicityAt:
@@ -286,6 +344,27 @@ class TestClassicalThresholds:
         ]
         for curve in curves:
             assert lct_via_triviality(curve) == lct(curve)
+
+
+class TestHowaldMonomialCurves:
+    """Howald's theorem (Trans. AMS 353, 2001) for y^a = x^b with a, b
+    coprime: for c < 1, x^i y^j lies in the multiplier ideal J(c*f) iff
+    (i+1)/b + (j+1)/a > c.  The jumping numbers in (0, 1) are the values
+    p/b + q/a below 1 with p, q >= 1."""
+
+    @pytest.mark.parametrize("a, b", [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (3, 7), (4, 5), (5, 7)])
+    def test_membership_matches_closed_form(self, a, b):
+        tree = resolve(AffineCurve(Y**a - X**b))
+        vd = valuation_data(tree)
+        values = {Fraction(p, b) + Fraction(q, a) for p in range(1, b) for q in range(1, a)}
+        jumps = sorted(c for c in values if c < 1)
+        ends = [Fraction(0), *jumps, Fraction(1)]
+        grid = jumps + [(lo + hi) / 2 for lo, hi in zip(ends, ends[1:])]
+        for c in grid:
+            for i in range(b + 1):
+                for j in range(a + 1):
+                    expected = Fraction(i + 1, b) + Fraction(j + 1, a) > c
+                    assert tree_ideal_member(tree, vd, c, X**i * Y**j, IdealKind.J) == expected, (c, i, j)
 
 
 class TestResolveConsistency:
@@ -580,3 +659,36 @@ class TestRationalRoots:
             assert _rational_roots(coeffs) == _sympy_rational_roots(coeffs)
         assert _rational_roots(self._dense({0: -2, 2: 1})) == ([], True)
         assert _rational_roots(self._dense({0: -1, 2: 1})) == ([Fraction(-1), Fraction(1)], False)
+
+    def test_random_parts_with_rational_coefficients(self):
+        # Products of linear factors t - r and irreducible quadratics
+        # t^2 + q (q > 0), scaled and shifted by t^k: the roots and the flag
+        # are known by construction.
+        rng = random.Random(12)
+        for _ in range(60):
+            degree = rng.randint(2, 5)
+            coeffs = [_big_rational(rng)]
+            roots, irrational = set(), False
+            while len(coeffs) <= degree:
+                if rng.random() < 0.3 and len(coeffs) < degree:
+                    q = abs(_big_rational(rng))
+                    factor, irrational = [q, Fraction(0), Fraction(1)], True
+                else:
+                    r = rng.choice([Fraction(0), _big_rational(rng), Fraction(rng.randint(-3, 3), 7)])
+                    factor = [-r, Fraction(1)]
+                    roots.add(r)
+                coeffs = _dense_product(coeffs, factor)
+            k = rng.randint(0, 2)
+            coeffs = [Fraction(0)] * k + coeffs
+            if k:
+                roots.add(Fraction(0))
+            assert _rational_roots(coeffs) == _sympy_rational_roots(coeffs)
+            assert _rational_roots(coeffs) == (sorted(roots), irrational)
+
+
+def _dense_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out

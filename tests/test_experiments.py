@@ -97,6 +97,13 @@ class TestMdlaw:
         assert report.max_abs_residual == 0.0
         assert report.m == 2 and report.d == 3
 
+    @pytest.mark.parametrize("h_min", [math.nan, math.inf, -math.inf])
+    def test_non_finite_h_min_rejected(self, h_min):
+        pc = pure_power_param(2, 3)
+        records = mdlaw_records(pc.target, [normalize_point((4, 8, 1))])
+        with pytest.raises(BadRangeError):
+            mdlaw_report(pc.target, records, h_min=h_min)
+
     def test_nodal_cubic_residual_value(self):
         record = mdlaw_records(nodal_cubic_param().target, [normalize_point((3, 6, 1))])[0]
         assert record.residual == pytest.approx(math.log(3) - Fraction(2, 3) * math.log(6), abs=1e-12)
@@ -276,6 +283,11 @@ class TestGcdBounds:
         points = [normalize_point((3, 6, 1))]
         with pytest.raises(BadRangeError):
             gcd_bounds_check(pc.target, points, eps=eps, delta=delta)
+
+    def test_eps_overflowing_the_lower_constant_rejected(self):
+        pc = nodal_cubic_param()
+        with pytest.raises(BadRangeError):
+            gcd_bounds_check(pc.target, [normalize_point((3, 6, 1))], eps=1e9, delta=1.0)
 
 
 class TestCsv:
