@@ -105,8 +105,11 @@ class ParamCurve:
         return self.p0.total_degree()
 
     def evaluate(self, s: int, t: int) -> tuple[int, int, int]:
-        vals = (self.p0.evaluate(s, t), self.p1.evaluate(s, t), self.p2.evaluate(s, t))
-        return tuple(int(v) for v in vals)
+        return (
+            self.p0.evaluate(s, t).numerator,
+            self.p1.evaluate(s, t).numerator,
+            self.p2.evaluate(s, t).numerator,
+        )
 
 
 def pure_power_param(m: int, d: int) -> ParamCurve:
@@ -149,23 +152,24 @@ def sample_param_points(pc: ParamCurve, bound: int) -> SampleResult:
     """Evaluate the parametrization at all primitive parameter pairs with
     entries bounded by ``bound``, one representative per projective pair.
 
-    Images are normalized and deduplicated; all-zero images are dropped.
+    Pairs run in sorted order, with (1, 0) just before (1, 1).  Images are
+    normalized and deduplicated; all-zero images are dropped.
     """
     if bound < 1:
         raise BadRangeError(f"bound must be >= 1, got {bound}")
-    pairs = [(1, 0)]
-    for q in range(1, bound + 1):
-        for p in range(-bound, bound + 1):
-            if math.gcd(abs(p), q) == 1:
-                pairs.append((p, q))
-    pairs.sort()
+    pairs = (
+        (p, q)
+        for p in range(-bound, bound + 1)
+        for q in range(0 if p == 1 else 1, bound + 1)
+        if math.gcd(p, q) == 1
+    )
     points: list[ProjPoint] = []
     params: list[tuple[int, int]] = []
     origin_params: list[tuple[int, int]] = []
     seen: set[tuple[int, ...]] = set()
     for p, q in pairs:
         vals = pc.evaluate(p, q)
-        if all(v == 0 for v in vals):
+        if not any(vals):
             continue
         pt = normalize_point(vals)
         if pt.coords == ORIGIN_COORDS:
@@ -179,7 +183,7 @@ def sample_param_points(pc: ParamCurve, bound: int) -> SampleResult:
     return SampleResult(points=tuple(points), params=tuple(params), origin_params=tuple(origin_params))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentRecord:
     """One sampled point with its heights against the distinguished point;
     ``m`` is the target's multiplicity there, the one the residual uses."""
@@ -232,7 +236,7 @@ def mdlaw_records(target: HomogPoly, points: Sequence[ProjPoint]) -> list[Experi
             raise PointIsOError("sample contains the distinguished point (0:0:1)")
         g = counting_gcd(z_origin, pt)
         ratio = weil_arch_ratio(z_origin, pt)
-        big = max(abs(c) for c in pt.coords)
+        big = max(map(abs, pt.coords))
         n_val = math.log(g)
         prox = -log_fraction(ratio) + 0.0
         # Q = (g / ratio)^d / big^m in lowest terms, as the Fraction would
@@ -420,18 +424,7 @@ def write_mdlaw_csv(
     three heights and the residual at 12 significant digits."""
     writer = csv.writer(stream)
     writer.writerow(MDLAW_CSV_COLUMNS)
-    for (p, q), rec in zip(params, records):
-        x0, x1, x2 = rec.point.coords
-        writer.writerow(
-            [
-                str(p),
-                str(q),
-                str(x0),
-                str(x1),
-                str(x2),
-                f"{rec.h:.12g}",
-                f"{rec.hO:.12g}",
-                f"{rec.N_O:.12g}",
-                f"{rec.residual:.12g}",
-            ]
-        )
+    writer.writerows(
+        (p, q, *r.point.coords, f"{r.h:.12g}", f"{r.hO:.12g}", f"{r.N_O:.12g}", f"{r.residual:.12g}")
+        for (p, q), r in zip(params, records)
+    )

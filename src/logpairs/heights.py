@@ -17,7 +17,7 @@ additivity and monotonicity identities can be asserted without rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -47,12 +47,11 @@ class ProjPoint:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.coords or all(c == 0 for c in self.coords):
+        if not any(self.coords):
             raise AllZeroError("projective point needs a nonzero coordinate")
-        if math.gcd(*[abs(c) for c in self.coords]) != 1:
+        if math.gcd(*self.coords) != 1:
             raise NotPrimitiveError(f"coordinates {self.coords} are not primitive")
-        first = next(c for c in self.coords if c != 0)
-        if first < 0:
+        if next(c for c in self.coords if c) < 0:
             raise NotPrimitiveError(f"leading sign convention violated: {self.coords}")
 
     def __str__(self) -> str:
@@ -63,7 +62,8 @@ def normalize_point(raw: Sequence[RatLike]) -> ProjPoint:
     """Clear denominators, divide by the gcd, and fix the leading sign.
 
     Integer input skips the rational route: it is divided by its gcd,
-    negated with the gcd when the first nonzero entry is negative.
+    negated with the gcd when the first nonzero entry is negative, and kept
+    as it is when that signed gcd is 1.
     """
     if all(type(v) is int for v in raw):
         ints = raw
@@ -76,7 +76,7 @@ def normalize_point(raw: Sequence[RatLike]) -> ProjPoint:
         raise AllZeroError("cannot normalize the zero vector")
     if next(c for c in ints if c) < 0:
         g = -g
-    return ProjPoint(tuple(c // g for c in ints))
+    return ProjPoint(tuple(ints) if g == 1 else tuple(c // g for c in ints))
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,15 @@ class HomogPoly:
     """A homogeneous polynomial with integer coefficients in n+1 variables.
 
     ``terms`` maps exponent tuples (summing to ``degree``) to nonzero
-    integer coefficients.
+    integer coefficients.  Construction also keeps each term as its
+    coefficient and its nonzero ``(index, exponent)`` factors, the form
+    ``evaluate`` reads.
     """
 
     num_vars: int
     degree: int
     terms: tuple[tuple[tuple[int, ...], int], ...]
+    _factors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.terms:
@@ -107,6 +110,8 @@ class HomogPoly:
             if exps in seen:
                 raise MalformedPolynomialError(f"duplicate exponent vector {exps}")
             seen.add(exps)
+        factors = tuple((c, tuple((k, e) for k, e in enumerate(exps) if e)) for exps, c in self.terms)
+        object.__setattr__(self, "_factors", factors)
 
     @classmethod
     def from_terms(cls, num_vars: int, terms: Iterable[tuple[Sequence[int], int]]) -> "HomogPoly":
@@ -134,11 +139,9 @@ class HomogPoly:
 
     def evaluate(self, coords: Sequence[int]) -> int:
         total = 0
-        for exps, coeff in self.terms:
-            term = coeff
-            for c, e in zip(coords, exps):
-                if e:
-                    term *= c**e
+        for term, factors in self._factors:
+            for k, e in factors:
+                term *= coords[k] ** e
             total += term
         return total
 
@@ -217,7 +220,7 @@ def subscheme_union_generators(a: Subscheme, b: Subscheme) -> Subscheme:
 
 def counting_gcd(Z: Subscheme, x: ProjPoint) -> int:
     """gcd of the absolute generator values; 0 exactly on the support."""
-    return math.gcd(*[abs(v) for v in Z.values_at(x)])
+    return math.gcd(*Z.values_at(x))
 
 
 def weil_finite_valuation(Z: Subscheme, x: ProjPoint, p: int) -> int | None:
@@ -237,7 +240,7 @@ def weil_arch_ratio(Z: Subscheme, x: ProjPoint) -> Fraction:
     exactly when x lies in the support.  With D the top generator degree,
     the max is taken in integers over |f(x)| * max_j|x_j|^(D - deg f).
     """
-    m = max(abs(c) for c in x.coords)
+    m = max(map(abs, x.coords))
     top = max(g.degree for g in Z.generators)
     best = max(abs(v) * m ** (top - g.degree) for g, v in zip(Z.generators, Z.values_at(x)))
     return Fraction(best, m**top)

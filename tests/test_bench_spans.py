@@ -1,9 +1,13 @@
 """The benchmark's tracer patches functions by name; every name it lists
-must exist, and the sympy names it wraps must still be called, or a rename
-or a bypass would only show up in a traced benchmark run."""
+must exist, and the sympy names it wraps and the layers it predicts for
+``mdlaw`` must still be called, or a rename or a bypass would only show up
+in a traced benchmark run."""
 
 import importlib
 import importlib.util
+import json
+import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,14 +20,14 @@ from logpairs.polynomials import Poly2
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def _load_spans():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.SPANS
+    return module
 
 
-@pytest.mark.parametrize("name, module, cls, attr", _load_spans())
+@pytest.mark.parametrize("name, module, cls, attr", _load_tracing().SPANS)
 def test_span_target_is_callable(name, module, cls, attr):
     owner = importlib.import_module(module)
     if cls is not None:
@@ -52,3 +56,49 @@ def test_sympy_spans_fire(monkeypatch):
     assert gcd_calls[0] > 0
     _rational_roots([Fraction(-2), Fraction(0), Fraction(1)])
     assert factor_calls[0] > 0
+
+
+NODAL_PARAM = json.dumps(
+    {
+        "p0": [[[2, 1], "1"], [[0, 3], "-1"]],
+        "p1": [[[3, 0], "1"], [[1, 2], "-1"]],
+        "p2": [[[0, 3], "1"]],
+        "target": {"n": 2, "terms": [[[0, 2, 1], "1"], [[3, 0, 0], "-1"], [[2, 0, 1], "-1"]]},
+    }
+)
+
+
+def test_mdlaw_spans_fire(monkeypatch, tmp_path, capsys):
+    # Every layer the benchmark predicts for mdlaw must record a call on an
+    # mdlaw and a gcd-bounds run.  experiments imports heights and curves
+    # functions by name, so each function is patched wherever a logpairs
+    # module binds it, as the tracer does.
+    tracing = _load_tracing()
+    importlib.import_module("logpairs.cli")
+    layers = {name for name, where in tracing.PREDICTIONS.items() if "mdlaw" in where}
+    calls = Counter()
+    for name, module, cls, attr in tracing.SPANS:
+        if name not in layers:
+            continue
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls)
+        original = getattr(owner, attr)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("logpairs"):
+                for bound_name, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, bound_name, counted)
+    main = importlib.import_module("logpairs.cli").main
+    out = str(tmp_path / "law.csv")
+    assert main(["mdlaw", NODAL_PARAM, "--bound", "5", "--out", out, "--json"]) == 0
+    assert main(["gcd-bounds", NODAL_PARAM, "--bound", "5", "--json"]) == 0
+    capsys.readouterr()
+    silent = sorted(name for name in layers if not calls[name])
+    assert layers and not silent, silent

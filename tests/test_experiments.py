@@ -85,6 +85,32 @@ class TestSampling:
         with pytest.raises(BadRangeError):
             sample_param_points(nodal_cubic_param(), 0)
 
+    @pytest.mark.parametrize("pc", [nodal_cubic_param(), pure_power_param(2, 3)], ids=["nodal", "pure23"])
+    def test_pairs_match_the_sorted_enumeration(self, pc):
+        # reference: (1, 0) and every coprime (p, q) with 1 <= q <= b and
+        # |p| <= b, sorted, then the same zero, origin and image filters
+        for bound in range(1, 41):
+            pairs = [(1, 0)] + [
+                (p, q)
+                for q in range(1, bound + 1)
+                for p in range(-bound, bound + 1)
+                if math.gcd(abs(p), q) == 1
+            ]
+            params, origin_params, seen = [], [], set()
+            for p, q in sorted(pairs):
+                vals = pc.evaluate(p, q)
+                if vals == (0, 0, 0):
+                    continue
+                coords = normalize_point(vals).coords
+                if coords == (0, 0, 1):
+                    origin_params.append((p, q))
+                elif coords not in seen:
+                    seen.add(coords)
+                    params.append((p, q))
+            sample = sample_param_points(pc, bound)
+            assert sample.params == tuple(params), bound
+            assert sample.origin_params == tuple(origin_params), bound
+
 
 class TestMdlaw:
     def test_pure_power_residuals_exactly_zero(self):
@@ -304,3 +330,17 @@ class TestCsv:
         assert first[0] == str(sample.params[0][0])
         int(first[2]), int(first[3]), int(first[4])
         float(first[5]), float(first[8])
+
+    def test_golden_bytes(self):
+        pc = nodal_cubic_param()
+        sample = sample_param_points(pc, 6)
+        records = mdlaw_records(pc.target, sample.points)
+        rows = [",".join(MDLAW_CSV_COLUMNS)]
+        for (p, q), r in zip(sample.params, records):
+            ints = [str(v) for v in (p, q, *r.point.coords)]
+            floats = [f"{v:.12g}" for v in (r.h, r.hO, r.N_O, r.residual)]
+            rows.append(",".join(ints + floats))
+        buf = io.StringIO(newline="")
+        write_mdlaw_csv(buf, sample.params, records)
+        assert buf.getvalue() == "".join(row + "\r\n" for row in rows)
+        assert len(rows) > 30

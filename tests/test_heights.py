@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from logpairs.errors import (
     AllZeroError,
@@ -10,6 +12,7 @@ from logpairs.errors import (
     MalformedPolynomialError,
     NotPrimitiveError,
     SupportPointError,
+    ZeroInputError,
 )
 from logpairs.heights import (
     HeightTriple,
@@ -59,10 +62,11 @@ class TestNormalizePoint:
             ProjPoint((-1, 2, 3))
 
     def test_invariant_errors_are_typed(self):
-        with pytest.raises(NotPrimitiveError):
-            ProjPoint((2, 4, 6))
-        with pytest.raises(NotPrimitiveError):
-            ProjPoint((0, -1, 3))
+        # the gcd is taken over signed coordinates, so a common factor is
+        # caught whatever the signs
+        for coords in [(2, 4, 6), (0, -1, 3), (-2, 4, 6), (0, -2, 4), (0, 0, -3)]:
+            with pytest.raises(NotPrimitiveError):
+                ProjPoint(coords)
 
     def test_integer_path_matches_rational_path(self):
         rng = random.Random(61)
@@ -78,6 +82,41 @@ class TestNormalizePoint:
             assert point == normalize_point([Fraction(c) for c in coords])
             assert point == normalize_point([Fraction(c, 7) for c in coords])
             assert all(type(c) is int for c in point.coords)
+
+
+@st.composite
+def homog_inputs(draw):
+    """Raw ``from_terms`` input in 1-4 variables, some of it cancelling,
+    and a point with small or 30-digit coordinates of either sign."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 5))
+    # a monomial of degree d is a multiset of d variable indices, so every
+    # index not drawn gets exponent 0
+    monomial = st.lists(st.integers(0, n - 1), min_size=d, max_size=d).map(
+        lambda idx: tuple(idx.count(k) for k in range(n))
+    )
+    coeff = st.integers(-(10**30), 10**30) | st.integers(-3, 3)
+    terms = draw(st.lists(st.tuples(monomial, coeff), min_size=1, max_size=6))
+    terms += [(e, -c) for e, c in draw(st.lists(st.sampled_from(terms), max_size=3))]
+    coord = st.integers(-(10**30), 10**30) | st.integers(-5, 5)
+    return n, terms, draw(st.lists(coord, min_size=n, max_size=n))
+
+
+class TestHomogPolyEvaluate:
+    @given(homog_inputs())
+    @example((1, [((3,), 2)], [-(10**29) - 7]))
+    @example((4, [((0, 2, 0, 1), 5), ((1, 0, 2, 0), -1), ((0, 0, 0, 3), 4)], [-2, 0, 3, -(10**30)]))
+    @example((3, [((1, 1, 0), 2), ((1, 1, 0), -2), ((0, 0, 2), 1)], [7, -7, 9]))
+    def test_matches_the_naive_sum(self, case):
+        n, terms, coords = case
+        naive = sum(c * math.prod(x**e for x, e in zip(coords, exps)) for exps, c in terms)
+        try:
+            poly = HomogPoly.from_terms(n, terms)
+        except ZeroInputError:
+            assert naive == 0
+            return
+        assert poly.evaluate(coords) == naive
+        assert poly.evaluate(tuple(coords)) == naive
 
 
 class TestWeilLocal:
