@@ -33,6 +33,7 @@ proximity set is read off its two axes.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,11 +77,13 @@ def _is_squarefree(poly: Poly2) -> bool:
     f = sympy.Poly.from_dict(
         dict(zip(poly.terms, _cleared(list(poly.terms.values())))), x, y, domain="ZZ"
     )
-    # A repeated factor h^2 | f gives h | f_x, so a constant gcd(f, f_x) settles it.
-    g = sympy.gcd(f, f.diff(x))
+    # A repeated factor h^2 | f divides into both f_x and f_y, so either gcd
+    # settles it when constant; the one in the variable of lower degree is cheaper.
+    first, second = (y, x) if f.degree(y) < f.degree(x) else (x, y)
+    g = sympy.gcd(f, f.diff(first))
     if g.total_degree() == 0:
         return True
-    return sympy.gcd(g, f.diff(y)).total_degree() == 0
+    return sympy.gcd(g, f.diff(second)).total_degree() == 0
 
 
 def _rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], bool]:
@@ -153,7 +156,7 @@ class ResolutionNode:
     axis_x: int | None
     axis_y: int | None
 
-    @property
+    @functools.cached_property
     def proximate_to(self) -> frozenset[int]:
         """The ancestors whose exceptional divisors pass through this center:
         the divisors along its axes (the parent is always one of them)."""
@@ -179,6 +182,26 @@ class ResolutionTree:
         if node.id != node_id:
             raise KeyError(node_id)
         return node
+
+    @functools.cached_property
+    def dual_edges(self) -> frozenset[frozenset[str]]:
+        """Label pairs of meeting divisors on the resolved model: proximity
+        edges (two exceptional divisors still meet unless a later center was
+        proximate to both) and the recorded strict-transform contacts.
+
+        Valid for trees as produced by :func:`resolve`.
+        """
+        # A center is proximate to at most two divisors, so E_anc and E_node
+        # are separated exactly when a later center is proximate to both.
+        separated = {n.proximate_to for n in self.nodes if len(n.proximate_to) == 2}
+        edges = {
+            frozenset((f"E{anc}", f"E{node.id}"))
+            for node in self.nodes
+            for anc in node.proximate_to
+            if frozenset((anc, node.id)) not in separated
+        }
+        edges.update(frozenset((f"E{anc}", STRICT_ID)) for anc in self.curve_contacts)
+        return frozenset(edges)
 
 
 @dataclass(frozen=True)
@@ -323,10 +346,11 @@ def pair_discrepancies(tree: ResolutionTree, vd: ValuationData, c: Fraction | in
     c = Fraction(c)
     if c < 0:
         raise InputError(f"boundary coefficient must be nonnegative, got {c}")
-    rows = [
-        ResolvedRow(id=f"E{node.id}", a=vd.k[node.id] - c * vd.v[node.id], b=c * vd.v[node.id], exceptional=True)
-        for node in tree.nodes
-    ]
+    p, q = c.numerator, c.denominator
+    rows = []
+    for node in tree.nodes:
+        k, pv = vd.k[node.id], p * vd.v[node.id]
+        rows.append(ResolvedRow(id=f"E{node.id}", a=Fraction(q * k - pv, q), b=Fraction(pv, q), exceptional=True))
     rows.append(ResolvedRow(id=STRICT_ID, a=-c, b=c, exceptional=False))
     return ResolvedPairData(rows=tuple(rows))
 
@@ -334,12 +358,12 @@ def pair_discrepancies(tree: ResolutionTree, vd: ValuationData, c: Fraction | in
 def tree_lct(tree: ResolutionTree) -> Fraction:
     """Log canonical threshold from an already computed tree."""
     vd = valuation_data(tree)
-    best = Fraction(1)
+    num, den = 1, 1
     for node in tree.nodes:
-        cand = Fraction(vd.k[node.id] + 1, vd.v[node.id])
-        if cand < best:
-            best = cand
-    return best
+        k1, v = vd.k[node.id] + 1, vd.v[node.id]
+        if k1 * den < num * v:
+            num, den = k1, v
+    return Fraction(num, den)
 
 
 def lct(f: PolyLike, max_depth: int = 64) -> Fraction:
@@ -413,23 +437,5 @@ def ideal_member(f: PolyLike, c: Fraction | int, g: Poly2, kind: IdealKind, max_
 
 
 def dual_graph_pair(tree: ResolutionTree, data: ResolvedPairData) -> SNCPair:
-    """SNC configuration of the resolved model: coefficients -a, edges from
-    proximity (two exceptional divisors still meet unless a later center was
-    proximate to both) and the recorded strict-transform contacts.
-
-    Valid for trees as produced by :func:`resolve`.
-    """
-    # A center is proximate to at most two divisors, so E_anc and E_node are
-    # separated exactly when a later center is proximate to both of them.
-    separated = {n.proximate_to for n in tree.nodes if len(n.proximate_to) == 2}
-    edges: set[tuple[str, str]] = set()
-    for node in tree.nodes:
-        for anc in node.proximate_to:
-            if frozenset((anc, node.id)) not in separated:
-                edges.add((f"E{anc}", f"E{node.id}"))
-    for anc in tree.curve_contacts:
-        edges.add((f"E{anc}", STRICT_ID))
-    return SNCPair.build(
-        divisors=[(row.id, -row.a) for row in data.rows],
-        edges=edges,
-    )
+    """SNC configuration of the resolved model: coefficients -a on :attr:`ResolutionTree.dual_edges`."""
+    return SNCPair(divisors=tuple((row.id, -row.a) for row in data.rows), edges=tree.dual_edges)

@@ -10,6 +10,10 @@ coefficients come from the small-perturbation round-up minus round-down.
 
 Minus infinity is an explicit value (``NEG_INFINITY``), not an exception; it
 compares below every rational.
+
+The minimum formulas run in integers: coefficients (``int`` or ``Fraction``)
+are scaled by the lcm of their denominators, the minima are taken over ints,
+and one ``Fraction`` is built at the end.
 """
 
 from __future__ import annotations
@@ -43,8 +47,9 @@ class SNCPair:
 
     ``divisors`` lists (label, coefficient); ``edges`` holds unordered label
     pairs of divisors with nonempty intersection.  Labels are unique, edges
-    reference existing labels, and self-loops are rejected.  Whether the data
-    comes from an actual geometric model is the caller's responsibility.
+    reference existing labels, self-loops are rejected, and coefficients are
+    ``int`` or ``Fraction``.  Whether the data comes from an actual geometric
+    model is the caller's responsibility.
     """
 
     divisors: tuple[tuple[str, Fraction], ...]
@@ -54,6 +59,9 @@ class SNCPair:
         ids = [d for d, _ in self.divisors]
         if len(ids) != len(set(ids)):
             raise MalformedConfigurationError("divisor labels must be unique")
+        for d, c in self.divisors:
+            if not isinstance(c, (int, Fraction)):
+                raise MalformedConfigurationError(f"divisor {d} has non-rational coefficient {c!r}")
         known = set(ids)
         for e in self.edges:
             if len(e) != 2:
@@ -67,9 +75,25 @@ class SNCPair:
         divisors: Iterable[tuple[str, Fraction | int | str]],
         edges: Iterable[tuple[str, str]] = (),
     ) -> "SNCPair":
-        divs = tuple((str(d), Fraction(c)) for d, c in divisors)
+        try:
+            divs = tuple((str(d), Fraction(c)) for d, c in divisors)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise MalformedConfigurationError(f"malformed divisors: {exc}") from exc
         es = frozenset(frozenset(pair) for pair in edges)
         return cls(divisors=divs, edges=es)
+
+
+def _scaled_minima(pair: SNCPair) -> tuple[int, int, int] | None:
+    """(D, D*discrep, D*max coefficient) for D the lcm of the coefficient
+    denominators, or None when some coefficient exceeds 1.  The maximum is
+    0 for an empty configuration."""
+    if any(c.numerator > c.denominator for _, c in pair.divisors):
+        return None
+    den = math.lcm(*(c.denominator for _, c in pair.divisors))
+    scaled = {d: c.numerator * (den // c.denominator) for d, c in pair.divisors}
+    top = max(scaled.values(), default=0)
+    edge_min = min((den - scaled[a] - scaled[b] for a, b in pair.edges), default=den)
+    return den, min(den, den - top, edge_min), top
 
 
 def discrep(pair: SNCPair) -> ExtRat:
@@ -79,25 +103,20 @@ def discrep(pair: SNCPair) -> ExtRat:
     min(1, min_i(1 - c_i), min over meeting pairs of (1 - c_i - c_j)).
     An empty configuration gives 1.
     """
-    coeffs = dict(pair.divisors)
-    if any(c > 1 for c in coeffs.values()):
+    minima = _scaled_minima(pair)
+    if minima is None:
         return NEG_INFINITY
-    candidates = [Fraction(1)]
-    candidates.extend(1 - c for c in coeffs.values())
-    for e in pair.edges:
-        a, b = tuple(e)
-        candidates.append(1 - coeffs[a] - coeffs[b])
-    return min(candidates)
+    den, low, _ = minima
+    return Fraction(low, den)
 
 
 def totaldiscrep(pair: SNCPair) -> ExtRat:
     """Infimum over all divisors: min(0, min_i(-c_i), discrep(pair))."""
-    d = discrep(pair)
-    if d == NEG_INFINITY:
+    minima = _scaled_minima(pair)
+    if minima is None:
         return NEG_INFINITY
-    candidates = [Fraction(0), d]
-    candidates.extend(-c for _, c in pair.divisors)
-    return min(candidates)
+    den, low, top = minima
+    return Fraction(min(0, -top, low), den)
 
 
 def _ladder(worst: ExtRat) -> PairClass:

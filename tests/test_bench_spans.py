@@ -1,7 +1,7 @@
 """The benchmark's tracer patches functions by name; every name it lists
 must exist, and the sympy names it wraps and the layers it predicts for
-``mdlaw`` must still be called, or a rename or a bypass would only show up
-in a traced benchmark run."""
+each workload but ``heights`` must still be called, or a rename or a bypass
+would only show up in a traced benchmark run."""
 
 import importlib
 import importlib.util
@@ -68,14 +68,13 @@ NODAL_PARAM = json.dumps(
 )
 
 
-def test_mdlaw_spans_fire(monkeypatch, tmp_path, capsys):
-    # Every layer the benchmark predicts for mdlaw must record a call on an
-    # mdlaw and a gcd-bounds run.  experiments imports heights and curves
-    # functions by name, so each function is patched wherever a logpairs
-    # module binds it, as the tracer does.
+def _count_layers(monkeypatch, workloads: set[str]) -> tuple[set[str], Counter]:
+    """Count calls of every layer the benchmark predicts for one of
+    ``workloads``.  Modules import functions by name, so each function is
+    patched wherever a logpairs module binds it, as the tracer does."""
     tracing = _load_tracing()
     importlib.import_module("logpairs.cli")
-    layers = {name for name, where in tracing.PREDICTIONS.items() if "mdlaw" in where}
+    layers = {name for name, where in tracing.PREDICTIONS.items() if workloads & where.keys()}
     calls = Counter()
     for name, module, cls, attr in tracing.SPANS:
         if name not in layers:
@@ -95,10 +94,42 @@ def test_mdlaw_spans_fire(monkeypatch, tmp_path, capsys):
                 for bound_name, value in list(vars(mod).items()):
                     if value is original:
                         monkeypatch.setattr(mod, bound_name, counted)
+    return layers, calls
+
+
+def test_mdlaw_spans_fire(monkeypatch, tmp_path, capsys):
+    # Every layer the benchmark predicts for mdlaw must record a call on an
+    # mdlaw and a gcd-bounds run.
+    layers, calls = _count_layers(monkeypatch, {"mdlaw"})
     main = importlib.import_module("logpairs.cli").main
     out = str(tmp_path / "law.csv")
     assert main(["mdlaw", NODAL_PARAM, "--bound", "5", "--out", out, "--json"]) == 0
     assert main(["gcd-bounds", NODAL_PARAM, "--bound", "5", "--json"]) == 0
     capsys.readouterr()
+    silent = sorted(name for name in layers if not calls[name])
+    assert layers and not silent, silent
+
+
+# Three rational lines through the origin: the tangent cone needs sympy's
+# factoring, and the product is resolved by one blowup.
+LINES = json.dumps({"f": [[[0, 3], "1"], [[1, 2], "-1"], [[2, 1], "-4"], [[3, 0], "4"]]})
+TOWER = [[[0, 2], "1"], [[31, 0], "-2/3"]]
+
+
+def test_resolution_spans_fire(monkeypatch, capsys):
+    # Every layer the benchmark predicts for towers or germs must record a
+    # call on resolve-curve at three values of c, member in each kind and a
+    # direct ideal_member call.
+    tower = Poly2.from_json(TOWER)
+    g = tower * Poly2.x()
+    layers, calls = _count_layers(monkeypatch, {"towers", "germs"})
+    cli = importlib.import_module("logpairs.cli")
+    curves = importlib.import_module("logpairs.curves")
+    for curve in (LINES, json.dumps({"f": TOWER})):
+        assert cli.main(["resolve-curve", curve, "--c", "1/3,1/2,5/4", "--json"]) == 0
+        for kind in ("H", "J", "I"):
+            assert cli.main(["member", curve, "--c", "1/2", "--g", '[[[1, 0], "1"]]', "--kind", kind]) == 0
+    capsys.readouterr()
+    assert curves.ideal_member(tower, Fraction(1, 2), g, curves.IdealKind.J)
     silent = sorted(name for name in layers if not calls[name])
     assert layers and not silent, silent

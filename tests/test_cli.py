@@ -232,6 +232,10 @@ MIXED_DEGREE = {"generators": [{"n": 2, "terms": [[[1, 0, 0], "1"], [[0, 2, 0], 
         ("height-eval", json.dumps(MIXED_DEGREE), "--point", "1,1,2"),
         ("height-eval", json.dumps(V01), "--point", "1,2"),
         ("classify-snc", '{"divisors": [{"id": "E1", "c": "x"}]}'),
+        ("classify-snc", '{"divisors": [{"id": "E1", "c": NaN}]}'),
+        ("classify-snc", '{"divisors": [{"id": "E1", "c": "-inf"}]}'),
+        ("classify-snc", '{"divisors": [{"id": "E1", "c": null}]}'),
+        ("classify-snc", '{"divisors": [{"id": "E1", "c": "1/0"}]}'),
         ("classify-snc", "[1]"),
         ("resolve-curve", "no-such-file.json"),
         ("gcd-bounds", json.dumps(NODAL_PARAM), "--bound", "5", "--delta", "inf"),

@@ -78,6 +78,20 @@ def _sympy_is_squarefree(poly: Poly2) -> bool:
     return all(mult == 1 for _, mult in sympy.sqf_list(expr)[1])
 
 
+def _swap(f: Poly2) -> Poly2:
+    """f(y, x): the mirror image in the diagonal."""
+    return Poly2({(j, i): c for (i, j), c in f.terms.items()})
+
+
+def _degrees(f: Poly2) -> tuple[int, int]:
+    return max(i for i, _ in f.terms), max(j for _, j in f.terms)
+
+
+def _random_p_y(rng: random.Random) -> Poly2:
+    """A quadratic in y alone with large rational coefficients."""
+    return Poly2({(0, 2): _big_rational(rng), (0, 1): _big_rational(rng), (0, 0): _big_rational(rng)})
+
+
 class TestSquarefree:
     def test_random_products_of_distinct_factors(self):
         rng = random.Random(5)
@@ -91,19 +105,44 @@ class TestSquarefree:
         rng = random.Random(6)
         for _ in range(10):
             g, h = _random_factor(rng), _random_factor(rng)
-            p_y = Poly2({(0, 2): _big_rational(rng), (0, 1): _big_rational(rng), (0, 0): _big_rational(rng)})
+            p_y = _random_p_y(rng)
             for f in (g * h**2, X**2 * g, p_y**2):
                 assert _sympy_is_squarefree(f) is False
                 assert _is_squarefree(f) is False
 
     def test_second_gcd_decides(self):
-        # For f = y*g, y divides gcd(f, f_x), so only gcd with f_y shows
-        # that f is squarefree; a squarefree p(y) has f_x = 0.
+        # For f = y*g taken x-first, y divides gcd(f, f_x), so only the gcd
+        # with f_y shows that f is squarefree; a squarefree p(y) has f_x = 0.
         rng = random.Random(7)
         for _ in range(10):
             g = _random_factor(rng) + Poly2.constant(_big_rational(rng))
-            p_y = Poly2({(0, 2): _big_rational(rng), (0, 1): _big_rational(rng), (0, 0): _big_rational(rng)})
+            p_y = _random_p_y(rng)
             for f in (Y * g, p_y):
+                assert _sympy_is_squarefree(f) is True
+                assert _is_squarefree(f) is True
+
+    # Mirror images: deg_y < deg_x sends these through the f_y-first branch.
+    def test_mirror_repeated_factors(self):
+        rng = random.Random(8)
+        for _ in range(10):
+            base = _random_factor(rng) * _random_factor(rng) ** 2
+            if _degrees(base)[1] > _degrees(base)[0]:
+                base = _swap(base)
+            while _degrees(base)[1] >= _degrees(base)[0]:
+                base = base * (X + Poly2.constant(_big_rational(rng)))
+            for f in (base, _swap(_random_p_y(rng)) ** 2, Y * _swap(_random_p_y(rng)) ** 2):
+                assert _degrees(f)[1] < _degrees(f)[0]
+                assert _sympy_is_squarefree(f) is False
+                assert _is_squarefree(f) is False
+
+    def test_mirror_second_gcd_decides(self):
+        # For f = y*p(x), p = gcd(f, f_y), so only the gcd with f_x shows that
+        # f is squarefree; a squarefree p(x) has f_y = 0.
+        rng = random.Random(9)
+        for _ in range(10):
+            p_x = _swap(_random_p_y(rng))
+            for f in (Y * p_x, p_x):
+                assert _degrees(f)[1] < _degrees(f)[0]
                 assert _sympy_is_squarefree(f) is True
                 assert _is_squarefree(f) is True
 
@@ -583,6 +622,34 @@ class TestDualGraph:
             data = pair_discrepancies(tree, valuation_data(tree), Fraction(1, 2))
             strict = {frozenset((f"E{anc}", "C")) for anc in tree.curve_contacts}
             assert dual_graph_pair(tree, data).edges == nested_scan_edges(tree) | strict
+
+    def test_rows_and_edges_for_every_c(self):
+        # Random towers y^a - c*x^b and two-Puiseux-pair germs
+        # (y^2 - c1*x^3)^2 - c2*x^k*y; rows against k - c*v and c*v in
+        # Fraction, edges against the defining scan for every c.
+        rng = random.Random(23)
+        germs = []
+        for _ in range(6):
+            a = rng.choice([2, 3])
+            b = rng.choice([b for b in range(a + 1, 120) if math.gcd(a, b) == 1])
+            germs.append(Y**a - Poly2.constant(_big_rational(rng)) * X**b)
+        for k in (5, 7, 9):
+            cusp = Y**2 - Poly2.constant(_big_rational(rng)) * X**3
+            germs.append(cusp**2 - Poly2.constant(_big_rational(rng)) * X**k * Y)
+        for curve in germs:
+            tree = resolve(curve, max_depth=200)
+            vd = valuation_data(tree)
+            strict = {frozenset((f"E{anc}", "C")) for anc in tree.curve_contacts}
+            edges = nested_scan_edges(tree) | strict
+            for c in (0, 1, 3, Fraction(5, 6), tree_lct(tree), Fraction(10**9 + 7, 10**9)):
+                data = pair_discrepancies(tree, vd, c)
+                want = [(vd.k[n.id] - Fraction(c) * vd.v[n.id], Fraction(c) * vd.v[n.id]) for n in tree.nodes]
+                want.append((-Fraction(c), Fraction(c)))
+                assert [(r.a, r.b) for r in data.rows] == want
+                assert all(type(r.a) is Fraction and type(r.b) is Fraction for r in data.rows)
+                pair = dual_graph_pair(tree, data)
+                assert pair.edges == edges
+                assert pair.divisors == tuple((r.id, -r.a) for r in data.rows)
 
     def test_cusp_configuration(self):
         tree = resolve(CUSP)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from logpairs.errors import BadOrderError, MalformedConfigurationError, NegativeBError
 from logpairs.snc import (
@@ -233,3 +235,74 @@ class TestValidation:
             SNCPair.build([("E0", 1)], [("E0", "E9")])
         with pytest.raises(MalformedConfigurationError):
             ResolvedPairData.build([("E1", 0, 1, True), ("E1", 0, 2, True)])
+
+    @pytest.mark.parametrize("c", ["abc", "1/0", float("nan"), float("inf"), float("-inf"), None, [1]])
+    def test_unreadable_coefficient_is_typed(self, c):
+        with pytest.raises(MalformedConfigurationError):
+            SNCPair.build([("E", c)])
+
+    @pytest.mark.parametrize("c", [float("nan"), 0.5, "1/2", None, 1j])
+    def test_direct_construction_needs_rational_coefficients(self, c):
+        # A NaN coefficient would otherwise read as strongly canonical.
+        with pytest.raises(MalformedConfigurationError):
+            SNCPair(divisors=(("E", c),), edges=frozenset())
+
+    def test_direct_construction_accepts_int_and_fraction(self):
+        p = SNCPair(divisors=(("E0", 1), ("E1", Fraction(-1, 2))), edges=frozenset({frozenset(("E0", "E1"))}))
+        assert discrep(p) == Fraction(0)
+        assert totaldiscrep(p) == Fraction(-1)
+
+
+def reference_discrep(pair: SNCPair):
+    """The minimum formula evaluated directly in Fraction."""
+    coeffs = dict(pair.divisors)
+    if any(c > 1 for c in coeffs.values()):
+        return NEG_INFINITY
+    candidates = [Fraction(1)]
+    candidates.extend(1 - c for c in coeffs.values())
+    for e in pair.edges:
+        a, b = tuple(e)
+        candidates.append(1 - coeffs[a] - coeffs[b])
+    return min(candidates)
+
+
+def reference_totaldiscrep(pair: SNCPair):
+    """min(0, min_i(-c_i), discrep) evaluated directly in Fraction."""
+    d = reference_discrep(pair)
+    if d == NEG_INFINITY:
+        return NEG_INFINITY
+    return min([Fraction(0), d] + [-c for _, c in pair.divisors])
+
+
+_DENOMINATOR = st.integers(1, 10**9)
+_COEFFICIENT = st.one_of(
+    st.builds(Fraction, st.integers(-(10**9), 10**9), _DENOMINATOR),
+    st.builds(lambda d: Fraction(d + 1, d), _DENOMINATOR),  # just above 1
+    st.builds(lambda d: Fraction(d - 1, d), _DENOMINATOR),  # just below 1
+    st.sampled_from([1, 0, -1, Fraction(1), Fraction(1, 2)]),
+    st.integers(-3, 3),
+)
+
+
+@st.composite
+def snc_pairs(draw) -> SNCPair:
+    coeffs = draw(st.lists(_COEFFICIENT, max_size=12))
+    labels = [f"E{i}" for i in range(len(coeffs))]
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))) if pairs else set()
+    return SNCPair(
+        divisors=tuple(zip(labels, coeffs)),
+        edges=frozenset(frozenset(e) for e in edges),
+    )
+
+
+class TestIntegerRouteMatchesFractionFormula:
+    @given(snc_pairs())
+    @example(SNCPair(divisors=(), edges=frozenset()))
+    @example(SNCPair(divisors=(("E0", 1), ("E1", 1)), edges=frozenset({frozenset(("E0", "E1"))})))
+    @example(pair([Fraction(10**9 + 1, 10**9)]))
+    @example(pair([Fraction(2, 3), Fraction(1, 2)], [("E0", "E1")]))
+    def test_discrep_and_totaldiscrep(self, p):
+        for got, want in ((discrep(p), reference_discrep(p)), (totaldiscrep(p), reference_totaldiscrep(p))):
+            assert got == want
+            assert type(got) is (float if want == NEG_INFINITY else Fraction)
