@@ -8,7 +8,6 @@ from .curves import (
     PullbackOrders,
     ResolutionNode,
     ResolutionTree,
-    ValuationData,
     blow_up_point,
     dual_graph_pair,
     ideal_member,
@@ -20,7 +19,6 @@ from .curves import (
     resolve,
     tree_ideal_member,
     tree_lct,
-    valuation_data,
 )
 from .heights import (
     HeightTriple,

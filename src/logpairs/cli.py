@@ -146,11 +146,10 @@ def _cmd_resolve_curve(args) -> int:
     curve = _parse_curve(_load_json_arg(args.curve))
     cs = [_parse_rational(c) for c in args.c.split(",")] if args.c else []
     tree = curves.resolve(curve, max_depth=args.max_depth)
-    vd = curves.valuation_data(tree)
     threshold = curves.tree_lct(tree)
     per_c = {}
     for c in cs or [threshold]:
-        data = curves.pair_discrepancies(tree, vd, c)
+        data = curves.pair_discrepancies(tree, c)
         pair = curves.dual_graph_pair(tree, data)
         per_c[str(c)] = {
             "class": str(snc.classify_resolved(data)),
@@ -167,8 +166,8 @@ def _cmd_resolve_curve(args) -> int:
             }
             for n in tree.nodes
         ],
-        "k": {str(i): vd.k[i] for i in vd.k},
-        "v": {str(i): vd.v[i] for i in vd.v},
+        "k": {str(i): k for i, k in tree.k.items()},
+        "v": {str(i): v for i, v in tree.v.items()},
         "lct": str(threshold),
         "classification": per_c,
     }
@@ -180,7 +179,7 @@ def _cmd_resolve_curve(args) -> int:
                 f"node {n['id']}: parent={n['parent']} proximate_to={n['proximate_to']} mult={n['mult']}"
             )
         for node in tree.nodes:
-            print(f"E{node.id}: k={vd.k[node.id]} v={vd.v[node.id]}")
+            print(f"E{node.id}: k={tree.k[node.id]} v={tree.v[node.id]}")
         print(f"lct: {threshold}")
         for c, info in per_c.items():
             print(

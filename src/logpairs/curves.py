@@ -12,11 +12,12 @@ the relative canonical divisor (k) and in the total transform of the curve
     k_i = 1 + sum of k_j over the proximity set of i,
     v_i = m_i + sum of v_j over the proximity set of i.
 
-From the (k, v) table one reads off discrepancies ``k - c*v`` of the pair
-(plane, c * curve), the log canonical threshold ``min(1, min (k+1)/v)``, and
-per-divisor vanishing-order thresholds defining membership in the three
-multiplier-like ideals (round-down, round-up, and the small-perturbation
-round-up).
+The tree carries both tables as ``tree.k`` and ``tree.v``, each computed once
+per tree on first read.  From them one reads off discrepancies ``k - c*v`` of
+the pair (plane, c * curve), the log canonical threshold
+``min(1, min (k+1)/v)``, and per-divisor vanishing-order thresholds defining
+membership in the three multiplier-like ideals (round-down, round-up, and the
+small-perturbation round-up).
 
 Every center must be rational; a tangent direction that only exists over a
 proper extension of Q raises :class:`~logpairs.errors.NonRationalCenterError`
@@ -45,7 +46,7 @@ from .errors import (
     NonRationalCenterError,
     ZeroInputError,
 )
-from .polynomials import Poly2
+from .polynomials import Poly2, clear_denominators
 from .snc import ResolvedPairData, ResolvedRow, SNCPair
 
 PolyLike = Union["AffineCurve", Poly2]
@@ -63,19 +64,13 @@ def _as_poly(f: PolyLike) -> Poly2:
     return f.poly if isinstance(f, AffineCurve) else f
 
 
-def _cleared(coeffs: list[Fraction]) -> list[int]:
-    """The coefficients times the lcm of their denominators; scaling by a
-    nonzero constant keeps the roots, factors and squarefreeness."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [int(c * den) for c in coeffs]
-
-
 def _is_squarefree(poly: Poly2) -> bool:
     import sympy
 
     x, y = sympy.symbols("x y")
+    # Scaling by a nonzero constant keeps the roots, factors and squarefreeness.
     f = sympy.Poly.from_dict(
-        dict(zip(poly.terms, _cleared(list(poly.terms.values())))), x, y, domain="ZZ"
+        dict(zip(poly.terms, clear_denominators(poly.terms.values())[1])), x, y, domain="ZZ"
     )
     # A repeated factor h^2 | f divides into both f_x and f_y, so either gcd
     # settles it when constant; the one in the variable of lower degree is cheaper.
@@ -105,7 +100,7 @@ def _rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], bool]:
         return sorted(roots), False
     import sympy
 
-    part = _cleared(coeffs[low : high + 1])
+    _, part = clear_denominators(coeffs[low : high + 1])
     poly = sympy.Poly(part[::-1], sympy.Symbol("t"), domain="ZZ")
     has_irrational = False
     for factor, _mult in poly.factor_list()[1]:
@@ -178,10 +173,19 @@ class ResolutionTree:
     curve_contacts: frozenset[int]
 
     def node(self, node_id: int) -> ResolutionNode:
-        node = self.nodes[node_id - 1]
-        if node.id != node_id:
+        if not 1 <= node_id <= len(self.nodes):
             raise KeyError(node_id)
-        return node
+        return self.nodes[node_id - 1]
+
+    @functools.cached_property
+    def k(self) -> dict[int, int]:
+        """Multiplicity of each exceptional divisor in the relative canonical divisor."""
+        return _unroll(self, lambda node: 1)
+
+    @functools.cached_property
+    def v(self) -> dict[int, int]:
+        """Multiplicity of each exceptional divisor in the total transform of the curve."""
+        return _unroll(self, lambda node: node.mult)
 
     @functools.cached_property
     def dual_edges(self) -> frozenset[frozenset[str]]:
@@ -202,15 +206,6 @@ class ResolutionTree:
         }
         edges.update(frozenset((f"E{anc}", STRICT_ID)) for anc in self.curve_contacts)
         return frozenset(edges)
-
-
-@dataclass(frozen=True)
-class ValuationData:
-    """Per-divisor multiplicities: k in the relative canonical divisor,
-    v in the total transform of the curve."""
-
-    k: dict[int, int]
-    v: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -255,11 +250,11 @@ def resolve(f: PolyLike, max_depth: int = 64) -> ResolutionTree:
         if m == 1:
             if not axes:
                 continue
-            if len(axes) == 1:
-                which = "x" if axis_x is not None else "y"
-                if local.contact_order_with_axis(which) == 1:
-                    contacts.add(axes[0])
-                    continue
+            # A smooth branch on one divisor is transverse to it exactly when
+            # its linear term in the other variable is present.
+            if len(axes) == 1 and ((0, 1) if axis_x is not None else (1, 0)) in local.terms:
+                contacts.add(axes[0])
+                continue
         if depth > max_depth:
             raise DepthExceededError(f"resolution needs more than {max_depth} blowup levels")
         nid = len(nodes) + 1
@@ -329,15 +324,10 @@ def _unroll(tree: ResolutionTree, base: Callable[[ResolutionNode], int]) -> dict
     return x
 
 
-def valuation_data(tree: ResolutionTree) -> ValuationData:
-    """Unroll the proximity recursions for k and v over the tree."""
-    return ValuationData(k=_unroll(tree, lambda node: 1), v=_unroll(tree, lambda node: node.mult))
-
-
 STRICT_ID = "C"
 
 
-def pair_discrepancies(tree: ResolutionTree, vd: ValuationData, c: Fraction | int) -> ResolvedPairData:
+def pair_discrepancies(tree: ResolutionTree, c: Fraction | int) -> ResolvedPairData:
     """Discrepancy table of (plane, c * curve) on the resolved model.
 
     Each exceptional divisor contributes a = k - c*v and b = c*v; the strict
@@ -349,7 +339,7 @@ def pair_discrepancies(tree: ResolutionTree, vd: ValuationData, c: Fraction | in
     p, q = c.numerator, c.denominator
     rows = []
     for node in tree.nodes:
-        k, pv = vd.k[node.id], p * vd.v[node.id]
+        k, pv = tree.k[node.id], p * tree.v[node.id]
         rows.append(ResolvedRow(id=f"E{node.id}", a=Fraction(q * k - pv, q), b=Fraction(pv, q), exceptional=True))
     rows.append(ResolvedRow(id=STRICT_ID, a=-c, b=c, exceptional=False))
     return ResolvedPairData(rows=tuple(rows))
@@ -357,10 +347,9 @@ def pair_discrepancies(tree: ResolutionTree, vd: ValuationData, c: Fraction | in
 
 def tree_lct(tree: ResolutionTree) -> Fraction:
     """Log canonical threshold from an already computed tree."""
-    vd = valuation_data(tree)
     num, den = 1, 1
     for node in tree.nodes:
-        k1, v = vd.k[node.id] + 1, vd.v[node.id]
+        k1, v = tree.k[node.id] + 1, tree.v[node.id]
         if k1 * den < num * v:
             num, den = k1, v
     return Fraction(num, den)
@@ -414,15 +403,9 @@ def ideal_threshold(kind: IdealKind, a: Fraction, b: Fraction) -> int:
     return -math.ceil(a)
 
 
-def tree_ideal_member(
-    tree: ResolutionTree,
-    vd: ValuationData,
-    c: Fraction | int,
-    g: Poly2,
-    kind: IdealKind,
-) -> bool:
+def tree_ideal_member(tree: ResolutionTree, c: Fraction | int, g: Poly2, kind: IdealKind) -> bool:
     """Membership of g in the chosen ideal of (plane, c * curve) at the origin."""
-    *exceptional, strict = pair_discrepancies(tree, vd, c).rows
+    *exceptional, strict = pair_discrepancies(tree, c).rows
     orders = ord_along(tree, g)
     for node, row in zip(tree.nodes, exceptional):
         if orders.by_divisor[node.id] < ideal_threshold(kind, row.a, row.b):
@@ -432,8 +415,7 @@ def tree_ideal_member(
 
 def ideal_member(f: PolyLike, c: Fraction | int, g: Poly2, kind: IdealKind, max_depth: int = 64) -> bool:
     """Resolve the curve and test membership of g; see :func:`tree_ideal_member`."""
-    tree = resolve(f, max_depth=max_depth)
-    return tree_ideal_member(tree, valuation_data(tree), c, g, kind)
+    return tree_ideal_member(resolve(f, max_depth=max_depth), c, g, kind)
 
 
 def dual_graph_pair(tree: ResolutionTree, data: ResolvedPairData) -> SNCPair:

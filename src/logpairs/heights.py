@@ -31,7 +31,7 @@ from .errors import (
     ZeroInputError,
 )
 from .places import Place, _int_valuation, is_prime, log_fraction
-from .polynomials import exact_int
+from .polynomials import clear_denominators, exact_int
 
 RatLike = Union[Fraction, int, str]
 
@@ -68,9 +68,7 @@ def normalize_point(raw: Sequence[RatLike]) -> ProjPoint:
     if all(type(v) is int for v in raw):
         ints = raw
     else:
-        vals = [Fraction(v) for v in raw]
-        lcm = math.lcm(*(v.denominator for v in vals))
-        ints = [int(v * lcm) for v in vals]
+        _, ints = clear_denominators(Fraction(v) for v in raw)
     g = math.gcd(*ints)
     if g == 0:
         raise AllZeroError("cannot normalize the zero vector")
@@ -133,9 +131,6 @@ class HomogPoly:
     @classmethod
     def from_json(cls, data: dict) -> "HomogPoly":
         return cls.from_terms(exact_int(data["n"], "n") + 1, data["terms"])
-
-    def to_json(self) -> dict:
-        return {"n": self.num_vars - 1, "terms": [[list(e), str(c)] for e, c in self.terms]}
 
     def evaluate(self, coords: Sequence[int]) -> int:
         total = 0

@@ -55,6 +55,13 @@ def _sum_terms(acc: dict, terms: Iterable) -> dict:
     return acc
 
 
+def clear_denominators(values: Iterable[Fraction | int]) -> tuple[int, list[int]]:
+    """(D, [D*v for v in values]) for D the lcm of the denominators."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 def _binomial(t: Fraction, n: int) -> Sequence[tuple[int, Fraction | int]]:
     """(v + t)^n as ``(power of v, coefficient)`` pairs; just (n, 1) when t == 0."""
     if not t:
@@ -100,9 +107,6 @@ class Poly2:
     def from_json(cls, data: Iterable) -> "Poly2":
         """Parse ``[[[i, j], "coeff"], ...]`` with rational coefficient strings."""
         return cls(((i, j), c) for (i, j), c in data)
-
-    def to_json(self) -> list:
-        return [[[i, j], str(c)] for (i, j), c in sorted(self.terms.items())]
 
     # -- basic structure ---------------------------------------------------
 
@@ -228,18 +232,6 @@ class Poly2:
             if i == 0:
                 coeffs[j] = c
         return coeffs
-
-    def contact_order_with_axis(self, axis: str) -> int:
-        """Intersection multiplicity at the origin with {x=0} or {y=0}.
-
-        Returns a large sentinel if the restriction vanishes identically,
-        which cannot happen for a strict transform.
-        """
-        if axis == "x":
-            picked = [j for (i, j) in self.terms if i == 0]
-        else:
-            picked = [i for (i, j) in self.terms if j == 0]
-        return min(picked) if picked else 1 << 30
 
     # -- exact division -----------------------------------------------------
 

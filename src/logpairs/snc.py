@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import BadOrderError, MalformedConfigurationError, NegativeBError
+from .polynomials import clear_denominators
 
 NEG_INFINITY: float = float("-inf")
 
@@ -89,8 +90,8 @@ def _scaled_minima(pair: SNCPair) -> tuple[int, int, int] | None:
     0 for an empty configuration."""
     if any(c.numerator > c.denominator for _, c in pair.divisors):
         return None
-    den = math.lcm(*(c.denominator for _, c in pair.divisors))
-    scaled = {d: c.numerator * (den // c.denominator) for d, c in pair.divisors}
+    den, ints = clear_denominators(c for _, c in pair.divisors)
+    scaled = {d: s for (d, _), s in zip(pair.divisors, ints)}
     top = max(scaled.values(), default=0)
     edge_min = min((den - scaled[a] - scaled[b] for a, b in pair.edges), default=den)
     return den, min(den, den - top, edge_min), top

@@ -22,7 +22,6 @@ from logpairs.curves import (
     resolve,
     tree_ideal_member,
     tree_lct,
-    valuation_data,
 )
 from logpairs.experiments import (
     gcd_family_check,
@@ -203,12 +202,12 @@ def test_criterion_04_log_canonical_thresholds():
 
 def test_criterion_05_valuation_tables():
     with criterion(5, "exact valuation tables for cusp and node"):
-        cusp_vd = valuation_data(resolve(AffineCurve(Y**2 - X**3)))
-        assert cusp_vd.k == {1: 1, 2: 2, 3: 4}
-        assert cusp_vd.v == {1: 2, 2: 3, 3: 6}
-        node_vd = valuation_data(resolve(AffineCurve(Y**2 - X**2 * (X + Poly2.constant(1)))))
-        assert node_vd.k == {1: 1}
-        assert node_vd.v == {1: 2}
+        cusp = resolve(AffineCurve(Y**2 - X**3))
+        assert cusp.k == {1: 1, 2: 2, 3: 4}
+        assert cusp.v == {1: 2, 2: 3, 3: 6}
+        node = resolve(AffineCurve(Y**2 - X**2 * (X + Poly2.constant(1))))
+        assert node.k == {1: 1}
+        assert node.v == {1: 2}
 
 
 def _random_snc_pair(rng: random.Random) -> SNCPair:
@@ -271,44 +270,38 @@ def test_criterion_09_ideal_chain_and_loci():
     with criterion(9, "membership chain, triviality, and loci links for cusp and node"):
         for curve in (AffineCurve(Y**2 - X**3), AffineCurve(Y**2 - X**2 * (X + Poly2.constant(1)))):
             tree = resolve(curve)
-            vd = valuation_data(tree)
             suite = _ideal_suite(curve.poly)
             for c in IDEAL_TEST_COEFFS:
-                data = pair_discrepancies(tree, vd, c)
+                data = pair_discrepancies(tree, c)
                 loci = loci_divisors(data)
                 h_has_positive = any(ideal_threshold(IdealKind.H, r.a, r.b) > 0 for r in data.rows)
                 assert h_has_positive == bool(loci.non_sc)
                 i_has_positive = any(ideal_threshold(IdealKind.I, r.a, r.b) > 0 for r in data.rows)
                 assert i_has_positive == bool(loci.non_lc)
                 for g in suite:
-                    in_h = tree_ideal_member(tree, vd, c, g, IdealKind.H)
-                    in_j = tree_ideal_member(tree, vd, c, g, IdealKind.J)
-                    in_i = tree_ideal_member(tree, vd, c, g, IdealKind.I)
+                    in_h = tree_ideal_member(tree, c, g, IdealKind.H)
+                    in_j = tree_ideal_member(tree, c, g, IdealKind.J)
+                    in_i = tree_ideal_member(tree, c, g, IdealKind.I)
                     assert (not in_h or in_j) and (not in_j or in_i)
         node_curve = AffineCurve(Y**2 - X**2 * (X + Poly2.constant(1)))
         tree = resolve(node_curve)
-        vd = valuation_data(tree)
         for i, j, e in itertools.product(range(7), range(7), range(3)):
             if i + j > 6:
                 continue
             g = X**i * Y**j * node_curve.poly**e
-            assert tree_ideal_member(tree, vd, 1, g, IdealKind.H) == (e >= 1)
+            assert tree_ideal_member(tree, 1, g, IdealKind.H) == (e >= 1)
 
 
 def test_criterion_10_resolution_independence():
     with criterion(10, "one extra blowup changes no lct and no membership verdict"):
         curve = AffineCurve(Y**2 - X**3)
         tree = resolve(curve)
-        vd = valuation_data(tree)
         extended = blow_up_point(tree, 3, 1)
-        vde = valuation_data(extended)
         assert tree_lct(extended) == tree_lct(tree) == Fraction(5, 6)
         for g in _ideal_suite(curve.poly):
             for c in IDEAL_TEST_COEFFS:
                 for kind in IdealKind:
-                    assert tree_ideal_member(tree, vd, c, g, kind) == tree_ideal_member(
-                        extended, vde, c, g, kind
-                    )
+                    assert tree_ideal_member(tree, c, g, kind) == tree_ideal_member(extended, c, g, kind)
 
 
 def test_criterion_11_quotient_discrepancy():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import sys
@@ -6,11 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from logpairs import cli
 from logpairs.curves import (
     AffineCurve,
     IdealKind,
     _is_squarefree,
     _rational_roots,
+    _unroll,
     blow_up_point,
     dual_graph_pair,
     ideal_member,
@@ -22,7 +25,6 @@ from logpairs.curves import (
     resolve,
     tree_ideal_member,
     tree_lct,
-    valuation_data,
 )
 from logpairs.errors import DepthExceededError, InputError, NonRationalCenterError
 from logpairs.polynomials import Poly2
@@ -187,6 +189,15 @@ class TestResolve:
         assert [n.mult for n in tree.nodes] == [2, 2]
         assert [sorted(n.proximate_to) for n in tree.nodes] == [[], [1]]
 
+    def test_node_ids_outside_the_tree_raise_key_error(self):
+        tree = resolve(CUSP)
+        assert [tree.node(i).id for i in (1, 2, 3)] == [1, 2, 3]
+        for bad in (4, 99, -9, 0, -1):
+            with pytest.raises(KeyError):
+                tree.node(bad)
+        with pytest.raises(KeyError):
+            blow_up_point(tree, 7, 0)
+
     def test_smooth_curve_empty(self):
         assert resolve(SMOOTH).nodes == ()
 
@@ -238,24 +249,44 @@ class TestResolve:
 
 class TestValuationData:
     def test_cusp_table(self):
-        vd = valuation_data(resolve(CUSP))
-        assert vd.k == {1: 1, 2: 2, 3: 4}
-        assert vd.v == {1: 2, 2: 3, 3: 6}
+        tree = resolve(CUSP)
+        assert tree.k == {1: 1, 2: 2, 3: 4}
+        assert tree.v == {1: 2, 2: 3, 3: 6}
 
     def test_node_table(self):
-        vd = valuation_data(resolve(NODE))
-        assert vd.k == {1: 1}
-        assert vd.v == {1: 2}
+        tree = resolve(NODE)
+        assert tree.k == {1: 1}
+        assert tree.v == {1: 2}
 
     def test_empty_tree(self):
-        vd = valuation_data(resolve(SMOOTH))
-        assert vd.k == {} and vd.v == {}
+        tree = resolve(SMOOTH)
+        assert tree.k == {} and tree.v == {}
+
+    def test_tables_unrolled_once_per_tree(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(tree, base):
+            calls.append(tree)
+            return _unroll(tree, base)
+
+        monkeypatch.setattr("logpairs.curves._unroll", counted)
+        cusp = json.dumps({"f": [[[0, 2], "1"], [[3, 0], "-1"]]})
+        assert cli.main(["resolve-curve", cusp, "--c", "1/2,5/6"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert len(calls) == 2
+        # An extension is a new tree: reading the parent's cached tables
+        # first must not hand them to it.
+        tree = resolve(CUSP)
+        assert (tree.k, tree.v) == ({1: 1, 2: 2, 3: 4}, {1: 2, 2: 3, 3: 6})
+        extended = blow_up_point(tree, 3, 0)
+        assert (extended.k, extended.v) == ({1: 1, 2: 2, 3: 4, 4: 7}, {1: 2, 2: 3, 3: 6, 4: 9})
+        assert (tree.k, tree.v) == ({1: 1, 2: 2, 3: 4}, {1: 2, 2: 3, 3: 6})
 
 
 class TestPairDiscrepancies:
     def test_cusp_at_five_sixths(self):
         tree = resolve(CUSP)
-        data = pair_discrepancies(tree, valuation_data(tree), Fraction(5, 6))
+        data = pair_discrepancies(tree, Fraction(5, 6))
         by_id = {r.id: r for r in data.rows}
         assert by_id["E1"].a == Fraction(-2, 3)
         assert by_id["E2"].a == Fraction(-1, 2)
@@ -265,7 +296,7 @@ class TestPairDiscrepancies:
 
     def test_node_at_one(self):
         tree = resolve(NODE)
-        data = pair_discrepancies(tree, valuation_data(tree), 1)
+        data = pair_discrepancies(tree, 1)
         by_id = {r.id: r for r in data.rows}
         assert by_id["E1"].a == Fraction(-1)
         assert by_id["C"].a == Fraction(-1)
@@ -274,14 +305,14 @@ class TestPairDiscrepancies:
     def test_zero_boundary_is_strongly_canonical(self):
         for curve in (CUSP, NODE, TACNODE, TRIPLE):
             tree = resolve(curve)
-            data = pair_discrepancies(tree, valuation_data(tree), 0)
+            data = pair_discrepancies(tree, 0)
             assert all(r.a >= 0 for r in data.rows)
             assert classify_resolved(data) is PairClass.STRONGLY_CANONICAL
 
     def test_negative_coefficient_rejected(self):
         tree = resolve(CUSP)
         with pytest.raises(InputError):
-            pair_discrepancies(tree, valuation_data(tree), Fraction(-1, 2))
+            pair_discrepancies(tree, Fraction(-1, 2))
 
 
 class TestLct:
@@ -307,10 +338,9 @@ class TestLct:
     def test_classification_transition_at_threshold(self):
         for curve in (CUSP, NODE, TACNODE, TRIPLE):
             tree = resolve(curve)
-            vd = valuation_data(tree)
             threshold = tree_lct(tree)
-            below = classify_resolved(pair_discrepancies(tree, vd, threshold - Fraction(1, 24)))
-            at = classify_resolved(pair_discrepancies(tree, vd, threshold))
+            below = classify_resolved(pair_discrepancies(tree, threshold - Fraction(1, 24)))
+            at = classify_resolved(pair_discrepancies(tree, threshold))
             assert below is PairClass.KAWAMATA_LOG_TERMINAL
             if threshold < 1:
                 assert at in (PairClass.LOG_CANONICAL, PairClass.NOT_LOG_CANONICAL)
@@ -325,14 +355,13 @@ def lct_via_triviality(curve: AffineCurve) -> Fraction:
     scanning rationals with those denominators pins the value exactly.
     """
     tree = resolve(curve)
-    vd = valuation_data(tree)
-    denominators = set(vd.v.values()) | {1}
+    denominators = set(tree.v.values()) | {1}
     candidates = sorted(
         {Fraction(n, q) for q in denominators for n in range(0, 2 * q + 1)}
     )
     previous = Fraction(0)
     for c in candidates:
-        if not tree_ideal_member(tree, vd, c, ONE, IdealKind.J):
+        if not tree_ideal_member(tree, c, ONE, IdealKind.J):
             return c
         previous = c
     return min(previous, Fraction(1))
@@ -367,9 +396,9 @@ class TestClassicalThresholds:
         # two smooth branches with contact order two, same data as y^2 = x^4
         curve = AffineCurve(Y * (Y - X**2))
         assert lct(curve) == Fraction(3, 4)
-        vd = valuation_data(resolve(curve))
-        assert vd.k == {1: 1, 2: 2}
-        assert vd.v == {1: 2, 2: 4}
+        tree = resolve(curve)
+        assert tree.k == {1: 1, 2: 2}
+        assert tree.v == {1: 2, 2: 4}
 
     def test_triviality_route_agrees(self):
         curves = [
@@ -394,7 +423,6 @@ class TestHowaldMonomialCurves:
     @pytest.mark.parametrize("a, b", [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (3, 7), (4, 5), (5, 7)])
     def test_membership_matches_closed_form(self, a, b):
         tree = resolve(AffineCurve(Y**a - X**b))
-        vd = valuation_data(tree)
         values = {Fraction(p, b) + Fraction(q, a) for p in range(1, b) for q in range(1, a)}
         jumps = sorted(c for c in values if c < 1)
         ends = [Fraction(0), *jumps, Fraction(1)]
@@ -403,7 +431,7 @@ class TestHowaldMonomialCurves:
             for i in range(b + 1):
                 for j in range(a + 1):
                     expected = Fraction(i + 1, b) + Fraction(j + 1, a) > c
-                    assert tree_ideal_member(tree, vd, c, X**i * Y**j, IdealKind.J) == expected, (c, i, j)
+                    assert tree_ideal_member(tree, c, X**i * Y**j, IdealKind.J) == expected, (c, i, j)
 
 
 class TestResolveConsistency:
@@ -429,7 +457,6 @@ class TestResolveConsistency:
             except InputError:
                 continue
             checked += 1
-            vd = valuation_data(tree)
             ids = [n.id for n in tree.nodes]
             assert ids == sorted(ids)
             for node in tree.nodes:
@@ -442,7 +469,7 @@ class TestResolveConsistency:
                 assert node.proximate_to <= ancestors
                 if node.parent is not None:
                     assert node.parent in node.proximate_to
-                assert vd.k[node.id] >= 1 and vd.v[node.id] >= 1
+                assert tree.k[node.id] >= 1 and tree.v[node.id] >= 1
             if tree.nodes:
                 assert tree.nodes[0].mult == multiplicity_at(curve, (0, 0))
             threshold = tree_lct(tree)
@@ -459,7 +486,7 @@ class TestOrdAlong:
     def test_curve_itself(self):
         tree = resolve(CUSP)
         orders = ord_along(tree, CUSP.poly)
-        assert orders.by_divisor == valuation_data(tree).v
+        assert orders.by_divisor == tree.v
         assert orders.strict == 1
 
     def test_strict_powers(self):
@@ -494,20 +521,18 @@ class TestIdealMember:
 
     def test_inclusion_chain(self):
         tree = resolve(CUSP)
-        vd = valuation_data(tree)
         polys = [X**i * Y**j for i in range(3) for j in range(3)]
         for g, c in itertools.product(polys, [Fraction(1, 4), Fraction(5, 6), Fraction(7, 6)]):
-            in_h = tree_ideal_member(tree, vd, c, g, IdealKind.H)
-            in_j = tree_ideal_member(tree, vd, c, g, IdealKind.J)
-            in_i = tree_ideal_member(tree, vd, c, g, IdealKind.I)
+            in_h = tree_ideal_member(tree, c, g, IdealKind.H)
+            in_j = tree_ideal_member(tree, c, g, IdealKind.J)
+            in_i = tree_ideal_member(tree, c, g, IdealKind.I)
             assert (not in_h or in_j) and (not in_j or in_i)
 
     def test_h_trivial_iff_strongly_canonical(self):
         for curve in (CUSP, NODE, TACNODE):
             tree = resolve(curve)
-            vd = valuation_data(tree)
             for c in (Fraction(0), Fraction(1, 4), Fraction(1), Fraction(3, 2)):
-                data = pair_discrepancies(tree, vd, c)
+                data = pair_discrepancies(tree, c)
                 has_positive = any(
                     ideal_threshold(IdealKind.H, r.a, r.b) > 0 for r in data.rows
                 )
@@ -516,9 +541,8 @@ class TestIdealMember:
     def test_nonlc_iff_positive_perturbed_threshold(self):
         for curve in (CUSP, NODE):
             tree = resolve(curve)
-            vd = valuation_data(tree)
             for c in (Fraction(1, 4), Fraction(5, 6), Fraction(1), Fraction(7, 6)):
-                data = pair_discrepancies(tree, vd, c)
+                data = pair_discrepancies(tree, c)
                 has_positive = any(
                     ideal_threshold(IdealKind.I, r.a, r.b) > 0 for r in data.rows
                 )
@@ -528,25 +552,21 @@ class TestIdealMember:
         # at the boundary coefficient, the node pair is log canonical and the
         # round-down ideal consists exactly of the multiples of the curve
         tree = resolve(NODE)
-        vd = valuation_data(tree)
-        assert classify_resolved(pair_discrepancies(tree, vd, 1)) is PairClass.LOG_CANONICAL
+        assert classify_resolved(pair_discrepancies(tree, 1)) is PairClass.LOG_CANONICAL
         for i, j, e in itertools.product(range(4), range(4), range(3)):
             g = X**i * Y**j * NODE.poly**e
-            member = tree_ideal_member(tree, vd, 1, g, IdealKind.H)
+            member = tree_ideal_member(tree, 1, g, IdealKind.H)
             assert member == (e >= 1)
 
 
 class TestResolutionIndependence:
     @staticmethod
     def assert_same_verdicts(tree, extended):
-        vd, vde = valuation_data(tree), valuation_data(extended)
         polys = [X**i * Y**j * CUSP.poly**e for i in range(3) for j in range(3) for e in range(2)]
         for g, c, kind in itertools.product(
             polys, [Fraction(1, 4), Fraction(5, 6), Fraction(1), Fraction(7, 6)], IdealKind
         ):
-            assert tree_ideal_member(tree, vd, c, g, kind) == tree_ideal_member(
-                extended, vde, c, g, kind
-            )
+            assert tree_ideal_member(tree, c, g, kind) == tree_ideal_member(extended, c, g, kind)
 
     def test_extra_blowup_keeps_lct_and_membership(self):
         tree = resolve(CUSP)
@@ -565,8 +585,7 @@ class TestResolutionIndependence:
         assert tree.node(3).axis_y == 2
         assert new.proximate_to == {3, tree.node(3).axis_y}
         assert (new.axis_x, new.axis_y, new.mult) == (3, 2, 0)
-        vd = valuation_data(extended)
-        assert (vd.k[4], vd.v[4]) == (1 + 4 + 2, 0 + 6 + 3)
+        assert (extended.k[4], extended.v[4]) == (1 + 4 + 2, 0 + 6 + 3)
         assert tree_lct(extended) == tree_lct(tree) == Fraction(5, 6)
         self.assert_same_verdicts(tree, extended)
 
@@ -591,7 +610,7 @@ class TestErrorPaths:
         from logpairs.snc import vojta_reduced_divisor
 
         tree = resolve(CUSP)
-        data = pair_discrepancies(tree, valuation_data(tree), Fraction(5, 6))
+        data = pair_discrepancies(tree, Fraction(5, 6))
         # fractional discrepancies and the integer one with positive pullback
         assert vojta_reduced_divisor(data) == {"E1", "E2", "E3", "C"}
 
@@ -619,7 +638,7 @@ class TestDualGraph:
             curves.append(Y**a - Poly2.constant(c) * X**b)
         for curve in curves:
             tree = resolve(curve, max_depth=200)
-            data = pair_discrepancies(tree, valuation_data(tree), Fraction(1, 2))
+            data = pair_discrepancies(tree, Fraction(1, 2))
             strict = {frozenset((f"E{anc}", "C")) for anc in tree.curve_contacts}
             assert dual_graph_pair(tree, data).edges == nested_scan_edges(tree) | strict
 
@@ -638,12 +657,11 @@ class TestDualGraph:
             germs.append(cusp**2 - Poly2.constant(_big_rational(rng)) * X**k * Y)
         for curve in germs:
             tree = resolve(curve, max_depth=200)
-            vd = valuation_data(tree)
             strict = {frozenset((f"E{anc}", "C")) for anc in tree.curve_contacts}
             edges = nested_scan_edges(tree) | strict
             for c in (0, 1, 3, Fraction(5, 6), tree_lct(tree), Fraction(10**9 + 7, 10**9)):
-                data = pair_discrepancies(tree, vd, c)
-                want = [(vd.k[n.id] - Fraction(c) * vd.v[n.id], Fraction(c) * vd.v[n.id]) for n in tree.nodes]
+                data = pair_discrepancies(tree, c)
+                want = [(tree.k[n.id] - Fraction(c) * tree.v[n.id], Fraction(c) * tree.v[n.id]) for n in tree.nodes]
                 want.append((-Fraction(c), Fraction(c)))
                 assert [(r.a, r.b) for r in data.rows] == want
                 assert all(type(r.a) is Fraction and type(r.b) is Fraction for r in data.rows)
@@ -653,7 +671,7 @@ class TestDualGraph:
 
     def test_cusp_configuration(self):
         tree = resolve(CUSP)
-        data = pair_discrepancies(tree, valuation_data(tree), Fraction(5, 6))
+        data = pair_discrepancies(tree, Fraction(5, 6))
         pair = dual_graph_pair(tree, data)
         edges = {tuple(sorted(e)) for e in pair.edges}
         assert edges == {("C", "E3"), ("E1", "E3"), ("E2", "E3")}
@@ -662,9 +680,8 @@ class TestDualGraph:
     def test_classification_matches_for_all_curves(self):
         for curve in (CUSP, NODE, TACNODE, TRIPLE):
             tree = resolve(curve)
-            vd = valuation_data(tree)
             for c in (Fraction(0), Fraction(1, 2), Fraction(1)):
-                data = pair_discrepancies(tree, vd, c)
+                data = pair_discrepancies(tree, c)
                 assert classify(dual_graph_pair(tree, data)) is classify_resolved(data)
 
 

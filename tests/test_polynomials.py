@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from logpairs.errors import MalformedPolynomialError, ZeroInputError
-from logpairs.polynomials import Poly2, univariate_gcd
+from logpairs.polynomials import Poly2, clear_denominators, univariate_gcd
 
 X, Y = Poly2.x(), Poly2.y()
 
@@ -187,6 +187,19 @@ def test_non_integral_exponents_rejected(exponents):
 def test_integral_exponents_of_any_type_accepted():
     assert Poly2.from_json([[["1", 2.0], "3"], [[Fraction(2), True], 1]]) == Poly2({(1, 2): 3, (2, 1): 1})
     assert Poly2.from_json([[[1, 0], "1"], [[0, 1], "1"]]) == X + Y
+
+
+@given(st.lists(st.fractions(max_denominator=10**6)))
+def test_clear_denominators_scales_by_the_lcm(values):
+    den, ints = clear_denominators(values)
+    assert den == math.lcm(*(v.denominator for v in values))
+    assert ints == [int(v * den) for v in values]
+    assert all(type(n) is int for n in ints)
+
+
+def test_clear_denominators_mixes_ints_and_fractions():
+    assert clear_denominators([Fraction(1, 6), 2, Fraction(-3, 4)]) == (12, [2, 24, -9])
+    assert clear_denominators([]) == (1, [])
 
 
 class TestUnivariateGcd:
