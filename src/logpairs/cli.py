@@ -142,6 +142,46 @@ def _cmd_classify_snc(args) -> int:
     return EXIT_OK
 
 
+def _json_block(items: list[str], indent: str, brackets: str = "{}") -> str:
+    """An indented JSON object, or array with ``brackets="[]"``, whose items
+    are already written."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def _resolve_curve_json(tree: curves.ResolutionTree, threshold: Fraction, per_c: dict) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` of the resolve-curve
+    payload, written directly.  Every string in it is a rational, an integer
+    or a class name, none of which JSON escapes; object keys are sorted as
+    strings, as ``sort_keys`` does."""
+
+    def table(values: dict[int, int]) -> str:
+        return _json_block([f'"{i}": {x}' for i, x in sorted((str(i), x) for i, x in values.items())], "  ")
+
+    def node(n: curves.ResolutionNode) -> str:
+        parent = "null" if n.parent is None else n.parent
+        near = _json_block([str(a) for a in sorted(n.proximate_to)], "      ", "[]")
+        fields = [f'"id": {n.id}', f'"mult": {n.mult}', f'"parent": {parent}', f'"proximate_to": {near}']
+        return _json_block(fields, "    ")
+
+    classes = [
+        f'"{c}": ' + _json_block([f'"class": "{k}"', f'"discrep": "{d}"', f'"totaldiscrep": "{td}"'], "    ")
+        for c, (k, d, td) in sorted(per_c.items())
+    ]
+    return _json_block(
+        [
+            '"classification": ' + _json_block(classes, "  "),
+            '"k": ' + table(tree.k),
+            f'"lct": "{threshold}"',
+            '"nodes": ' + _json_block([node(n) for n in tree.nodes], "  ", "[]"),
+            '"v": ' + table(tree.v),
+        ],
+        "",
+    )
+
+
 def _cmd_resolve_curve(args) -> int:
     curve = _parse_curve(_load_json_arg(args.curve))
     cs = [_parse_rational(c) for c in args.c.split(",")] if args.c else []
@@ -151,40 +191,21 @@ def _cmd_resolve_curve(args) -> int:
     for c in cs or [threshold]:
         data = curves.pair_discrepancies(tree, c)
         pair = curves.dual_graph_pair(tree, data)
-        per_c[str(c)] = {
-            "class": str(snc.classify_resolved(data)),
-            "discrep": str(snc.discrep(pair)),
-            "totaldiscrep": str(snc.totaldiscrep(pair)),
-        }
-    payload = {
-        "nodes": [
-            {
-                "id": n.id,
-                "parent": n.parent,
-                "proximate_to": sorted(n.proximate_to),
-                "mult": n.mult,
-            }
-            for n in tree.nodes
-        ],
-        "k": {str(i): k for i, k in tree.k.items()},
-        "v": {str(i): v for i, v in tree.v.items()},
-        "lct": str(threshold),
-        "classification": per_c,
-    }
+        per_c[str(c)] = (
+            str(snc.classify_resolved(data)),
+            str(snc.discrep(pair)),
+            str(snc.totaldiscrep(pair)),
+        )
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_resolve_curve_json(tree, threshold, per_c))
     else:
-        for n in payload["nodes"]:
-            print(
-                f"node {n['id']}: parent={n['parent']} proximate_to={n['proximate_to']} mult={n['mult']}"
-            )
+        for n in tree.nodes:
+            print(f"node {n.id}: parent={n.parent} proximate_to={sorted(n.proximate_to)} mult={n.mult}")
         for node in tree.nodes:
             print(f"E{node.id}: k={tree.k[node.id]} v={tree.v[node.id]}")
         print(f"lct: {threshold}")
-        for c, info in per_c.items():
-            print(
-                f"c={c}: class={info['class']} discrep={info['discrep']} totaldiscrep={info['totaldiscrep']}"
-            )
+        for c, (cls, d, td) in per_c.items():
+            print(f"c={c}: class={cls} discrep={d} totaldiscrep={td}")
     return EXIT_OK
 
 
@@ -192,7 +213,7 @@ def _cmd_member(args) -> int:
     curve = _parse_curve(_load_json_arg(args.curve))
     g = _parse_poly(_load_json_arg(args.g))
     kind = curves.IdealKind[args.kind]
-    verdict = curves.ideal_member(curve, _parse_rational(args.c), g, kind)
+    verdict = curves.ideal_member(curve, _parse_rational(args.c), g, kind, max_depth=args.max_depth)
     _emit({"c": args.c, "kind": args.kind, "member": verdict}, args.json)
     return EXIT_OK
 
@@ -261,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", required=True, help="boundary coefficient (rational)")
     p.add_argument("--g", required=True, help="test polynomial JSON (path or inline)")
     p.add_argument("--kind", choices=[k.name for k in curves.IdealKind], required=True)
+    p.add_argument("--max-depth", type=int, default=64)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_member)
 

@@ -17,7 +17,9 @@ per tree on first read.  From them one reads off discrepancies ``k - c*v`` of
 the pair (plane, c * curve), the log canonical threshold
 ``min(1, min (k+1)/v)``, and per-divisor vanishing-order thresholds defining
 membership in the three multiplier-like ideals (round-down, round-up, and the
-small-perturbation round-up).
+small-perturbation round-up).  For c = p/q the discrepancy table is kept as
+integers over q (``q*k - p*v`` and ``p*v``), and the thresholds are computed
+from those integers.
 
 Every center must be rational; a tangent direction that only exists over a
 proper extension of Q raises :class:`~logpairs.errors.NonRationalCenterError`
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -47,7 +48,7 @@ from .errors import (
     ZeroInputError,
 )
 from .polynomials import Poly2, clear_denominators
-from .snc import ResolvedPairData, ResolvedRow, SNCPair
+from .snc import ResolvedPairData, SNCPair
 
 PolyLike = Union["AffineCurve", Poly2]
 
@@ -186,6 +187,12 @@ class ResolutionTree:
     def v(self) -> dict[int, int]:
         """Multiplicity of each exceptional divisor in the total transform of the curve."""
         return _unroll(self, lambda node: node.mult)
+
+    @functools.cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Divisor labels of the resolved model: ``E<id>`` per node in creation
+        order, then the strict transform ``C``."""
+        return (*(f"E{node.id}" for node in self.nodes), STRICT_ID)
 
     @functools.cached_property
     def dual_edges(self) -> frozenset[frozenset[str]]:
@@ -331,18 +338,22 @@ def pair_discrepancies(tree: ResolutionTree, c: Fraction | int) -> ResolvedPairD
     """Discrepancy table of (plane, c * curve) on the resolved model.
 
     Each exceptional divisor contributes a = k - c*v and b = c*v; the strict
-    transform of the curve contributes a = -c and b = c.
+    transform of the curve contributes a = -c and b = c.  For c = p/q the
+    table holds the integers q*a and q*b over the denominator q.
     """
     c = Fraction(c)
     if c < 0:
         raise InputError(f"boundary coefficient must be nonnegative, got {c}")
     p, q = c.numerator, c.denominator
-    rows = []
-    for node in tree.nodes:
-        k, pv = tree.k[node.id], p * tree.v[node.id]
-        rows.append(ResolvedRow(id=f"E{node.id}", a=Fraction(q * k - pv, q), b=Fraction(pv, q), exceptional=True))
-    rows.append(ResolvedRow(id=STRICT_ID, a=-c, b=c, exceptional=False))
-    return ResolvedPairData(rows=tuple(rows))
+    # tree.k and tree.v are both filled in node order.
+    pv = [p * v for v in tree.v.values()]
+    return ResolvedPairData(
+        ids=tree.labels,
+        den=q,
+        a_num=(*(q * k - w for k, w in zip(tree.k.values(), pv)), -p),
+        b_num=(*pv, p),
+        exceptional=(True,) * len(tree.nodes) + (False,),
+    )
 
 
 def tree_lct(tree: ResolutionTree) -> Fraction:
@@ -385,32 +396,34 @@ def ord_along(tree: ResolutionTree, g: Poly2) -> PullbackOrders:
     return PullbackOrders(by_divisor=w, strict=strict)
 
 
-def ideal_threshold(kind: IdealKind, a: Fraction, b: Fraction) -> int:
-    """Required vanishing order along a divisor with discrepancy a and
-    pullback multiplicity b.
+def _threshold(kind: IdealKind, a_num: int, b_num: int, den: int) -> int:
+    """Required vanishing order along a divisor with discrepancy a_num/den
+    and pullback multiplicity b_num/den.
 
     Round-down ideal: -floor(a).  Round-up ideal: -ceil(a).  The perturbed
     ideal takes the round-up threshold after replacing a by a + eps*b for
-    vanishing eps > 0: one less than the round-up value when a is an integer
-    actually perturbed (b > 0), the round-up value otherwise.
+    vanishing eps > 0: -floor(a) - 1 when b > 0 (one less than the round-up
+    value when a is an integer), the round-up value otherwise.
     """
     if kind is IdealKind.H:
-        return -math.floor(a)
-    if kind is IdealKind.J:
-        return -math.ceil(a)
-    if b > 0 and a.denominator == 1:
-        return -int(a) - 1
-    return -math.ceil(a)
+        return -(a_num // den)
+    if kind is IdealKind.I and b_num > 0:
+        return -(a_num // den) - 1
+    return -a_num // den
+
+
+def ideal_threshold(kind: IdealKind, a: Fraction, b: Fraction) -> int:
+    """:func:`_threshold` for a discrepancy a and pullback multiplicity b."""
+    den, (a_num, b_num) = clear_denominators((a, b))
+    return _threshold(kind, a_num, b_num, den)
 
 
 def tree_ideal_member(tree: ResolutionTree, c: Fraction | int, g: Poly2, kind: IdealKind) -> bool:
     """Membership of g in the chosen ideal of (plane, c * curve) at the origin."""
-    *exceptional, strict = pair_discrepancies(tree, c).rows
+    data = pair_discrepancies(tree, c)
     orders = ord_along(tree, g)
-    for node, row in zip(tree.nodes, exceptional):
-        if orders.by_divisor[node.id] < ideal_threshold(kind, row.a, row.b):
-            return False
-    return orders.strict >= ideal_threshold(kind, strict.a, strict.b)
+    have = [*(orders.by_divisor[node.id] for node in tree.nodes), orders.strict]
+    return all(w >= _threshold(kind, a, b, data.den) for w, a, b in zip(have, data.a_num, data.b_num))
 
 
 def ideal_member(f: PolyLike, c: Fraction | int, g: Poly2, kind: IdealKind, max_depth: int = 64) -> bool:
@@ -420,4 +433,4 @@ def ideal_member(f: PolyLike, c: Fraction | int, g: Poly2, kind: IdealKind, max_
 
 def dual_graph_pair(tree: ResolutionTree, data: ResolvedPairData) -> SNCPair:
     """SNC configuration of the resolved model: coefficients -a on :attr:`ResolutionTree.dual_edges`."""
-    return SNCPair(divisors=tuple((row.id, -row.a) for row in data.rows), edges=tree.dual_edges)
+    return SNCPair.scaled(data.ids, data.den, [-a for a in data.a_num], tree.dual_edges)

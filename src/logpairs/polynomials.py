@@ -63,10 +63,23 @@ def clear_denominators(values: Iterable[Fraction | int]) -> tuple[int, list[int]
 
 
 def _binomial(t: Fraction, n: int) -> Sequence[tuple[int, Fraction | int]]:
-    """(v + t)^n as ``(power of v, coefficient)`` pairs; just (n, 1) when t == 0."""
+    """(v + t)^n as ``(power of v, coefficient)`` pairs; just (n, 1) when t == 0.
+
+    With t = p/q, each coefficient comes from the next one up by
+    C(n, r) t^(n-r) = C(n, r+1) t^(n-r-1) * p(r+1) / (q(n-r)), one Fraction
+    per entry built from integer products.
+    """
     if not t:
         return ((n, 1),)
-    return [(r, math.comb(n, r) * t ** (n - r)) for r in range(n + 1)]
+    p, q = t.numerator, t.denominator
+    row = [(n, 1)]
+    num, den = 1, 1
+    for r in range(n - 1, -1, -1):
+        c = Fraction(num * p * (r + 1), den * q * (n - r))
+        num, den = c.numerator, c.denominator
+        row.append((r, c))
+    row.reverse()
+    return row
 
 
 class Poly2:
@@ -193,9 +206,9 @@ class Poly2:
 
     def translate(self, ax: CoeffLike, ay: CoeffLike) -> "Poly2":
         """f(x + ax, y + ay), expanded with binomial coefficients."""
-        ax, ay = _coeff(ax), _coeff(ay)
-        if not ax and not ay:
+        if ax == 0 and ay == 0:
             return self
+        ax, ay = _coeff(ax), _coeff(ay)
         acc: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in self.terms.items():
             ys = _binomial(ay, j)

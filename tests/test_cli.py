@@ -88,6 +88,59 @@ def test_member(capsys):
     assert json.loads(out)["member"] is False
 
 
+
+def test_member_max_depth(capsys):
+    # y^2 - x^131 needs 67 blowup levels (partial quotients 65 and 2 of
+    # 131/2), three more than the default 64.
+    curve = json.dumps({"f": [[[0, 2], "1"], [[131, 0], "-1"]]})
+    one = json.dumps([[[0, 0], "1"]])
+    code, _, err = run(capsys, "member", curve, "--c", "1/2", "--g", one, "--kind", "J")
+    assert code == EXIT_INPUT and "more than 64" in err
+    for c, expected in (("1/2", True), ("1", False)):
+        code, out, _ = run(
+            capsys, "member", curve, "--c", c, "--g", one, "--kind", "J", "--max-depth", "67", "--json"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["member"] is expected
+    code, _, err = run(capsys, "member", curve, "--c", "1", "--g", one, "--kind", "J", "--max-depth", "66")
+    assert code == EXIT_INPUT and "more than 66" in err
+
+
+@st.composite
+def _resolve_curve_argv(draw):
+    """resolve-curve on a tower y^a - c*x^b (up to 30 nodes, so that k/v keys
+    sort differently as strings and as numbers), a two-Puiseux-pair germ or a
+    smooth germ (empty nodes, k and v)."""
+    shape = draw(st.sampled_from(["tower", "two_pairs", "smooth"]))
+    if shape == "tower":
+        a = draw(st.sampled_from([2, 3]))
+        b = draw(st.integers(a + 1, 60).filter(lambda b: b % a))
+        c = draw(st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool))
+        f = [[[0, a], "1"], [[b, 0], str(-c)]]
+    elif shape == "two_pairs":
+        k = draw(st.sampled_from([5, 7, 9, 11, 13]))
+        f = [[[0, 4], "1"], [[3, 2], "-2"], [[6, 0], "1"], [[k, 1], "-1"]]
+    else:
+        f = [[[0, 1], "1"], [[2, 0], "-1"]]
+    cs = draw(
+        st.one_of(
+            st.sampled_from(["10/3,2,5/12", "2,10,1/3,1/12", ""]),
+            st.lists(st.fractions(min_value=0, max_value=12, max_denominator=12), max_size=4).map(
+                lambda cs: ",".join(map(str, cs))
+            ),
+        )
+    )
+    return ["resolve-curve", json.dumps({"f": f}), "--json", *(["--c", cs] if cs else [])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_resolve_curve_argv())
+def test_resolve_curve_json_is_the_indented_sorted_dump(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == EXIT_OK
+    assert out.getvalue() == json.dumps(json.loads(out.getvalue()), indent=2, sort_keys=True) + "\n"
+
 def test_mdlaw_with_csv(tmp_path, capsys):
     out_csv = tmp_path / "law.csv"
     code, out, _ = run(
@@ -347,7 +400,7 @@ def _argv(draw):
         argv = [_pick(draw, CURVES), *_flag(draw, "--max-depth", SMALL_INTS), *_flag(draw, "--c", RATIONALS)]
     elif command == "member":
         argv = [_pick(draw, CURVES), *_flag(draw, "--c", RATIONALS), *_flag(draw, "--g", POLYS)]
-        argv += _flag(draw, "--kind", (["H", "J", "I"], ["K"]))
+        argv += _flag(draw, "--kind", (["H", "J", "I"], ["K"])) + _flag(draw, "--max-depth", SMALL_INTS)
     elif command == "gcd-family":
         argv = [_pick(draw, (["pure", "shifted", "mixed"], ["other"]))]
         argv += _pick(draw, ([("3", "2"), ("5", "2"), ("7", "3")], [("4", "2"), ("2", "3"), ("x", "1")]))

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logpairs import cli
 from logpairs.curves import (
@@ -28,7 +30,7 @@ from logpairs.curves import (
 )
 from logpairs.errors import DepthExceededError, InputError, NonRationalCenterError
 from logpairs.polynomials import Poly2
-from logpairs.snc import PairClass, classify, classify_resolved, loci_divisors
+from logpairs.snc import PairClass, classify, classify_resolved, loci_divisors, vojta_reduced_divisor
 
 X, Y = Poly2.x(), Poly2.y()
 ONE = Poly2.constant(1)
@@ -434,6 +436,31 @@ class TestHowaldMonomialCurves:
                     assert tree_ideal_member(tree, c, X**i * Y**j, IdealKind.J) == expected, (c, i, j)
 
 
+
+class TestTwoPuiseuxPairs:
+    """The branch (y^2 - x^3)^2 - x^k*y, k odd, has Puiseux characteristic
+    (4; 6, 2k - 3).  Enriques' rule (Casas-Alvero, Singularities of Plane
+    Curves, 2000) turns the Euclidean algorithms on 6/4 and (2k - 9)/2 into
+    the multiplicity sequence 4, 2^(k-3), 1, 1 of k centers, and Igusa's
+    formula for a branch (1977) gives lct = 1/4 + 1/6 = 5/12."""
+
+    @pytest.mark.parametrize("k", range(5, 22, 2))
+    def test_multiplicities_and_threshold(self, k, capsys):
+        f = (Y**2 - X**3) ** 2 - X**k * Y
+        tree = resolve(f)
+        assert len(tree.nodes) == k
+        assert [n.mult for n in tree.nodes] == [4] + [2] * (k - 3) + [1, 1]
+        assert tree_lct(tree) == Fraction(5, 12)
+        curve = json.dumps({"f": [[[i, j], str(c)] for (i, j), c in f.terms.items()]})
+        assert cli.main(["resolve-curve", curve, "--c", "1/3,5/12,1/2", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        classes = {c: info["class"] for c, info in payload["classification"].items()}
+        assert classes == {
+            "1/3": "kawamata_log_terminal",
+            "5/12": "log_canonical",
+            "1/2": "not_log_canonical",
+        }
+
 class TestResolveConsistency:
     def test_random_curves_internally_consistent(self):
         rng = random.Random(314)
@@ -684,6 +711,83 @@ class TestDualGraph:
                 data = pair_discrepancies(tree, c)
                 assert classify(dual_graph_pair(tree, data)) is classify_resolved(data)
 
+
+
+# The Fraction formulas the discrepancy table and its readers used before the
+# table was stored as integers over one denominator, kept as references.
+def _reference_rows(tree, c):
+    c = Fraction(c)
+    rows = [(f"E{n.id}", tree.k[n.id] - c * tree.v[n.id], c * tree.v[n.id]) for n in tree.nodes]
+    return rows + [("C", -c, c)]
+
+
+def _reference_class(rows):
+    worst = min((a for _, a, _ in rows), default=0)
+    if worst >= 0:
+        return PairClass.STRONGLY_CANONICAL
+    if worst > -1:
+        return PairClass.KAWAMATA_LOG_TERMINAL
+    if worst >= -1:
+        return PairClass.LOG_CANONICAL
+    return PairClass.NOT_LOG_CANONICAL
+
+
+def _reference_threshold(kind, a, b):
+    if kind is IdealKind.H:
+        return -math.floor(a)
+    if kind is IdealKind.J:
+        return -math.ceil(a)
+    if b > 0 and a.denominator == 1:
+        return -int(a) - 1
+    return -math.ceil(a)
+
+
+_NONZERO = st.fractions(min_value=-50, max_value=50, max_denominator=10**9).filter(bool)
+
+
+@st.composite
+def _germs(draw) -> Poly2:
+    """Towers y^a - c*x^b, two-Puiseux-pair germs and products of a branch
+    with a transverse line, all with rational centers."""
+    shape = draw(st.sampled_from(["tower", "two_pairs", "branch_line"]))
+    c, s = draw(_NONZERO), draw(_NONZERO)
+    if shape == "tower":
+        a = draw(st.sampled_from([2, 3]))
+        b = draw(st.integers(a + 1, 40).filter(lambda b: math.gcd(a, b) == 1))
+        return Y**a - Poly2.constant(c) * X**b
+    if shape == "two_pairs":
+        k = draw(st.sampled_from([5, 7, 9, 11]))
+        return (Y**2 - Poly2.constant(s * s) * X**3) ** 2 - Poly2.constant(c) * X**k * Y
+    b = draw(st.integers(3, 9))
+    return (Y**2 - Poly2.constant(s * s) * X**b) * (Y - Poly2.constant(c) * X)
+
+
+class TestIntegerTableMatchesFractionFormulas:
+    TEST_POLYS = [X**i * Y**j for i in range(4) for j in range(3)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(_germs(), st.integers(1, 10**9 - 1))
+    def test_tables_classes_and_verdicts(self, f, p):
+        tree = resolve(f, max_depth=100)
+        threshold = tree_lct(tree)
+        near = Fraction(10**9 + 7, 10**9)
+        for c in (0, 1, 2, threshold, threshold - Fraction(1, 10**9), Fraction(p, 10**9 + 9), near):
+            data = pair_discrepancies(tree, c)
+            rows = _reference_rows(tree, c)
+            assert [(r.id, r.a, r.b) for r in data.rows] == rows
+            assert all(type(r.a) is Fraction and type(r.b) is Fraction for r in data.rows)
+            assert classify_resolved(data) is _reference_class(rows)
+            loci = loci_divisors(data)
+            assert loci.non_sc == {i for i, a, _ in rows if a < 0}
+            assert loci.non_klt == {i for i, a, _ in rows if a <= -1}
+            assert loci.non_lc == {i for i, a, _ in rows if a < -1}
+            assert vojta_reduced_divisor(data) == {i for i, a, b in rows if a.denominator != 1 or b > 0}
+            for g in self.TEST_POLYS:
+                orders = ord_along(tree, g)
+                have = [orders.by_divisor[n.id] for n in tree.nodes] + [orders.strict]
+                for kind in IdealKind:
+                    want = all(w >= _reference_threshold(kind, a, b) for w, (_, a, b) in zip(have, rows))
+                    assert tree_ideal_member(tree, c, g, kind) == want, (c, g, kind)
 
 def _sympy_rational_roots(coeffs):
     """Rational roots and the irrational-factor flag from a direct sympy

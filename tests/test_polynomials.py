@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from logpairs.errors import MalformedPolynomialError, ZeroInputError
-from logpairs.polynomials import Poly2, clear_denominators, univariate_gcd
+from logpairs.polynomials import Poly2, _binomial, clear_denominators, univariate_gcd
 
 X, Y = Poly2.x(), Poly2.y()
 
@@ -116,6 +116,17 @@ class TestZeroShifts:
         f = X**3 * Y**2 - Poly2.constant(Fraction(7, 2)) * X * Y + Y**4
         shifted = f.translate(0, Fraction(-2, 3))
         assert {i for i, _ in shifted.terms} <= {i for i, _ in f.terms}
+
+
+@given(st.fractions(max_denominator=10**9).filter(bool), st.integers(0, 60))
+def test_binomial_rows_match_the_closed_form(t, n):
+    row = _binomial(t, n)
+    assert [r for r, _ in row] == list(range(n + 1))
+    assert [c for _, c in row] == [math.comb(n, r) * t ** (n - r) for r in range(n + 1)]
+
+
+def test_binomial_row_of_a_zero_shift_is_one_term():
+    assert list(_binomial(Fraction(0), 7)) == [(7, 1)]
 
 
 class TestIntegerEvaluate:
