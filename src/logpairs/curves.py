@@ -30,16 +30,19 @@ blowup, the finite-direction chart is (x, y) -> (x, x*(y + t)) with the new
 exceptional divisor at {x = 0}, and the vertical-direction chart is
 (x, y) -> (x*y, y) with the new divisor at {y = 0}.  At any center at most
 two exceptional divisors pass through, one per axis, so a center's
-proximity set is read off its two axes.
+proximity set is read off its two axes.  A node keeps only its chart's shift
+(None for the vertical chart) and its two axes; the strict transform of the
+curve, or of any other polynomial, at a center is replayed from the origin
+through the recorded charts.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 from .errors import (
     DepthExceededError,
@@ -136,19 +139,17 @@ class AffineCurve:
 class ResolutionNode:
     """One blowup center.
 
-    ``chart`` and ``shift`` say how local coordinates at this center arise
-    from the parent's: chart "x" is (x, x*(y + shift)), chart "y" is
-    (x*y, y).  ``local_poly`` is the strict transform of the curve in these
-    coordinates, before this center is blown up.  ``axis_x`` and ``axis_y``
-    name the exceptional divisors along the two coordinate axes here.
+    ``shift`` says how local coordinates at this center arise from the
+    parent's: (x, x*(y + shift)) in the x chart, or (x*y, y) in the y chart
+    when ``shift`` is None; the root has no parent and no shift.  ``axis_x``
+    and ``axis_y`` name the exceptional divisors along the two coordinate
+    axes here.
     """
 
     id: int
     parent: int | None
     mult: int
-    chart: str | None
     shift: Fraction | None
-    local_poly: Poly2
     axis_x: int | None
     axis_y: int | None
 
@@ -157,6 +158,15 @@ class ResolutionNode:
         """The ancestors whose exceptional divisors pass through this center:
         the divisors along its axes (the parent is always one of them)."""
         return frozenset(a for a in (self.axis_x, self.axis_y) if a is not None)
+
+    def child_axes(self, shift: Fraction | None) -> tuple[int | None, int | None]:
+        """(axis_x, axis_y) at a center on this node's exceptional divisor:
+        the new divisor lies along x = 0 at (0, shift) in the x chart, where
+        the divisor along this node's y-axis still passes only at shift 0,
+        and along y = 0 in the y chart, which keeps this node's x-axis."""
+        if shift is None:
+            return self.axis_x, self.id
+        return self.id, self.axis_y if shift == 0 else None
 
 
 @dataclass(frozen=True)
@@ -246,12 +256,12 @@ def resolve(f: PolyLike, max_depth: int = 64) -> ResolutionTree:
         raise ZeroInputError("cannot resolve the zero polynomial")
     nodes: list[ResolutionNode] = []
     contacts: set[int] = set()
-    # Centers still to visit, as (strict transform, axis_x, axis_y, parent,
-    # chart, shift, depth).  Children are pushed in reverse so that they pop
-    # in order and node ids follow a depth-first pre-order.
-    pending = [(poly, None, None, None, None, None, 1)] if poly.evaluate(0, 0) == 0 else []
+    # Centers still to visit, as (strict transform, parent, shift, axes,
+    # depth).  Children are pushed in reverse so that they pop in order and
+    # node ids follow a depth-first pre-order.
+    pending = [(poly, None, None, (None, None), 1)] if (0, 0) not in poly.terms else []
     while pending:
-        local, axis_x, axis_y, parent, chart, shift, depth = pending.pop()
+        local, parent, shift, (axis_x, axis_y), depth = pending.pop()
         m = local.order()
         axes = [a for a in (axis_x, axis_y) if a is not None]
         if m == 1:
@@ -264,19 +274,8 @@ def resolve(f: PolyLike, max_depth: int = 64) -> ResolutionTree:
                 continue
         if depth > max_depth:
             raise DepthExceededError(f"resolution needs more than {max_depth} blowup levels")
-        nid = len(nodes) + 1
-        nodes.append(
-            ResolutionNode(
-                id=nid,
-                parent=parent,
-                mult=m,
-                chart=chart,
-                shift=shift,
-                local_poly=local,
-                axis_x=axis_x,
-                axis_y=axis_y,
-            )
-        )
+        node = ResolutionNode(len(nodes) + 1, parent, m, shift, axis_x, axis_y)
+        nodes.append(node)
         transformed, _ = local.blowup_x()
         restriction = transformed.on_x_axis_restriction()
         roots, has_irrational = _rational_roots(restriction)
@@ -284,13 +283,9 @@ def resolve(f: PolyLike, max_depth: int = 64) -> ResolutionTree:
             raise NonRationalCenterError(
                 "tangent directions include an irreducible factor of degree >= 2 over Q"
             )
-        children = [
-            (transformed.translate(0, t), nid, axis_y if t == 0 else None, nid, "x", t, depth + 1)
-            for t in roots
-        ]
+        children = [(transformed.translate(0, t), node.id, t, node.child_axes(t), depth + 1) for t in roots]
         if len(restriction) - 1 < m:
-            child, _ = local.blowup_y()
-            children.append((child, axis_x, nid, nid, "y", None, depth + 1))
+            children.append((local.blowup_y()[0], node.id, None, node.child_axes(None), depth + 1))
         pending.extend(reversed(children))
     return ResolutionTree(curve=poly, nodes=tuple(nodes), curve_contacts=frozenset(contacts))
 
@@ -305,21 +300,24 @@ def blow_up_point(tree: ResolutionTree, node_id: int, shift: Fraction | int) -> 
     is 0.
     """
     shift = Fraction(shift)
-    node = tree.node(node_id)
-    transformed, _ = node.local_poly.blowup_x(shift)
-    new = ResolutionNode(
-        id=len(tree.nodes) + 1,
-        parent=node_id,
-        mult=transformed.order(),
-        chart="x",
-        shift=shift,
-        local_poly=transformed,
-        axis_x=node_id,
-        axis_y=node.axis_y if shift == 0 else None,
-    )
-    return ResolutionTree(
-        curve=tree.curve, nodes=tree.nodes + (new,), curve_contacts=tree.curve_contacts
-    )
+    new = ResolutionNode(len(tree.nodes) + 1, node_id, 0, shift, *tree.node(node_id).child_axes(shift))
+    # Its multiplicity is the order of the curve's strict transform there.
+    new = replace(new, mult=_replay((*tree.nodes, new), tree.curve)[new.id].order())
+    return ResolutionTree(curve=tree.curve, nodes=(*tree.nodes, new), curve_contacts=tree.curve_contacts)
+
+
+def _replay(nodes: Iterable[ResolutionNode], g: Poly2) -> dict[int, Poly2]:
+    """The strict transform of g at each center, in that center's local
+    coordinates, from the recorded charts (parents come first)."""
+    local: dict[int, Poly2] = {}
+    for node in nodes:
+        if node.parent is None:
+            local[node.id] = g
+        elif node.shift is not None:
+            local[node.id] = local[node.parent].blowup_x(node.shift)[0]
+        else:
+            local[node.id] = local[node.parent].blowup_y()[0]
+    return local
 
 
 def _unroll(tree: ResolutionTree, base: Callable[[ResolutionNode], int]) -> dict[int, int]:
@@ -381,14 +379,7 @@ def ord_along(tree: ResolutionTree, g: Poly2) -> PullbackOrders:
     """
     if g.is_zero:
         raise ZeroInputError("cannot pull back the zero polynomial")
-    local: dict[int, Poly2] = {}
-    for node in tree.nodes:
-        if node.parent is None:
-            local[node.id] = g
-        elif node.chart == "x":
-            local[node.id] = local[node.parent].blowup_x(node.shift)[0]
-        else:
-            local[node.id] = local[node.parent].blowup_y()[0]
+    local = _replay(tree.nodes, g)
     w = _unroll(tree, lambda node: local[node.id].order())
     strict, rem = 0, g
     while (quotient := rem.divide_exact(tree.curve)) is not None:

@@ -41,6 +41,13 @@ from .polynomials import Poly2, univariate_gcd
 
 ORIGIN_COORDS = (0, 0, 1)
 
+# Work limits, each checked before any work starts: the largest sampling
+# bound (about 1.2*bound^2 parameter pairs), and the most bases and the largest
+# exponent d of one gcd-family run.
+MAX_SAMPLE_BOUND = 1000
+MAX_GCD_FAMILY_RANGE = 10**6
+MAX_GCD_FAMILY_D = 64
+
 
 def dehomogenize_at_origin_chart(target: HomogPoly) -> Poly2:
     """Set the last variable to 1, producing a bivariate polynomial."""
@@ -155,8 +162,8 @@ def sample_param_points(pc: ParamCurve, bound: int) -> SampleResult:
     Pairs run in sorted order, with (1, 0) just before (1, 1).  Images are
     normalized and deduplicated; all-zero images are dropped.
     """
-    if bound < 1:
-        raise BadRangeError(f"bound must be >= 1, got {bound}")
+    if not 1 <= bound <= MAX_SAMPLE_BOUND:
+        raise BadRangeError(f"bound must be in [1, {MAX_SAMPLE_BOUND}], got {bound}")
     pairs = (
         (p, q)
         for p in range(-bound, bound + 1)
@@ -324,6 +331,10 @@ def gcd_family_check(kind: str, d: int, m: int, a_range: tuple[int, int]) -> Gcd
     a_min, a_max = a_range
     if a_min > a_max:
         raise BadRangeError(f"empty range [{a_min}, {a_max}]")
+    if a_max - a_min >= MAX_GCD_FAMILY_RANGE:
+        raise BadRangeError(f"range [{a_min}, {a_max}] holds more than {MAX_GCD_FAMILY_RANGE} bases")
+    if d > MAX_GCD_FAMILY_D:
+        raise BadRangeError(f"exponent d = {d} exceeds {MAX_GCD_FAMILY_D}")
     violations = []
     checked = 0
     for a in range(a_min, a_max + 1):

@@ -52,18 +52,20 @@ class SNCPair:
     pairs of divisors with nonempty intersection.  Labels are unique, edges
     reference existing labels, self-loops are rejected, and coefficients are
     ``int`` or ``Fraction``.  Whether the data comes from an actual geometric
-    model is the caller's responsibility.  A pair is immutable; one made by
-    :meth:`scaled` keeps its coefficients as integers over one denominator
-    and builds ``divisors`` only when read.
+    model is the caller's responsibility.
+
+    A pair is immutable and holds one state: coefficient ``nums[i] / den`` on
+    ``labels[i]``, plus the largest numerator and ``den`` times the discrepancy
+    (None when some coefficient exceeds 1), both taken once from the integers.
+    ``divisors`` is built from them when read.
     """
 
     def __init__(self, divisors: tuple[tuple[str, Fraction], ...], edges: frozenset[frozenset[str]]) -> None:
-        _check_graph([d for d, _ in divisors], edges)
         for d, c in divisors:
             if not isinstance(c, (int, Fraction)):
                 raise MalformedConfigurationError(f"divisor {d} has non-rational coefficient {c!r}")
-        object.__setattr__(self, "divisors", divisors)
-        object.__setattr__(self, "edges", edges)
+        den, nums = clear_denominators(c for _, c in divisors)
+        self._set([d for d, _ in divisors], den, nums, edges)
 
     @classmethod
     def build(
@@ -75,36 +77,42 @@ class SNCPair:
             divs = tuple((str(d), Fraction(c)) for d, c in divisors)
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise MalformedConfigurationError(f"malformed divisors: {exc}") from exc
-        es = frozenset(frozenset(pair) for pair in edges)
-        return cls(divisors=divs, edges=es)
+        return cls(divisors=divs, edges=frozenset(frozenset(pair) for pair in edges))
 
     @classmethod
     def scaled(
         cls, labels: Sequence[str], den: int, nums: Sequence[int], edges: frozenset[frozenset[str]]
     ) -> "SNCPair":
-        """The pair with coefficient ``nums[i] / den`` on ``labels[i]``; its
-        minima are taken from these integers."""
-        _check_graph(labels, edges)
+        """The pair with coefficient ``nums[i] / den`` on ``labels[i]``."""
+        pair = cls.__new__(cls)
+        pair._set(labels, den, nums, edges)
+        return pair
+
+    def _set(
+        self, labels: Sequence[str], den: int, nums: Sequence[int], edges: frozenset[frozenset[str]]
+    ) -> None:
+        known = set(labels)
+        if len(known) != len(labels):
+            raise MalformedConfigurationError("divisor labels must be unique")
+        for e in edges:
+            if len(e) != 2:
+                raise MalformedConfigurationError(f"edge {set(e)} must join two distinct divisors")
+            if not e <= known:
+                raise MalformedConfigurationError(f"edge {set(e)} references unknown labels")
         if den < 1:
             raise MalformedConfigurationError(f"denominator must be positive, got {den}")
-        pair = cls.__new__(cls)
-        object.__setattr__(pair, "edges", edges)
-        object.__setattr__(pair, "_scaled", (labels, den, nums))
-        object.__setattr__(pair, "_minima", _scaled_minima(den, dict(zip(labels, nums)), edges))
-        return pair
+        # The maximum is 0 for an empty configuration; a coefficient above 1
+        # settles the discrepancy before any edge is read.
+        top, low = max(nums, default=0), None
+        if top <= den:
+            scaled = dict(zip(labels, nums))
+            low = min((den - scaled[a] - scaled[b] for a, b in edges), default=den)
+            low = min(den, den - top, low)
+        self.__dict__.update(labels=labels, den=den, nums=nums, edges=edges, _top=top, _low=low)
 
     @functools.cached_property
     def divisors(self) -> tuple[tuple[str, Fraction], ...]:
-        labels, den, nums = self._scaled
-        return tuple((d, Fraction(n, den)) for d, n in zip(labels, nums))
-
-    @functools.cached_property
-    def _minima(self) -> tuple[int, int, int] | None:
-        # A coefficient above 1 settles it before any lcm is taken.
-        if any(c.numerator > c.denominator for _, c in self.divisors):
-            return None
-        den, ints = clear_denominators(c for _, c in self.divisors)
-        return _scaled_minima(den, {d: s for (d, _), s in zip(self.divisors, ints)}, self.edges)
+        return tuple((d, Fraction(n, self.den)) for d, n in zip(self.labels, self.nums))
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -121,31 +129,6 @@ class SNCPair:
         return f"SNCPair(divisors={self.divisors!r}, edges={self.edges!r})"
 
 
-def _check_graph(labels: Sequence[str], edges: frozenset[frozenset[str]]) -> None:
-    """Labels are unique and every edge joins two distinct known labels."""
-    known = set(labels)
-    if len(known) != len(labels):
-        raise MalformedConfigurationError("divisor labels must be unique")
-    for e in edges:
-        if len(e) != 2:
-            raise MalformedConfigurationError(f"edge {set(e)} must join two distinct divisors")
-        if not e <= known:
-            raise MalformedConfigurationError(f"edge {set(e)} references unknown labels")
-
-
-def _scaled_minima(
-    den: int, scaled: dict[str, int], edges: Iterable[frozenset[str]]
-) -> tuple[int, int, int] | None:
-    """(den, den*discrep, den*max coefficient) for coefficients ``scaled[d] / den``,
-    or None when some coefficient exceeds 1.  The maximum is 0 for an empty
-    configuration."""
-    top = max(scaled.values(), default=0)
-    if top > den:
-        return None
-    edge_min = min((den - scaled[a] - scaled[b] for a, b in edges), default=den)
-    return den, min(den, den - top, edge_min), top
-
-
 def discrep(pair: SNCPair) -> ExtRat:
     """Infimum of exceptional discrepancies for the configuration.
 
@@ -153,20 +136,16 @@ def discrep(pair: SNCPair) -> ExtRat:
     min(1, min_i(1 - c_i), min over meeting pairs of (1 - c_i - c_j)).
     An empty configuration gives 1.
     """
-    minima = pair._minima
-    if minima is None:
+    if pair._low is None:
         return NEG_INFINITY
-    den, low, _ = minima
-    return Fraction(low, den)
+    return Fraction(pair._low, pair.den)
 
 
 def totaldiscrep(pair: SNCPair) -> ExtRat:
     """Infimum over all divisors: min(0, min_i(-c_i), discrep(pair))."""
-    minima = pair._minima
-    if minima is None:
+    if pair._low is None:
         return NEG_INFINITY
-    den, low, top = minima
-    return Fraction(min(0, -top, low), den)
+    return Fraction(min(0, -pair._top, pair._low), pair.den)
 
 
 def _ladder(worst: ExtRat) -> PairClass:
@@ -183,7 +162,7 @@ def _ladder(worst: ExtRat) -> PairClass:
 
 def classify(pair: SNCPair) -> PairClass:
     """Strictest singularity class read off the coefficients alone."""
-    return _ladder(-max((c for _, c in pair.divisors), default=0))
+    return _ladder(Fraction(-pair._top, pair.den))
 
 
 def classify_via_totaldiscrep(pair: SNCPair) -> PairClass:

@@ -371,7 +371,7 @@ SNC_PAIRS = (
 )
 PARAMS = ([json.dumps(NODAL_PARAM)], ['{"p0": [], "p1": [], "p2": [], "target": {"n": 2, "terms": []}}', "{}"])
 RATIONALS = (["0", "1", "5/6", "1/3"], ["-1", "1/0", "x", "nan", ""])
-SMALL_INTS = (["1", "3", "5"], ["-2", "0", "x", "2.0"])
+SMALL_INTS = (["1", "3", "5"], ["-2", "0", "x", "2.0", "1001"])
 FLOATS = (["0.05", "0.5", "1", "2"], ["0", "-1", "nan", "inf", "1e9", "x"])
 
 
@@ -403,8 +403,8 @@ def _argv(draw):
         argv += _flag(draw, "--kind", (["H", "J", "I"], ["K"])) + _flag(draw, "--max-depth", SMALL_INTS)
     elif command == "gcd-family":
         argv = [_pick(draw, (["pure", "shifted", "mixed"], ["other"]))]
-        argv += _pick(draw, ([("3", "2"), ("5", "2"), ("7", "3")], [("4", "2"), ("2", "3"), ("x", "1")]))
-        argv += _pick(draw, ([("-3", "5"), ("1", "4")], [("5", "1"), ("0", "x")]))
+        argv += _pick(draw, ([("3", "2"), ("5", "2"), ("7", "3")], [("4", "2"), ("2", "3"), ("x", "1"), ("65", "2")]))
+        argv += _pick(draw, ([("-3", "5"), ("1", "4")], [("5", "1"), ("0", "x"), ("1", "1000001"), ("1", "100000000")]))
     else:
         argv = [_pick(draw, PARAMS), *_flag(draw, "--bound", SMALL_INTS)]
         if command == "mdlaw":

@@ -1,9 +1,14 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's examples run: the library example prints what its comments
+say, and every command-line example exits 0."""
 
 import contextlib
 import io
+import json
 import re
+import shlex
 from pathlib import Path
+
+from logpairs import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,3 +30,38 @@ def test_library_example_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def _shell_commands() -> list[list[str]]:
+    """The argv of every command in the README's command-line block; comment
+    lines are dropped and continued or multi-line quoted commands joined."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    commands, pending = [], ""
+    for line in block.splitlines():
+        pending += line + "\n"
+        try:
+            argv = shlex.split(pending, comments=True)
+        except ValueError:  # a quote that closes on a later line
+            continue
+        if argv:
+            commands.append(argv)
+        pending = ""
+    return commands
+
+
+def test_command_line_examples_exit_0(tmp_path, monkeypatch, capsys):
+    section = README.read_text().split("## Command line", 1)[1]
+    (tmp_path / "param.json").write_text(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    monkeypatch.chdir(tmp_path)
+    commands = _shell_commands()
+    assert [argv[:2] for argv in commands] == [
+        ["logpairs", name]
+        for name in ("height-eval", "classify-snc", "resolve-curve", "member", "mdlaw", "gcd-family", "gcd-bounds")
+    ]
+    for argv in commands:
+        assert cli.main(argv[1:]) == cli.EXIT_OK, argv
+        out = capsys.readouterr().out
+        if "--h-min" in argv:
+            # The example's high-height window holds samples.
+            assert json.loads(out)["max_abs_residual_high"] > 0

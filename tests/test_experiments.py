@@ -1,9 +1,11 @@
 import io
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from logpairs import cli, experiments
 from logpairs.errors import (
     BadRangeError,
     EmptyAfterFilterError,
@@ -344,3 +346,51 @@ class TestCsv:
         write_mdlaw_csv(buf, sample.params, records)
         assert buf.getvalue() == "".join(row + "\r\n" for row in rows)
         assert len(rows) > 30
+
+
+class TestWorkLimits:
+    """Each work limit is checked before any work starts.  The limits are
+    also checked at lowered values, so that accepting a value at the limit
+    costs nothing."""
+
+    def test_sample_bound(self, monkeypatch):
+        pc = nodal_cubic_param()
+        with pytest.raises(BadRangeError):
+            sample_param_points(pc, experiments.MAX_SAMPLE_BOUND + 1)
+        monkeypatch.setattr(experiments, "MAX_SAMPLE_BOUND", 5)
+        assert sample_param_points(pc, 5).points
+        with pytest.raises(BadRangeError):
+            sample_param_points(pc, 6)
+
+    def test_gcd_family_range(self, monkeypatch):
+        for a_range in ((1, experiments.MAX_GCD_FAMILY_RANGE + 1), (1, 10**8)):
+            with pytest.raises(BadRangeError):
+                gcd_family_check("pure", 3, 2, a_range)
+        monkeypatch.setattr(experiments, "MAX_GCD_FAMILY_RANGE", 10)
+        assert gcd_family_check("pure", 3, 2, (-4, 5)).checked == 10
+        with pytest.raises(BadRangeError):
+            gcd_family_check("pure", 3, 2, (-5, 5))
+
+    def test_gcd_family_degree(self):
+        d = experiments.MAX_GCD_FAMILY_D
+        assert gcd_family_check("mixed", d, 1, (1, 5)).ok
+        with pytest.raises(BadRangeError):
+            gcd_family_check("mixed", d + 1, 1, (1, 5))
+
+    def test_over_limit_runs_exit_3(self, capsys):
+        param = json.dumps(
+            {
+                "p0": [[[2, 1], "1"], [[0, 3], "-1"]],
+                "p1": [[[3, 0], "1"], [[1, 2], "-1"]],
+                "p2": [[[0, 3], "1"]],
+                "target": {"n": 2, "terms": [[[0, 2, 1], "1"], [[3, 0, 0], "-1"], [[2, 0, 1], "-1"]]},
+            }
+        )
+        for argv in (
+            ["gcd-family", "pure", "3", "2", "1", "100000000"],
+            ["gcd-family", "shifted", "65", "2", "1", "5"],
+            ["mdlaw", param, "--bound", "1000000"],
+            ["gcd-bounds", param, "--bound", "1001"],
+        ):
+            assert cli.main(argv) == cli.EXIT_INPUT, argv
+        assert capsys.readouterr().err.count("error:") == 4
