@@ -73,12 +73,17 @@ def _is_squarefree(poly: Poly2) -> bool:
 
     x, y = sympy.symbols("x y")
     # Scaling by a nonzero constant keeps the roots, factors and squarefreeness.
-    f = sympy.Poly.from_dict(
-        dict(zip(poly.terms, clear_denominators(poly.terms.values())[1])), x, y, domain="ZZ"
-    )
+    coeffs = clear_denominators(poly.terms.values())[1]
     # A repeated factor h^2 | f divides into both f_x and f_y, so either gcd
-    # settles it when constant; the one in the variable of lower degree is cheaper.
-    first, second = (y, x) if f.degree(y) < f.degree(x) else (x, y)
+    # settles it when constant. The one in the variable of lower degree is
+    # cheaper, and so is sympy's gcd with that variable as the first generator.
+    if max(j for _, j in poly.terms) < max(i for i, _ in poly.terms):
+        first, second = y, x
+        keys = [(j, i) for i, j in poly.terms]
+    else:
+        first, second = x, y
+        keys = list(poly.terms)
+    f = sympy.Poly.from_dict(dict(zip(keys, coeffs)), first, second, domain="ZZ")
     g = sympy.gcd(f, f.diff(first))
     if g.total_degree() == 0:
         return True

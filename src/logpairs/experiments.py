@@ -12,12 +12,11 @@ only R is a Fraction, and Q is reduced by an integer gcd before its logs.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from statistics import StatisticsError, linear_regression
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .curves import multiplicity_at
 from .errors import (
@@ -36,7 +35,6 @@ from .heights import (
     normalize_point,
     weil_arch_ratio,
 )
-from .places import log_fraction
 from .polynomials import Poly2, univariate_gcd
 
 ORIGIN_COORDS = (0, 0, 1)
@@ -179,21 +177,24 @@ def sample_param_points(pc: ParamCurve, bound: int) -> SampleResult:
         if not any(vals):
             continue
         pt = normalize_point(vals)
-        if pt.coords == ORIGIN_COORDS:
+        coords = pt.coords
+        if coords == ORIGIN_COORDS:
             origin_params.append((p, q))
             continue
-        if pt.coords in seen:
+        if coords in seen:
             continue
-        seen.add(pt.coords)
+        seen.add(coords)
         points.append(pt)
         params.append((p, q))
     return SampleResult(points=tuple(points), params=tuple(params), origin_params=tuple(origin_params))
 
 
-@dataclass(frozen=True, slots=True)
-class ExperimentRecord:
+class ExperimentRecord(NamedTuple):
     """One sampled point with its heights against the distinguished point;
-    ``m`` is the target's multiplicity there, the one the residual uses."""
+    ``m`` is the target's multiplicity there, the one the residual uses.
+
+    A named tuple: immutable, and built about three times faster than a
+    frozen dataclass, once per sampled point."""
 
     point: ProjPoint
     h: float
@@ -243,25 +244,19 @@ def mdlaw_records(target: HomogPoly, points: Sequence[ProjPoint]) -> list[Experi
             raise PointIsOError("sample contains the distinguished point (0:0:1)")
         g = counting_gcd(z_origin, pt)
         ratio = weil_arch_ratio(z_origin, pt)
+        r_num, r_den = ratio.numerator, ratio.denominator
         big = max(map(abs, pt.coords))
         n_val = math.log(g)
-        prox = -log_fraction(ratio) + 0.0
+        # -log_fraction(ratio) + 0.0 with the subtraction turned round: ratio > 0
+        # off the origin, b - a is exactly -(a - b), and b - a is never -0.0.
+        prox = math.log(r_den) - math.log(r_num)
         # Q = (g / ratio)^d / big^m in lowest terms, as the Fraction would
         # hold it, so that the two logs see the same integers.
-        num = (g * ratio.denominator) ** d
-        den = ratio.numerator**d * big**m
+        num = (g * r_den) ** d
+        den = r_num**d * big**m
         k = math.gcd(num, den)
         residual = (math.log(num // k) - math.log(den // k)) / d
-        records.append(
-            ExperimentRecord(
-                point=pt,
-                h=math.log(big),
-                hO=n_val + prox,
-                N_O=n_val,
-                residual=residual,
-                m=m,
-            )
-        )
+        records.append(ExperimentRecord(pt, math.log(big), n_val + prox, n_val, residual, m))
     return records
 
 
@@ -424,6 +419,7 @@ def gcd_bounds_check(
 
 
 MDLAW_CSV_COLUMNS = ("p", "q", "x0", "x1", "x2", "h", "hO", "N_O", "residual")
+_CSV_ROW = "%s,%s,%s,%s,%s,%.12g,%.12g,%.12g,%.12g\r\n"
 
 
 def write_mdlaw_csv(
@@ -432,10 +428,12 @@ def write_mdlaw_csv(
     records: Iterable[ExperimentRecord],
 ) -> None:
     """Write one row per record: parameters, exact coordinates, then the
-    three heights and the residual at 12 significant digits."""
-    writer = csv.writer(stream)
-    writer.writerow(MDLAW_CSV_COLUMNS)
-    writer.writerows(
-        (p, q, *r.point.coords, f"{r.h:.12g}", f"{r.hO:.12g}", f"{r.N_O:.12g}", f"{r.residual:.12g}")
+    three heights and the residual at 12 significant digits.
+
+    The bytes are those of ``csv.writer``: no field of these types needs
+    quoting, and every line ends in CRLF."""
+    stream.write(",".join(MDLAW_CSV_COLUMNS) + "\r\n")
+    stream.writelines(
+        _CSV_ROW % (p, q, *r.point.coords, r.h, r.hO, r.N_O, r.residual)
         for (p, q), r in zip(params, records)
     )

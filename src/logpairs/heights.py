@@ -47,12 +47,16 @@ class ProjPoint:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not any(self.coords):
-            raise AllZeroError("projective point needs a nonzero coordinate")
-        if math.gcd(*self.coords) != 1:
-            raise NotPrimitiveError(f"coordinates {self.coords} are not primitive")
-        if next(c for c in self.coords if c) < 0:
-            raise NotPrimitiveError(f"leading sign convention violated: {self.coords}")
+        coords = self.coords
+        # One gcd settles both: 0 for an all-zero (or empty) point, > 1 for a
+        # common factor.
+        g = math.gcd(*coords)
+        if g != 1:
+            if g == 0:
+                raise AllZeroError("projective point needs a nonzero coordinate")
+            raise NotPrimitiveError(f"coordinates {coords} are not primitive")
+        if (coords[0] or next(c for c in coords if c)) < 0:
+            raise NotPrimitiveError(f"leading sign convention violated: {coords}")
 
     def __str__(self) -> str:
         return "(" + ":".join(str(c) for c in self.coords) + ")"
@@ -72,7 +76,7 @@ def normalize_point(raw: Sequence[RatLike]) -> ProjPoint:
     g = math.gcd(*ints)
     if g == 0:
         raise AllZeroError("cannot normalize the zero vector")
-    if next(c for c in ints if c) < 0:
+    if (ints[0] or next(c for c in ints if c)) < 0:
         g = -g
     return ProjPoint(tuple(ints) if g == 1 else tuple(c // g for c in ints))
 
@@ -156,6 +160,7 @@ class Subscheme:
     """A closed subscheme of P^n presented by homogeneous integer generators."""
 
     generators: tuple[HomogPoly, ...]
+    _degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.generators:
@@ -163,6 +168,7 @@ class Subscheme:
         nv = {g.num_vars for g in self.generators}
         if len(nv) != 1:
             raise DimensionMismatchError("generators live in different projective spaces")
+        object.__setattr__(self, "_degrees", tuple(g.degree for g in self.generators))
 
     @property
     def num_vars(self) -> int:
@@ -174,9 +180,10 @@ class Subscheme:
         return cls(tuple(HomogPoly.coordinate(num_vars, i) for i in indices))
 
     def values_at(self, x: ProjPoint) -> list[int]:
-        if len(x.coords) != self.num_vars:
+        coords = x.coords
+        if len(coords) != self.num_vars:
             raise DimensionMismatchError("point dimension does not match the subscheme")
-        return [g.evaluate(x.coords) for g in self.generators]
+        return [g.evaluate(coords) for g in self.generators]
 
 
 @dataclass(frozen=True)
@@ -236,8 +243,13 @@ def weil_arch_ratio(Z: Subscheme, x: ProjPoint) -> Fraction:
     the max is taken in integers over |f(x)| * max_j|x_j|^(D - deg f).
     """
     m = max(map(abs, x.coords))
-    top = max(g.degree for g in Z.generators)
-    best = max(abs(v) * m ** (top - g.degree) for g, v in zip(Z.generators, Z.values_at(x)))
+    values = Z.values_at(x)
+    degrees = Z._degrees
+    top = max(degrees)
+    if min(degrees) == top:
+        best = max(map(abs, values))
+    else:
+        best = max(abs(v) * m ** (top - e) for e, v in zip(degrees, values))
     return Fraction(best, m**top)
 
 

@@ -83,9 +83,13 @@ def _binomial(t: Fraction, n: int) -> Sequence[tuple[int, Fraction | int]]:
 
 
 class Poly2:
-    """A polynomial in two variables x, y with exact rational coefficients."""
+    """A polynomial in two variables x, y with exact rational coefficients.
 
-    __slots__ = ("terms",)
+    ``terms`` is set once, in ``__init__`` or ``_of``; ``evaluate`` keeps an
+    integer view of it, built on the first call at two ints.
+    """
+
+    __slots__ = ("terms", "_ints")
 
     def __init__(self, terms: Mapping[tuple[int, int], CoeffLike] | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -187,14 +191,20 @@ class Poly2:
 
     def evaluate(self, ax: CoeffLike, ay: CoeffLike) -> Fraction:
         if type(ax) is int and type(ay) is int:
-            # Sum in ints; the first non-integral coefficient falls through
-            # to the rational loop below.
-            total = 0
-            for (i, j), c in self.terms.items():
-                if c.denominator != 1:
-                    break
-                total += c.numerator * ax**i * ay**j
-            else:
+            try:
+                ints = self._ints
+            except AttributeError:
+                # the terms as (c, i, j) with int c; None when a coefficient
+                # is not integral, and the rational loop below runs instead
+                ints = self._ints = (
+                    tuple((c.numerator, i, j) for (i, j), c in self.terms.items())
+                    if self.has_integer_coefficients()
+                    else None
+                )
+            if ints is not None:
+                total = 0
+                for c, i, j in ints:
+                    total += c * ax**i * ay**j
                 return Fraction(total)
         ax, ay = _coeff(ax), _coeff(ay)
         total = Fraction(0)

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from logpairs import cli, experiments
 from logpairs.errors import (
@@ -15,6 +17,7 @@ from logpairs.errors import (
 )
 from logpairs.experiments import (
     MDLAW_CSV_COLUMNS,
+    ExperimentRecord,
     ParamCurve,
     gcd_bounds_check,
     gcd_family_check,
@@ -316,6 +319,69 @@ class TestGcdBounds:
         pc = nodal_cubic_param()
         with pytest.raises(BadRangeError):
             gcd_bounds_check(pc.target, [normalize_point((3, 6, 1))], eps=1e9, delta=1.0)
+
+
+# (target, m, d): the nodal cubic and every pure power x0^d = x1^m x2^(d-m)
+# with coprime m < d <= 7.
+LAW_TARGETS = [(nodal_cubic_param().target, 2, 3)] + [
+    (pure_power_param(m, d).target, m, d)
+    for d in range(2, 8)
+    for m in range(1, d)
+    if math.gcd(m, d) == 1
+]
+
+
+def _law_target(m: int, d: int):
+    return next(t for t in LAW_TARGETS[1:] if t[1:] == (m, d))
+
+
+def _reference_record(pt, m: int, d: int) -> ExperimentRecord:
+    """The height-law record by the plain rational route: Q as a Fraction
+    and the proximity as the archimedean Weil value."""
+    x0, x1, _ = pt.coords
+    big = max(abs(c) for c in pt.coords)
+    g = math.gcd(x0, x1)
+    ratio = weil_arch_ratio(Subscheme.of_coordinates(3, (0, 1)), pt)
+    assert ratio == Fraction(max(abs(x0), abs(x1)), big)
+    n_val = math.log(g)
+    prox = -log_fraction(ratio) + 0.0
+    q = (Fraction(g) / ratio) ** d / Fraction(big) ** m
+    return ExperimentRecord(pt, math.log(big), n_val + prox, n_val, log_fraction(q) / d, m)
+
+
+def _csv_bytes(params, records) -> str:
+    buf = io.StringIO(newline="")
+    write_mdlaw_csv(buf, params, records)
+    return buf.getvalue()
+
+
+_coord = st.integers(-(10**40), 10**40) | st.integers(-50, 50)
+
+
+class TestRecordsAgainstReference:
+    @given(
+        st.sampled_from(LAW_TARGETS),
+        st.lists(st.tuples(_coord, _coord, _coord).filter(lambda c: c[0] or c[1]), min_size=1, max_size=8),
+    )
+    # points where Q must be reduced by its gcd before the logs
+    @example(
+        _law_target(2, 5),
+        [(2148506789085979269353720891708672547352, -4559147250116307739683562321805745637486, 21)],
+    )
+    @example(_law_target(5, 6), [(20, -20, -2926461418577398090814904621958169551019)])
+    @example(LAW_TARGETS[0], [(1, 1, 1), (0, -3, 3), (4804099866991909415841188039941910151820, 37, 5)])
+    def test_every_field_and_the_csv(self, law, raws):
+        target, m, d = law
+        points = [normalize_point(raw) for raw in raws]
+        records = mdlaw_records(target, points)
+        expected = [_reference_record(pt, m, d) for pt in points]
+        for got, want in zip(records, expected, strict=True):
+            assert got.point == want.point and got.m == want.m
+            # float.hex also tells -0.0 from 0.0, which == does not
+            for name in ("h", "hO", "N_O", "residual"):
+                assert getattr(got, name).hex() == getattr(want, name).hex(), name
+        params = [(k, k + 1) for k in range(len(points))]
+        assert _csv_bytes(params, records) == _csv_bytes(params, expected)
 
 
 class TestCsv:

@@ -54,6 +54,9 @@ class TestNormalizePoint:
         for raw in ([0, 0, 0], [0], [Fraction(0), 0], ()):
             with pytest.raises(AllZeroError):
                 normalize_point(raw)
+        for coords in [(), (0, 0, 0)]:
+            with pytest.raises(AllZeroError):
+                ProjPoint(coords)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -64,7 +67,7 @@ class TestNormalizePoint:
     def test_invariant_errors_are_typed(self):
         # the gcd is taken over signed coordinates, so a common factor is
         # caught whatever the signs
-        for coords in [(2, 4, 6), (0, -1, 3), (-2, 4, 6), (0, -2, 4), (0, 0, -3)]:
+        for coords in [(2, 4, 6), (0, -1, 3), (-2, 4, 6), (0, -2, 4), (0, 0, -3), (0, -1, 2)]:
             with pytest.raises(NotPrimitiveError):
                 ProjPoint(coords)
 
@@ -288,6 +291,34 @@ def random_subscheme(rng, max_gens=3, max_degree=3) -> Subscheme:
     return Subscheme(tuple(gens))
 
 
+def _mono(*exps) -> HomogPoly:
+    return HomogPoly.from_terms(3, [(exps, 1)])
+
+
+def _naive_value(g: HomogPoly, coords) -> int:
+    return sum(c * math.prod(x**e for x, e in zip(coords, exps)) for exps, c in g.terms)
+
+
+@st.composite
+def generator_sets(draw):
+    """1-3 generators in 3 variables, each of degree 1-3 with distinct
+    monomials and nonzero coefficients."""
+    gens = []
+    for degree in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+        monomial = st.lists(st.integers(0, 2), min_size=degree, max_size=degree).map(
+            lambda idx: tuple(idx.count(k) for k in range(3))
+        )
+        coeff = st.integers(-(10**6), 10**6).filter(bool)
+        terms = draw(st.dictionaries(monomial, coeff, min_size=1, max_size=4))
+        gens.append(HomogPoly.from_terms(3, terms.items()))
+    return tuple(gens)
+
+
+def points_p2():
+    coord = st.integers(-(10**12), 10**12) | st.integers(-5, 5)
+    return st.tuples(coord, coord, coord).filter(any)
+
+
 def random_point(rng) -> ProjPoint:
     while True:
         coords = [rng.randint(-30, 30) for _ in range(3)]
@@ -343,6 +374,22 @@ class TestStructuredIdentities:
                     ratio = weil_arch_ratio(z, x)
                     assert type(ratio) is Fraction
                     assert ratio == per_generator_max(z, x)
+
+    @given(generator_sets(), generator_sets(), points_p2())
+    @example((_mono(1, 0, 0), _mono(0, 3, 0)), (_mono(0, 0, 2),), (1, 2, 3))
+    @example((_mono(0, 2, 0), _mono(1, 0, 0)), (_mono(0, 0, 3), _mono(1, 1, 0)), (-(10**12), 7, 1))
+    def test_arch_ratio_on_mixed_degrees(self, gens_a, gens_b, raw):
+        # against one Fraction |g(x)| / M^deg g per generator, with g(x)
+        # summed from the terms; the union of degrees 1, 3 and 2 has its top
+        # degree inside the tuple, not at either end
+        x = normalize_point(raw)
+        m = max(abs(c) for c in x.coords)
+        a, b = Subscheme(gens_a), Subscheme(gens_b)
+        for z in (subscheme_product(a, b), subscheme_union_generators(a, b)):
+            expected = max(Fraction(abs(_naive_value(g, x.coords)), m**g.degree) for g in z.generators)
+            ratio = weil_arch_ratio(z, x)
+            assert type(ratio) is Fraction
+            assert ratio == expected
 
     def test_superset_monotone(self):
         rng = random.Random(5)

@@ -129,25 +129,51 @@ def test_binomial_row_of_a_zero_shift_is_one_term():
     assert list(_binomial(Fraction(0), 7)) == [(7, 1)]
 
 
+INT_POINTS = [(0, 0), (2, -3), (-7, 5), (10**12, -(10**9))]
+
+
+def _naive(f: Poly2, a, b) -> Fraction:
+    return sum((c * Fraction(a) ** i * Fraction(b) ** j for (i, j), c in f.terms.items()), Fraction(0))
+
+
 class TestIntegerEvaluate:
     def test_matches_fraction_path(self):
+        # translate, blowup_x, blowup_y and * build their results through _of;
+        # each polynomial is evaluated at ints first, and a copy of it at
+        # Fractions first, so the integer view is built after either
         rng = random.Random(10)
         for _ in range(50):
             f = random_poly(rng)
             integral = Poly2({k: c.numerator for k, c in f.terms.items()})
-            for p in (f, integral):
-                for a, b in [(0, 0), (2, -3), (-7, 5), (10**12, -(10**9))]:
+            derived = [
+                integral.translate(2, -1),
+                integral.blowup_x(3)[0],
+                integral.blowup_y()[0],
+                integral * random_poly(rng),
+                f.translate(Fraction(1, 2), 0),
+            ]
+            for p in (f, integral, *derived):
+                rational_first = Poly2(p.terms)
+                for a, b in INT_POINTS:
+                    assert rational_first.evaluate(Fraction(a, 3), b) == _naive(p, Fraction(a, 3), b)
+                for a, b in INT_POINTS:
                     value = p.evaluate(a, b)
                     assert type(value) is Fraction
-                    assert value == p.evaluate(Fraction(a), Fraction(b))
+                    assert value == p.evaluate(Fraction(a), Fraction(b)) == _naive(p, a, b)
+                    later = rational_first.evaluate(a, b)
+                    assert type(later) is Fraction and later == value
 
     def test_non_integer_coefficients(self):
         f = Poly2({(2, 0): Fraction(1, 2), (0, 1): 3})
         assert f.evaluate(3, 1) == Fraction(15, 2)
         assert f.evaluate(Fraction(1, 3), 2) == Fraction(109, 18)
+        # a second call at ints reads the stored "not integral" view
+        value = f.evaluate(3, 1)
+        assert type(value) is Fraction and value == Fraction(15, 2)
 
     def test_non_integral_coefficient_after_integral_ones(self):
-        # the integer pass has summed some terms when it meets the fraction
+        # one non-integral coefficient, in any position, sends every call at
+        # ints down the rational path
         integral = [((0, 0), 2), ((1, 0), -3), ((1, 1), 5), ((0, 3), 7)]
         for at in range(len(integral) + 1):
             terms = integral[:at] + [((2, 1), Fraction(-1, 6))] + integral[at:]
