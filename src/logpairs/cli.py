@@ -201,8 +201,8 @@ def _cmd_resolve_curve(args) -> int:
     else:
         for n in tree.nodes:
             print(f"node {n.id}: parent={n.parent} proximate_to={sorted(n.proximate_to)} mult={n.mult}")
-        for node in tree.nodes:
-            print(f"E{node.id}: k={tree.k[node.id]} v={tree.v[node.id]}")
+        for label, node in zip(tree.labels, tree.nodes):
+            print(f"{label}: k={tree.k[node.id]} v={tree.v[node.id]}")
         print(f"lct: {threshold}")
         for c, (cls, d, td) in per_c.items():
             print(f"c={c}: class={cls} discrep={d} totaldiscrep={td}")
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resolve-curve", help="resolve a plane-curve germ at the origin")
     p.add_argument("curve", help="curve JSON (path or inline)")
-    p.add_argument("--max-depth", type=int, default=64)
+    p.add_argument("--max-depth", type=int, default=curves.MAX_DEPTH)
     p.add_argument("--c", default="", help="comma-separated boundary coefficients")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_resolve_curve)
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", required=True, help="boundary coefficient (rational)")
     p.add_argument("--g", required=True, help="test polynomial JSON (path or inline)")
     p.add_argument("--kind", choices=[k.name for k in curves.IdealKind], required=True)
-    p.add_argument("--max-depth", type=int, default=64)
+    p.add_argument("--max-depth", type=int, default=curves.MAX_DEPTH)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_member)
 

@@ -55,6 +55,8 @@ from .snc import ResolvedPairData, SNCPair
 
 PolyLike = Union["AffineCurve", Poly2]
 
+MAX_DEPTH = 64  # default bound on blowup levels, for resolve, its callers and the CLI
+
 
 class IdealKind(enum.Enum):
     """The three multiplier-like ideals, ordered H inside J inside I."""
@@ -207,7 +209,7 @@ class ResolutionTree:
     def labels(self) -> tuple[str, ...]:
         """Divisor labels of the resolved model: ``E<id>`` per node in creation
         order, then the strict transform ``C``."""
-        return (*(f"E{node.id}" for node in self.nodes), STRICT_ID)
+        return (*(f"E{node.id}" for node in self.nodes), "C")
 
     @functools.cached_property
     def dual_edges(self) -> frozenset[frozenset[str]]:
@@ -220,13 +222,15 @@ class ResolutionTree:
         # A center is proximate to at most two divisors, so E_anc and E_node
         # are separated exactly when a later center is proximate to both.
         separated = {n.proximate_to for n in self.nodes if len(n.proximate_to) == 2}
+        # Node ids count from 1 in creation order; labels[-1] is the strict transform.
+        labels = self.labels
         edges = {
-            frozenset((f"E{anc}", f"E{node.id}"))
+            frozenset((labels[anc - 1], labels[node.id - 1]))
             for node in self.nodes
             for anc in node.proximate_to
             if frozenset((anc, node.id)) not in separated
         }
-        edges.update(frozenset((f"E{anc}", STRICT_ID)) for anc in self.curve_contacts)
+        edges.update(frozenset((labels[anc - 1], labels[-1])) for anc in self.curve_contacts)
         return frozenset(edges)
 
 
@@ -250,15 +254,13 @@ def multiplicity_at(f: PolyLike, pt: tuple) -> int:
     return poly.translate(px, py).order()
 
 
-def resolve(f: PolyLike, max_depth: int = 64) -> ResolutionTree:
+def resolve(f: PolyLike, max_depth: int = MAX_DEPTH) -> ResolutionTree:
     """Resolve the germ at the origin; all centers must be rational.
 
     Returns the tree of blown-up centers with multiplicities and proximity
     data.  A smooth germ (or a point off the curve) yields an empty tree.
     """
     poly = _as_poly(f)
-    if poly.is_zero:
-        raise ZeroInputError("cannot resolve the zero polynomial")
     nodes: list[ResolutionNode] = []
     contacts: set[int] = set()
     # Centers still to visit, as (strict transform, parent, shift, axes,
@@ -334,9 +336,6 @@ def _unroll(tree: ResolutionTree, base: Callable[[ResolutionNode], int]) -> dict
     return x
 
 
-STRICT_ID = "C"
-
-
 def pair_discrepancies(tree: ResolutionTree, c: Fraction | int) -> ResolvedPairData:
     """Discrepancy table of (plane, c * curve) on the resolved model.
 
@@ -369,7 +368,7 @@ def tree_lct(tree: ResolutionTree) -> Fraction:
     return Fraction(num, den)
 
 
-def lct(f: PolyLike, max_depth: int = 64) -> Fraction:
+def lct(f: PolyLike, max_depth: int = MAX_DEPTH) -> Fraction:
     """Largest c with (plane, c * curve) Kawamata log terminal at the origin."""
     return tree_lct(resolve(f, max_depth=max_depth))
 
@@ -422,11 +421,13 @@ def tree_ideal_member(tree: ResolutionTree, c: Fraction | int, g: Poly2, kind: I
     return all(w >= _threshold(kind, a, b, data.den) for w, a, b in zip(have, data.a_num, data.b_num))
 
 
-def ideal_member(f: PolyLike, c: Fraction | int, g: Poly2, kind: IdealKind, max_depth: int = 64) -> bool:
+def ideal_member(
+    f: PolyLike, c: Fraction | int, g: Poly2, kind: IdealKind, max_depth: int = MAX_DEPTH
+) -> bool:
     """Resolve the curve and test membership of g; see :func:`tree_ideal_member`."""
     return tree_ideal_member(resolve(f, max_depth=max_depth), c, g, kind)
 
 
 def dual_graph_pair(tree: ResolutionTree, data: ResolvedPairData) -> SNCPair:
     """SNC configuration of the resolved model: coefficients -a on :attr:`ResolutionTree.dual_edges`."""
-    return SNCPair.scaled(data.ids, data.den, [-a for a in data.a_num], tree.dual_edges)
+    return SNCPair(data.ids, data.den, tuple(-a for a in data.a_num), tree.dual_edges)

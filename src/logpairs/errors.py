@@ -22,13 +22,13 @@ class AllZeroError(InputError):
 
 
 class NotPrimitiveError(InputError):
-    """Stored projective coordinates must be coprime with a positive leading entry."""
+    """Projective coordinates must be coprime integers with a positive leading entry."""
 
 
 class MalformedPolynomialError(InputError):
-    """A polynomial term has a negative exponent, the wrong number of
-    exponents or the wrong degree, a zero coefficient, or a repeated
-    exponent vector; or a polynomial was raised to a negative power."""
+    """A polynomial term has a bad exponent (not an int, negative, wrong count or
+    degree, repeated) or coefficient (zero, not an int or not rational), a
+    subscheme generator is not a HomogPoly, or a power is negative."""
 
 
 class DimensionMismatchError(InputError):
@@ -36,7 +36,7 @@ class DimensionMismatchError(InputError):
 
 
 class MalformedConfigurationError(InputError):
-    """Divisor labels repeat, or an edge is a loop or names an unknown divisor."""
+    """Divisor labels repeat, an edge is a loop or names an unknown divisor, or a value is unreadable."""
 
 
 class SupportPointError(InputError):

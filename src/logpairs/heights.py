@@ -31,7 +31,7 @@ from .errors import (
     ZeroInputError,
 )
 from .places import Place, _int_valuation, is_prime, log_fraction
-from .polynomials import clear_denominators, exact_int
+from .polynomials import _sum_terms, clear_denominators, exact_int
 
 RatLike = Union[Fraction, int, str]
 
@@ -49,8 +49,11 @@ class ProjPoint:
     def __post_init__(self) -> None:
         coords = self.coords
         # One gcd settles both: 0 for an all-zero (or empty) point, > 1 for a
-        # common factor.
-        g = math.gcd(*coords)
+        # common factor.  It also rejects a coordinate that is not an int.
+        try:
+            g = math.gcd(*coords)
+        except TypeError:
+            raise NotPrimitiveError(f"coordinates {coords!r} are not integers") from None
         if g != 1:
             if g == 0:
                 raise AllZeroError("projective point needs a nonzero coordinate")
@@ -72,7 +75,10 @@ def normalize_point(raw: Sequence[RatLike]) -> ProjPoint:
     if all(type(v) is int for v in raw):
         ints = raw
     else:
-        _, ints = clear_denominators(Fraction(v) for v in raw)
+        try:
+            _, ints = clear_denominators(Fraction(v) for v in raw)
+        except (ArithmeticError, TypeError, ValueError):
+            raise NotPrimitiveError(f"coordinates {raw!r} are not rational") from None
     g = math.gcd(*ints)
     if g == 0:
         raise AllZeroError("cannot normalize the zero vector")
@@ -85,10 +91,11 @@ def normalize_point(raw: Sequence[RatLike]) -> ProjPoint:
 class HomogPoly:
     """A homogeneous polynomial with integer coefficients in n+1 variables.
 
-    ``terms`` maps exponent tuples (summing to ``degree``) to nonzero
-    integer coefficients.  Construction also keeps each term as its
-    coefficient and its nonzero ``(index, exponent)`` factors, the form
-    ``evaluate`` reads.
+    ``terms`` is nonempty and pairs distinct tuples of ``num_vars`` int
+    exponents >= 0, summing to ``degree``, with nonzero int coefficients;
+    :meth:`from_terms` reads and sums raw terms.  Construction also keeps
+    each term as its coefficient and its nonzero ``(index, exponent)``
+    factors, the form ``evaluate`` reads.
     """
 
     num_vars: int
@@ -101,14 +108,15 @@ class HomogPoly:
             raise ZeroInputError("a generator must be a nonzero polynomial")
         seen = set()
         for exps, coeff in self.terms:
-            if len(exps) != self.num_vars:
-                raise MalformedPolynomialError(
-                    f"term {exps} does not have {self.num_vars} exponents"
-                )
+            if not isinstance(exps, tuple) or len(exps) != self.num_vars:
+                raise MalformedPolynomialError(f"term {exps!r} is not a tuple of {self.num_vars} exponents")
+            for e in exps:
+                if not isinstance(e, int) or e < 0:
+                    raise MalformedPolynomialError(f"term {exps!r} has a negative or non-int exponent")
             if sum(exps) != self.degree:
                 raise MalformedPolynomialError(f"term {exps} is not of degree {self.degree}")
-            if coeff == 0:
-                raise MalformedPolynomialError("zero coefficient stored in a term")
+            if not isinstance(coeff, int) or coeff == 0:
+                raise MalformedPolynomialError(f"coefficient {coeff!r} is not a nonzero int")
             if exps in seen:
                 raise MalformedPolynomialError(f"duplicate exponent vector {exps}")
             seen.add(exps)
@@ -117,14 +125,9 @@ class HomogPoly:
 
     @classmethod
     def from_terms(cls, num_vars: int, terms: Iterable[tuple[Sequence[int], int]]) -> "HomogPoly":
-        acc: dict[tuple[int, ...], int] = {}
-        for exps, coeff in terms:
-            key = tuple(exact_int(e, "exponent") for e in exps)
-            acc[key] = acc.get(key, 0) + exact_int(coeff, "coefficient")
-        cleaned = tuple(sorted((k, v) for k, v in acc.items() if v != 0))
-        if not cleaned:
-            raise ZeroInputError("all terms cancelled")
-        degree = sum(cleaned[0][0])
+        ints = ((tuple(exact_int(e, "exponent") for e in k), exact_int(c, "coefficient")) for k, c in terms)
+        cleaned = tuple(sorted(_sum_terms({}, ints).items()))
+        degree = sum(cleaned[0][0]) if cleaned else 0
         return cls(num_vars=num_vars, degree=degree, terms=cleaned)
 
     @classmethod
@@ -165,6 +168,8 @@ class Subscheme:
     def __post_init__(self) -> None:
         if not self.generators:
             raise ZeroInputError("a subscheme needs at least one generator")
+        if not all(isinstance(g, HomogPoly) for g in self.generators):
+            raise MalformedPolynomialError("subscheme generators must be HomogPoly values")
         nv = {g.num_vars for g in self.generators}
         if len(nv) != 1:
             raise DimensionMismatchError("generators live in different projective spaces")

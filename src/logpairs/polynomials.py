@@ -19,7 +19,10 @@ CoeffLike = Union[Fraction, int, str]
 
 
 def _coeff(c: CoeffLike) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+    try:
+        return c if isinstance(c, Fraction) else Fraction(c)
+    except (ArithmeticError, TypeError, ValueError):
+        raise MalformedPolynomialError(f"{c!r} is not a rational number") from None
 
 
 def exact_int(value, what: str) -> int:
@@ -234,8 +237,6 @@ class Poly2:
         returns ``(stripped, power)``.  The stripped power equals the
         multiplicity of the polynomial at the origin.
         """
-        if not self.terms:
-            raise ZeroInputError("blowup of the zero polynomial")
         # x^i * (x*y)^j = x^(i+j) * y^j, then y -> y + shift.
         power = self.order()
         stripped = Poly2._of({(i + j - power, j): c for (i, j), c in self.terms.items()})
@@ -243,8 +244,6 @@ class Poly2:
 
     def blowup_y(self) -> tuple["Poly2", int]:
         """Strict transform in the chart x = x*y, y = y (the vertical direction)."""
-        if not self.terms:
-            raise ZeroInputError("blowup of the zero polynomial")
         power = self.order()
         return Poly2._of({(i, i + j - power): c for (i, j), c in self.terms.items()}), power
 

@@ -23,9 +23,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import BadOrderError, MalformedConfigurationError, NegativeBError
 from .polynomials import clear_denominators
@@ -45,62 +45,60 @@ class PairClass(enum.Enum):
         return self.value
 
 
+def _check_table(labels: Sequence[str], den: int, *columns: Sequence[int]) -> None:
+    """Unique labels, a positive int ``den``, and one int per label in each column."""
+    if len(set(labels)) != len(labels):
+        raise MalformedConfigurationError("divisor labels must be unique")
+    if not isinstance(den, int) or den < 1:
+        raise MalformedConfigurationError(f"denominator must be a positive integer, got {den!r}")
+    for column in columns:
+        if len(column) != len(labels):
+            raise MalformedConfigurationError(f"{len(labels)} labels but a column of {len(column)}")
+        try:
+            math.gcd(*column)  # one pass in C that rejects any entry that is not an int
+        except TypeError as exc:
+            raise MalformedConfigurationError(f"table entries must be integers: {exc}") from None
+
+
+def _read_rows(rows: Iterable, read: Callable) -> list:
+    """``[read(*row) for row in rows]``; a row that cannot be read is a malformed configuration."""
+    try:
+        return [read(*row) for row in rows]
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise MalformedConfigurationError(f"malformed configuration: {exc}") from exc
+
+
+@dataclass(frozen=True, eq=False)
 class SNCPair:
     """Coefficients and intersection graph of an SNC configuration.
 
-    ``divisors`` lists (label, coefficient); ``edges`` holds unordered label
-    pairs of divisors with nonempty intersection.  Labels are unique, edges
-    reference existing labels, self-loops are rejected, and coefficients are
-    ``int`` or ``Fraction``.  Whether the data comes from an actual geometric
-    model is the caller's responsibility.
+    Divisor ``labels[i]`` has coefficient ``nums[i] / den``; ``edges`` holds
+    unordered label pairs of divisors with nonempty intersection.  Labels are
+    unique, numerators are ints, edges join two existing labels.  Whether
+    the data comes from an actual geometric model is the caller's
+    responsibility.  :meth:`build` reads ``(label, coefficient)`` rows.
 
-    A pair is immutable and holds one state: coefficient ``nums[i] / den`` on
-    ``labels[i]``, plus the largest numerator and ``den`` times the discrepancy
-    (None when some coefficient exceeds 1), both taken once from the integers.
-    ``divisors`` is built from them when read.
+    Construction also takes the largest numerator and ``den`` times the
+    discrepancy (None when some coefficient exceeds 1) once from the
+    integers.  ``den`` is not canonical, so pairs compare by ``divisors``.
     """
 
-    def __init__(self, divisors: tuple[tuple[str, Fraction], ...], edges: frozenset[frozenset[str]]) -> None:
-        for d, c in divisors:
-            if not isinstance(c, (int, Fraction)):
-                raise MalformedConfigurationError(f"divisor {d} has non-rational coefficient {c!r}")
-        den, nums = clear_denominators(c for _, c in divisors)
-        self._set([d for d, _ in divisors], den, nums, edges)
+    labels: tuple[str, ...]
+    den: int
+    nums: tuple[int, ...]
+    edges: frozenset[frozenset[str]]
+    _top: int = field(init=False, repr=False)
+    _low: int | None = field(init=False, repr=False)
 
-    @classmethod
-    def build(
-        cls,
-        divisors: Iterable[tuple[str, Fraction | int | str]],
-        edges: Iterable[tuple[str, str]] = (),
-    ) -> "SNCPair":
-        try:
-            divs = tuple((str(d), Fraction(c)) for d, c in divisors)
-        except (ArithmeticError, TypeError, ValueError) as exc:
-            raise MalformedConfigurationError(f"malformed divisors: {exc}") from exc
-        return cls(divisors=divs, edges=frozenset(frozenset(pair) for pair in edges))
-
-    @classmethod
-    def scaled(
-        cls, labels: Sequence[str], den: int, nums: Sequence[int], edges: frozenset[frozenset[str]]
-    ) -> "SNCPair":
-        """The pair with coefficient ``nums[i] / den`` on ``labels[i]``."""
-        pair = cls.__new__(cls)
-        pair._set(labels, den, nums, edges)
-        return pair
-
-    def _set(
-        self, labels: Sequence[str], den: int, nums: Sequence[int], edges: frozenset[frozenset[str]]
-    ) -> None:
+    def __post_init__(self) -> None:
+        labels, den, nums, edges = self.labels, self.den, self.nums, self.edges
+        _check_table(labels, den, nums)
         known = set(labels)
-        if len(known) != len(labels):
-            raise MalformedConfigurationError("divisor labels must be unique")
         for e in edges:
             if len(e) != 2:
                 raise MalformedConfigurationError(f"edge {set(e)} must join two distinct divisors")
             if not e <= known:
                 raise MalformedConfigurationError(f"edge {set(e)} references unknown labels")
-        if den < 1:
-            raise MalformedConfigurationError(f"denominator must be positive, got {den}")
         # The maximum is 0 for an empty configuration; a coefficient above 1
         # settles the discrepancy before any edge is read.
         top, low = max(nums, default=0), None
@@ -108,14 +106,21 @@ class SNCPair:
             scaled = dict(zip(labels, nums))
             low = min((den - scaled[a] - scaled[b] for a, b in edges), default=den)
             low = min(den, den - top, low)
-        self.__dict__.update(labels=labels, den=den, nums=nums, edges=edges, _top=top, _low=low)
+        self.__dict__.update(_top=top, _low=low)
+
+    @classmethod
+    def build(
+        cls, divisors: Iterable[tuple[str, Fraction | int | str]], edges: Iterable[tuple[str, str]] = ()
+    ) -> "SNCPair":
+        """The pair of ``(label, coefficient)`` rows, over the lcm of their denominators."""
+        divs = _read_rows(divisors, lambda d, c: (str(d), Fraction(c)))
+        den, nums = clear_denominators(c for _, c in divs)
+        edges = frozenset(_read_rows(edges, lambda *ends: frozenset(ends)))
+        return cls(tuple(d for d, _ in divs), den, tuple(nums), edges)
 
     @functools.cached_property
     def divisors(self) -> tuple[tuple[str, Fraction], ...]:
         return tuple((d, Fraction(n, self.den)) for d, n in zip(self.labels, self.nums))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SNCPair):
@@ -124,9 +129,6 @@ class SNCPair:
 
     def __hash__(self) -> int:
         return hash((self.divisors, self.edges))
-
-    def __repr__(self) -> str:
-        return f"SNCPair(divisors={self.divisors!r}, edges={self.edges!r})"
 
 
 def discrep(pair: SNCPair) -> ExtRat:
@@ -170,22 +172,15 @@ def classify_via_totaldiscrep(pair: SNCPair) -> PairClass:
     return _ladder(totaldiscrep(pair))
 
 
-@dataclass(frozen=True)
-class ResolvedRow:
-    """One prime divisor on a resolved model.
-
-    ``a`` is its discrepancy, ``b`` its multiplicity in the pulled-back
-    boundary (nonnegative), and ``exceptional`` whether it contracts.
-    """
+class ResolvedRow(NamedTuple):
+    """One prime divisor on a resolved model: its discrepancy ``a``, its
+    multiplicity ``b`` in the pulled-back boundary, and whether it is
+    ``exceptional``."""
 
     id: str
     a: Fraction
     b: Fraction
     exceptional: bool
-
-    def __post_init__(self) -> None:
-        if self.b < 0:
-            raise NegativeBError(f"divisor {self.id} has negative pullback multiplicity {self.b}")
 
 
 @dataclass(frozen=True)
@@ -204,10 +199,7 @@ class ResolvedPairData:
     exceptional: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.ids)) != len(self.ids):
-            raise MalformedConfigurationError("divisor ids must be unique")
-        if self.den < 1:
-            raise MalformedConfigurationError(f"denominator must be positive, got {self.den}")
+        _check_table(self.ids, self.den, self.a_num, self.b_num, self.exceptional)
         for i, b in zip(self.ids, self.b_num):
             if b < 0:
                 b = Fraction(b, self.den)
@@ -216,7 +208,7 @@ class ResolvedPairData:
     @classmethod
     def build(cls, rows: Iterable[tuple[str, Fraction, Fraction, bool]]) -> "ResolvedPairData":
         """The table of ``(id, a, b, exceptional)`` rows, over the lcm of their denominators."""
-        rows = [(str(i), Fraction(a), Fraction(b), bool(e)) for i, a, b, e in rows]
+        rows = _read_rows(rows, lambda i, a, b, e: (str(i), Fraction(a), Fraction(b), bool(e)))
         den, nums = clear_denominators(x for _, a, b, _ in rows for x in (a, b))
         return cls(
             ids=tuple(r[0] for r in rows),

@@ -266,6 +266,7 @@ def test_curve_file_input(tmp_path, capsys):
 
 
 MIXED_DEGREE = {"generators": [{"n": 2, "terms": [[[1, 0, 0], "1"], [[0, 2, 0], "1"]]}]}
+NEGATIVE_EXPONENT = {"generators": [{"n": 2, "terms": [[[2, -1, 0], "1"]]}]}
 
 
 @pytest.mark.parametrize(
@@ -303,6 +304,8 @@ MIXED_DEGREE = {"generators": [{"n": 2, "terms": [[[1, 0, 0], "1"], [[0, 2, 0], 
         ("member", json.dumps(CUSP_CURVE), "--c", "1", "--g", '[[[0, 0.5], "1"]]', "--kind", "J"),
         ("height-eval", '{"generators": [{"n": 2, "terms": [[[1, 0, 0], 1.5]]}]}', "--point", "1,1,2"),
         ("height-eval", '{"generators": [{"n": 2.7, "terms": [[[1, 0, 0], "1"]]}]}', "--point", "1,1,2"),
+        ("height-eval", json.dumps(NEGATIVE_EXPONENT), "--point", "1,2,3"),
+        ("height-eval", json.dumps(NEGATIVE_EXPONENT), "--point", "1,0,3"),
     ],
 )
 def test_malformed_input_exits_3(capsys, argv):
@@ -358,7 +361,10 @@ CURVES = (
     ],
 )
 POLYS = (['[[[0, 0], "1"]]', '[[[1, 0], "1"]]', '[[[0, 3], "2/3"]]', "[]"], ["[1]", '[[[0, 0.5], "1"]]', "{"])
-SUBSCHEMES = ([json.dumps(V01)], [json.dumps(MIXED_DEGREE), '{"generators": []}', "{}", "[1]", "7"])
+SUBSCHEMES = (
+    [json.dumps(V01)],
+    [json.dumps(MIXED_DEGREE), json.dumps(NEGATIVE_EXPONENT), '{"generators": []}', "{}", "[1]", "7"],
+)
 POINTS = (["4,6,1", "1/2,1,3", "[1, 2, 3]"], ["0,0,1", "1,2", "a,1,2", '[1, "b", 2]', "0,0,0", "inf,1,1", ""])
 SNC_PAIRS = (
     [json.dumps(SNC_PAIR), '{"divisors": [{"id": "E1", "c": "3/2"}]}', '{"divisors": []}'],
@@ -369,7 +375,14 @@ SNC_PAIRS = (
         "[1]",
     ],
 )
-PARAMS = ([json.dumps(NODAL_PARAM)], ['{"p0": [], "p1": [], "p2": [], "target": {"n": 2, "terms": []}}', "{}"])
+PARAMS = (
+    [json.dumps(NODAL_PARAM)],
+    [
+        '{"p0": [], "p1": [], "p2": [], "target": {"n": 2, "terms": []}}',
+        json.dumps({**NODAL_PARAM, "target": NEGATIVE_EXPONENT["generators"][0]}),
+        "{}",
+    ],
+)
 RATIONALS = (["0", "1", "5/6", "1/3"], ["-1", "1/0", "x", "nan", ""])
 SMALL_INTS = (["1", "3", "5"], ["-2", "0", "x", "2.0", "1001"])
 FLOATS = (["0.05", "0.5", "1", "2"], ["0", "-1", "nan", "inf", "1e9", "x"])

@@ -67,7 +67,7 @@ class TestNormalizePoint:
     def test_invariant_errors_are_typed(self):
         # the gcd is taken over signed coordinates, so a common factor is
         # caught whatever the signs
-        for coords in [(2, 4, 6), (0, -1, 3), (-2, 4, 6), (0, -2, 4), (0, 0, -3), (0, -1, 2)]:
+        for coords in [(2, 4, 6), (0, -1, 3), (-2, 4, 6), (0, -2, 4), (0, 0, -3), (0, -1, 2), (1.5, 1), ("a", 1)]:
             with pytest.raises(NotPrimitiveError):
                 ProjPoint(coords)
 
@@ -252,6 +252,8 @@ class TestTypeValidation:
             HomogPoly.coordinate(3, 0) * HomogPoly.coordinate(4, 0)
         with pytest.raises(DimensionMismatchError):
             Subscheme((HomogPoly.coordinate(3, 0), HomogPoly.coordinate(4, 0)))
+        with pytest.raises(MalformedPolynomialError):
+            Subscheme((HomogPoly.coordinate(3, 0), 1))
         with pytest.raises(DimensionMismatchError):
             V01.values_at(ProjPoint((1, 2, 3, 4)))
 

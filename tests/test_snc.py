@@ -235,6 +235,17 @@ class TestValidation:
             SNCPair.build([("E0", 1)], [("E0", "E9")])
         with pytest.raises(MalformedConfigurationError):
             ResolvedPairData.build([("E1", 0, 1, True), ("E1", 0, 2, True)])
+        # rows of the wrong shape, and columns of the wrong length
+        with pytest.raises(MalformedConfigurationError):
+            SNCPair.build([("E0",)])
+        with pytest.raises(MalformedConfigurationError):
+            SNCPair.build([("E0", 1)], [1])
+        with pytest.raises(MalformedConfigurationError):
+            ResolvedPairData.build([("E1", 0, 1)])
+        with pytest.raises(MalformedConfigurationError):
+            SNCPair(("E0", "E1"), 1, (1,), frozenset())
+        with pytest.raises(MalformedConfigurationError):
+            ResolvedPairData(("E1",), 1, (0,), (1,), ())
 
     @pytest.mark.parametrize("c", ["abc", "1/0", float("nan"), float("inf"), float("-inf"), None, [1]])
     def test_unreadable_coefficient_is_typed(self, c):
@@ -243,12 +254,15 @@ class TestValidation:
 
     @pytest.mark.parametrize("c", [float("nan"), 0.5, "1/2", None, 1j])
     def test_direct_construction_needs_rational_coefficients(self, c):
-        # A NaN coefficient would otherwise read as strongly canonical.
+        # The constructor takes int numerators over one denominator; a NaN
+        # numerator would otherwise read as strongly canonical.
         with pytest.raises(MalformedConfigurationError):
-            SNCPair(divisors=(("E", c),), edges=frozenset())
+            SNCPair(("E",), 1, (c,), frozenset())
 
     def test_direct_construction_accepts_int_and_fraction(self):
-        p = SNCPair(divisors=(("E0", 1), ("E1", Fraction(-1, 2))), edges=frozenset({frozenset(("E0", "E1"))}))
+        # coefficients 1 and -1/2, as numerators over 2
+        p = SNCPair(("E0", "E1"), 2, (2, -1), frozenset({frozenset(("E0", "E1"))}))
+        assert p == SNCPair.build([("E0", 1), ("E1", Fraction(-1, 2))], [("E0", "E1")])
         assert discrep(p) == Fraction(0)
         assert totaldiscrep(p) == Fraction(-1)
 
@@ -290,16 +304,13 @@ def snc_pairs(draw) -> SNCPair:
     labels = [f"E{i}" for i in range(len(coeffs))]
     pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]]
     edges = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))) if pairs else set()
-    return SNCPair(
-        divisors=tuple(zip(labels, coeffs)),
-        edges=frozenset(frozenset(e) for e in edges),
-    )
+    return SNCPair.build(zip(labels, coeffs), edges)
 
 
 class TestIntegerRouteMatchesFractionFormula:
     @given(snc_pairs())
-    @example(SNCPair(divisors=(), edges=frozenset()))
-    @example(SNCPair(divisors=(("E0", 1), ("E1", 1)), edges=frozenset({frozenset(("E0", "E1"))})))
+    @example(SNCPair((), 1, (), frozenset()))
+    @example(SNCPair(("E0", "E1"), 1, (1, 1), frozenset({frozenset(("E0", "E1"))})))
     @example(pair([Fraction(10**9 + 1, 10**9)]))
     @example(pair([Fraction(2, 3), Fraction(1, 2)], [("E0", "E1")]))
     def test_discrep_and_totaldiscrep(self, p):
