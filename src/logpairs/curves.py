@@ -23,7 +23,15 @@ from those integers.
 
 Every center must be rational; a tangent direction that only exists over a
 proper extension of Q raises :class:`~logpairs.errors.NonRationalCenterError`
-rather than approximating.
+rather than approximating.  The tangent directions on a new exceptional
+divisor are the roots of the strict transform's restriction to it, each with
+its multiplicity (the power of t for the root 0, 1 for a solved linear part,
+sympy's ``factor_list`` otherwise), plus the vertical direction with the
+multiplicity the restriction's degree leaves.  A simple direction whose
+point lies on the new divisor alone (no older divisor passes through it) is
+a smooth branch transverse to that divisor, which needs no further blowup
+(Casas-Alvero, Singularities of Plane Curves, ch. 3): its contact is
+recorded at the node that found it and its strict transform is never built.
 
 Chart bookkeeping keeps exceptional divisors along coordinate axes: after a
 blowup, the finite-direction chart is (x, y) -> (x, x*(y + t)) with the new
@@ -92,21 +100,24 @@ def _is_squarefree(poly: Poly2) -> bool:
     return sympy.gcd(g, f.diff(second)).total_degree() == 0
 
 
-def _rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], bool]:
-    """Distinct rational roots of a dense univariate polynomial, sorted.
+def _rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fraction, int]], bool]:
+    """Distinct rational roots of a dense univariate polynomial, each with its
+    multiplicity, in increasing root order.
 
     Also reports whether the factorization over Q contains an irreducible
     factor of degree at least 2, i.e. roots that are not rational.  The
-    lowest power of t gives the root 0 and a remaining linear part is solved
-    directly; only a remaining part of degree >= 2 is factored by sympy.
+    lowest power of t gives the root 0 with that power as its multiplicity,
+    and a remaining linear part is a simple root solved directly; only a
+    remaining part of degree >= 2 is factored by sympy, whose ``factor_list``
+    gives the multiplicities of its roots.
     """
     support = [j for j, c in enumerate(coeffs) if c]
     if not support:
         return [], False
     low, high = support[0], support[-1]
-    roots = [Fraction(0)] if low else []
+    roots = [(Fraction(0), low)] if low else []
     if high - low == 1:
-        roots.append(-Fraction(coeffs[low], coeffs[high]))
+        roots.append((-Fraction(coeffs[low], coeffs[high]), 1))
     if high - low <= 1:
         return sorted(roots), False
     import sympy
@@ -114,10 +125,10 @@ def _rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], bool]:
     _, part = clear_denominators(coeffs[low : high + 1])
     poly = sympy.Poly(part[::-1], sympy.Symbol("t"), domain="ZZ")
     has_irrational = False
-    for factor, _mult in poly.factor_list()[1]:
+    for factor, mult in poly.factor_list()[1]:
         if factor.degree() == 1:
             lead, const = factor.all_coeffs()
-            roots.append(-Fraction(int(const), int(lead)))
+            roots.append((-Fraction(int(const), int(lead)), mult))
         elif factor.degree() >= 2:
             has_irrational = True
     return sorted(roots), has_irrational
@@ -160,7 +171,7 @@ class ResolutionNode:
     axis_x: int | None
     axis_y: int | None
 
-    @functools.cached_property
+    @property
     def proximate_to(self) -> frozenset[int]:
         """The ancestors whose exceptional divisors pass through this center:
         the divisors along its axes (the parent is always one of them)."""
@@ -265,34 +276,43 @@ def resolve(f: PolyLike, max_depth: int = MAX_DEPTH) -> ResolutionTree:
     contacts: set[int] = set()
     # Centers still to visit, as (strict transform, parent, shift, axes,
     # depth).  Children are pushed in reverse so that they pop in order and
-    # node ids follow a depth-first pre-order.
-    pending = [(poly, None, None, (None, None), 1)] if (0, 0) not in poly.terms else []
+    # node ids follow a depth-first pre-order.  Only singular points are
+    # pushed: the origin when the curve is singular there, and the tangent
+    # directions that are not transverse leaves.
+    pending = [(poly, None, None, (None, None), 1)] if poly.order() > 1 else []
     while pending:
-        local, parent, shift, (axis_x, axis_y), depth = pending.pop()
-        m = local.order()
-        axes = [a for a in (axis_x, axis_y) if a is not None]
-        if m == 1:
-            if not axes:
-                continue
-            # A smooth branch on one divisor is transverse to it exactly when
-            # its linear term in the other variable is present.
-            if len(axes) == 1 and ((0, 1) if axis_x is not None else (1, 0)) in local.terms:
-                contacts.add(axes[0])
-                continue
+        local, parent, shift, axes, depth = pending.pop()
         if depth > max_depth:
             raise DepthExceededError(f"resolution needs more than {max_depth} blowup levels")
-        node = ResolutionNode(len(nodes) + 1, parent, m, shift, axis_x, axis_y)
+        transformed, m = local.blowup_x()
+        node = ResolutionNode(len(nodes) + 1, parent, m, shift, *axes)
         nodes.append(node)
-        transformed, _ = local.blowup_x()
         restriction = transformed.on_x_axis_restriction()
-        roots, has_irrational = _rational_roots(restriction)
+        directions, has_irrational = _rational_roots(restriction)
         if has_irrational:
             raise NonRationalCenterError(
                 "tangent directions include an irreducible factor of degree >= 2 over Q"
             )
-        children = [(transformed.translate(0, t), node.id, t, node.child_axes(t), depth + 1) for t in roots]
+        # The vertical direction (None) takes what the restriction's degree
+        # leaves of m.
         if len(restriction) - 1 < m:
-            children.append((local.blowup_y()[0], node.id, None, node.child_axes(None), depth + 1))
+            directions.append((None, m - len(restriction) + 1))
+        children = []
+        for t, mult in directions:
+            child_axes = node.child_axes(t)
+            if mult == 1 and None in child_axes:
+                # A simple direction on the new divisor alone is a smooth
+                # branch transverse to it: the transform there has a nonzero
+                # derivative along the divisor (the restriction's derivative
+                # at its root).  It needs no blowup, so only its contact is
+                # recorded and no transform is built.
+                contacts.add(node.id)
+                continue
+            if t is None:
+                child = local.blowup_y()[0]
+            else:
+                child = transformed.translate(0, t) if t else transformed
+            children.append((child, node.id, t, child_axes, depth + 1))
         pending.extend(reversed(children))
     return ResolutionTree(curve=poly, nodes=tuple(nodes), curve_contacts=frozenset(contacts))
 

@@ -31,7 +31,7 @@ from .errors import (
     ZeroInputError,
 )
 from .places import Place, _int_valuation, is_prime, log_fraction
-from .polynomials import _sum_terms, clear_denominators, exact_int
+from .polynomials import _sum_terms, clear_denominators, exact_int, read_rows
 
 RatLike = Union[Fraction, int, str]
 
@@ -125,7 +125,11 @@ class HomogPoly:
 
     @classmethod
     def from_terms(cls, num_vars: int, terms: Iterable[tuple[Sequence[int], int]]) -> "HomogPoly":
-        ints = ((tuple(exact_int(e, "exponent") for e in k), exact_int(c, "coefficient")) for k, c in terms)
+        ints = read_rows(
+            terms,
+            lambda k, c: (tuple(exact_int(e, "exponent") for e in k), exact_int(c, "coefficient")),
+            MalformedPolynomialError,
+        )
         cleaned = tuple(sorted(_sum_terms({}, ints).items()))
         degree = sum(cleaned[0][0]) if cleaned else 0
         return cls(num_vars=num_vars, degree=degree, terms=cleaned)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .errors import MalformedPolynomialError, ZeroInputError
+from .errors import InputError, MalformedPolynomialError, ZeroInputError
 
 CoeffLike = Union[Fraction, int, str]
 
@@ -38,11 +38,24 @@ def exact_int(value, what: str) -> int:
     raise MalformedPolynomialError(f"{what} {value!r} is not an integer")
 
 
-def _exponents(i, j) -> tuple[int, int]:
+def read_rows(rows: Iterable, read: Callable, error: type[InputError]) -> list:
+    """``[read(*row) for row in rows]``: rows that are not an iterable of
+    rows, or a row that ``read`` cannot take, raise ``error``; an InputError
+    raised by ``read`` passes unchanged."""
+    try:
+        return [read(*row) for row in rows]
+    except InputError:
+        raise
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise error(f"unreadable rows: {exc}") from exc
+
+
+def _term(exponents, c: CoeffLike) -> tuple[tuple[int, int], Fraction]:
+    i, j = exponents
     key = (exact_int(i, "exponent"), exact_int(j, "exponent"))
     if key[0] < 0 or key[1] < 0:
         raise MalformedPolynomialError(f"negative exponent in term {key}")
-    return key
+    return key, _coeff(c)
 
 
 def _sum_terms(acc: dict, terms: Iterable) -> dict:
@@ -96,7 +109,7 @@ class Poly2:
 
     def __init__(self, terms: Mapping[tuple[int, int], CoeffLike] | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self.terms = _sum_terms({}, ((_exponents(i, j), _coeff(c)) for (i, j), c in items))
+        self.terms = _sum_terms({}, read_rows(items, _term, MalformedPolynomialError))
 
     @classmethod
     def _of(cls, terms: dict[tuple[int, int], Fraction]) -> "Poly2":
@@ -126,7 +139,7 @@ class Poly2:
     @classmethod
     def from_json(cls, data: Iterable) -> "Poly2":
         """Parse ``[[[i, j], "coeff"], ...]`` with rational coefficient strings."""
-        return cls(((i, j), c) for (i, j), c in data)
+        return cls._of(_sum_terms({}, read_rows(data, _term, MalformedPolynomialError)))
 
     # -- basic structure ---------------------------------------------------
 

@@ -25,10 +25,10 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import BadOrderError, MalformedConfigurationError, NegativeBError
-from .polynomials import clear_denominators
+from .polynomials import clear_denominators, read_rows
 
 NEG_INFINITY: float = float("-inf")
 
@@ -58,14 +58,6 @@ def _check_table(labels: Sequence[str], den: int, *columns: Sequence[int]) -> No
             math.gcd(*column)  # one pass in C that rejects any entry that is not an int
         except TypeError as exc:
             raise MalformedConfigurationError(f"table entries must be integers: {exc}") from None
-
-
-def _read_rows(rows: Iterable, read: Callable) -> list:
-    """``[read(*row) for row in rows]``; a row that cannot be read is a malformed configuration."""
-    try:
-        return [read(*row) for row in rows]
-    except (ArithmeticError, TypeError, ValueError) as exc:
-        raise MalformedConfigurationError(f"malformed configuration: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +105,9 @@ class SNCPair:
         cls, divisors: Iterable[tuple[str, Fraction | int | str]], edges: Iterable[tuple[str, str]] = ()
     ) -> "SNCPair":
         """The pair of ``(label, coefficient)`` rows, over the lcm of their denominators."""
-        divs = _read_rows(divisors, lambda d, c: (str(d), Fraction(c)))
+        divs = read_rows(divisors, lambda d, c: (str(d), Fraction(c)), MalformedConfigurationError)
         den, nums = clear_denominators(c for _, c in divs)
-        edges = frozenset(_read_rows(edges, lambda *ends: frozenset(ends)))
+        edges = frozenset(read_rows(edges, lambda a, b: frozenset((a, b)), MalformedConfigurationError))
         return cls(tuple(d for d, _ in divs), den, tuple(nums), edges)
 
     @functools.cached_property
@@ -208,7 +200,9 @@ class ResolvedPairData:
     @classmethod
     def build(cls, rows: Iterable[tuple[str, Fraction, Fraction, bool]]) -> "ResolvedPairData":
         """The table of ``(id, a, b, exceptional)`` rows, over the lcm of their denominators."""
-        rows = _read_rows(rows, lambda i, a, b, e: (str(i), Fraction(a), Fraction(b), bool(e)))
+        rows = read_rows(
+            rows, lambda i, a, b, e: (str(i), Fraction(a), Fraction(b), bool(e)), MalformedConfigurationError
+        )
         den, nums = clear_denominators(x for _, a, b, _ in rows for x in (a, b))
         return cls(
             ids=tuple(r[0] for r in rows),
@@ -257,13 +251,6 @@ def vojta_reduced_divisor(data: ResolvedPairData) -> frozenset[str]:
     """
     den = data.den
     return frozenset(i for i, a, b in zip(data.ids, data.a_num, data.b_num) if a % den or b > 0)
-
-
-def vojta_reduced_coefficient_numeric(a: Fraction, b: Fraction, eps: Fraction) -> int:
-    """ceil(a + eps*b) - floor(a) for one explicit eps (test oracle)."""
-    if b < 0:
-        raise NegativeBError(f"negative pullback multiplicity {b}")
-    return math.ceil(a + eps * b) - math.floor(a)
 
 
 def quotient_discrepancy_1_1(n: int) -> Fraction:

@@ -53,9 +53,10 @@ from logpairs.snc import (
     loci_divisors,
     quotient_discrepancy_1_1,
     totaldiscrep,
-    vojta_reduced_coefficient_numeric,
     vojta_reduced_divisor,
 )
+
+from oracles import vojta_reduced_coefficient_numeric
 
 X, Y = Poly2.x(), Poly2.y()
 

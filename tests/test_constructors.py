@@ -10,7 +10,7 @@ import pytest
 
 from logpairs import curves
 from logpairs.cli import build_parser
-from logpairs.errors import InputError
+from logpairs.errors import InputError, MalformedConfigurationError, MalformedPolynomialError
 from logpairs.heights import HomogPoly, ProjPoint, normalize_point
 from logpairs.polynomials import Poly2
 from logpairs.snc import ResolvedPairData, SNCPair
@@ -58,7 +58,8 @@ CASES = [
         "Poly2",
         Poly2,
         Poly2.from_json,
-        [([((0, 0), c)],) for c in [*UNREADABLE, "1/0", math.inf]] + [([((-1, 0), 1)],), ([((0.5, 0), 1)],)],
+        [([((0, 0), c)],) for c in [*UNREADABLE, "1/0", math.inf]]
+        + [([((-1, 0), 1)],), ([((0.5, 0), 1)],), (5,), ([5],), ([((1, 2, 3), 1)],)],
     ),
     *_cases(
         "SNCPair",
@@ -96,6 +97,33 @@ def test_constructor_and_parser_reject_alike(direct, parse, args):
     for make in (direct, parse):
         with pytest.raises(InputError):
             make(*args)
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: Poly2(5), MalformedPolynomialError),
+        (lambda: Poly2.from_json(5), MalformedPolynomialError),
+        (lambda: Poly2.from_json([[[1, 2]]]), MalformedPolynomialError),
+        (lambda: HomogPoly.from_json({"n": 2, "terms": 5}), MalformedPolynomialError),
+        (lambda: HomogPoly.from_terms(3, [(5, 1)]), MalformedPolynomialError),
+        (lambda: SNCPair.build(5), MalformedConfigurationError),
+        (lambda: SNCPair.build([("E0", 0), ("E1", 0)], [("E0",)]), MalformedConfigurationError),
+    ],
+)
+def test_rows_of_the_wrong_shape_raise_typed_errors(make, error):
+    # Terms and edges that are not a list of rows of the right length raise
+    # the type's own error, not a bare TypeError or ValueError.
+    with pytest.raises(error):
+        make()
+
+
+def test_edge_row_is_exactly_two_labels():
+    pair = SNCPair.build([("E0", 0), ("E1", 0)], [("E0", "E1")])
+    assert pair.edges == {frozenset({"E0", "E1"})}
+    for row in [("E0", "E1", "E0"), ("E0", "E0"), ("E0", "E1", "E2")]:
+        with pytest.raises(MalformedConfigurationError):
+            SNCPair.build([("E0", 0), ("E1", 0), ("E2", 0)], [row])
 
 
 def test_snc_pair_equality_is_on_values():

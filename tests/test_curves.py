@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -790,8 +791,8 @@ class TestIntegerTableMatchesFractionFormulas:
                     assert tree_ideal_member(tree, c, g, kind) == want, (c, g, kind)
 
 def _sympy_rational_roots(coeffs):
-    """Rational roots and the irrational-factor flag from a direct sympy
-    factorization of the whole polynomial."""
+    """Rational roots with their multiplicities, and the irrational-factor
+    flag, from a direct sympy factorization of the whole polynomial."""
     import sympy
 
     t = sympy.Symbol("t")
@@ -800,13 +801,20 @@ def _sympy_rational_roots(coeffs):
     if poly.degree() <= 0:
         return [], False
     roots, irrational = [], False
-    for factor, _ in poly.factor_list()[1]:
+    for factor, mult in poly.factor_list()[1]:
         if factor.degree() == 1:
             lead, const = (Fraction(int(c.p), int(c.q)) for c in factor.all_coeffs())
-            roots.append(-const / lead)
+            roots.append((-const / lead, mult))
         else:
             irrational = True
     return sorted(roots), irrational
+
+
+def _roots_and_flag(coeffs):
+    """The distinct rational roots of ``_rational_roots``, without their
+    multiplicities, and its irrational-factor flag."""
+    roots, irrational = _rational_roots(coeffs)
+    return [t for t, _ in roots], irrational
 
 
 class TestRationalRoots:
@@ -821,7 +829,8 @@ class TestRationalRoots:
             for c in (1, -3, Fraction(2, 7)):
                 coeffs = self._dense({k: c})
                 assert _rational_roots(coeffs) == _sympy_rational_roots(coeffs)
-                assert _rational_roots(coeffs) == ([Fraction(0)] if k else [], False)
+                assert _roots_and_flag(coeffs) == ([Fraction(0)] if k else [], False)
+                assert _rational_roots(coeffs) == ([(Fraction(0), k)] if k else [], False)
         assert _rational_roots([]) == ([], False)
         assert _rational_roots([Fraction(0)] * 3) == ([], False)
 
@@ -845,18 +854,37 @@ class TestRationalRoots:
         ):
             coeffs = self._dense(terms)
             assert _rational_roots(coeffs) == _sympy_rational_roots(coeffs)
-        assert _rational_roots(self._dense({0: -2, 2: 1})) == ([], True)
-        assert _rational_roots(self._dense({0: -1, 2: 1})) == ([Fraction(-1), Fraction(1)], False)
+        assert _roots_and_flag(self._dense({0: -2, 2: 1})) == ([], True)
+        assert _roots_and_flag(self._dense({0: -1, 2: 1})) == ([Fraction(-1), Fraction(1)], False)
+
+    def test_repeated_factors(self):
+        # t^3 (t - 1/2)^2 (t + 3), (t - 1)^3 (t^2 + 2)^2, t (2t + 1)^4 (t - 5)
+        # and (t + 3)^2 (3t - 2): each multiplicity is read off the
+        # construction and off sympy's factor_list of the whole polynomial.
+        half, three = Fraction(1, 2), Fraction(3)
+        cases = [
+            ([(-half, 1)] * 2 + [(three, 1)], 3, [(Fraction(-3), 1), (Fraction(0), 3), (half, 2)], False),
+            ([(Fraction(-1), 1)] * 3 + [(Fraction(2), 0, 1)] * 2, 0, [(Fraction(1), 3)], True),
+            ([(Fraction(1), 2)] * 4 + [(Fraction(-5), 1)], 1, [(-half, 4), (Fraction(0), 1), (Fraction(5), 1)], False),
+            ([(three, 1)] * 2 + [(Fraction(-2), 3)], 0, [(Fraction(-3), 2), (Fraction(2, 3), 1)], False),
+        ]
+        for factors, k, roots, irrational in cases:
+            coeffs = [Fraction(1)]
+            for factor in factors:
+                coeffs = _dense_product(coeffs, list(factor))
+            coeffs = [Fraction(0)] * k + coeffs
+            assert _rational_roots(coeffs) == (roots, irrational)
+            assert _rational_roots(coeffs) == _sympy_rational_roots(coeffs)
 
     def test_random_parts_with_rational_coefficients(self):
         # Products of linear factors t - r and irreducible quadratics
-        # t^2 + q (q > 0), scaled and shifted by t^k: the roots and the flag
-        # are known by construction.
+        # t^2 + q (q > 0), scaled and shifted by t^k: the roots, their
+        # multiplicities and the flag are known by construction.
         rng = random.Random(12)
         for _ in range(60):
             degree = rng.randint(2, 5)
             coeffs = [_big_rational(rng)]
-            roots, irrational = set(), False
+            roots, irrational = Counter(), False
             while len(coeffs) <= degree:
                 if rng.random() < 0.3 and len(coeffs) < degree:
                     q = abs(_big_rational(rng))
@@ -864,14 +892,14 @@ class TestRationalRoots:
                 else:
                     r = rng.choice([Fraction(0), _big_rational(rng), Fraction(rng.randint(-3, 3), 7)])
                     factor = [-r, Fraction(1)]
-                    roots.add(r)
+                    roots[r] += 1
                 coeffs = _dense_product(coeffs, factor)
             k = rng.randint(0, 2)
             coeffs = [Fraction(0)] * k + coeffs
             if k:
-                roots.add(Fraction(0))
+                roots[Fraction(0)] += k
             assert _rational_roots(coeffs) == _sympy_rational_roots(coeffs)
-            assert _rational_roots(coeffs) == (sorted(roots), irrational)
+            assert _rational_roots(coeffs) == (sorted(roots.items()), irrational)
 
 
 def _dense_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

@@ -18,9 +18,10 @@ from logpairs.snc import (
     loci_divisors,
     quotient_discrepancy_1_1,
     totaldiscrep,
-    vojta_reduced_coefficient_numeric,
     vojta_reduced_divisor,
 )
+
+from oracles import vojta_reduced_coefficient_numeric
 
 
 def pair(coeffs, edges=()):
