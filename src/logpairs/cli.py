@@ -85,7 +85,7 @@ def _parse_subscheme(data: dict) -> heights.Subscheme:
 def _parse_snc_pair(data: dict) -> snc.SNCPair:
     return snc.SNCPair.build(
         divisors=[(d["id"], Fraction(str(d["c"]))) for d in data["divisors"]],
-        edges=[tuple(e) for e in data.get("edges", [])],
+        edges=data.get("edges", []),
     )
 
 

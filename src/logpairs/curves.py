@@ -33,6 +33,21 @@ a smooth branch transverse to that divisor, which needs no further blowup
 (Casas-Alvero, Singularities of Plane Curves, ch. 3): its contact is
 recorded at the node that found it and its strict transform is never built.
 
+Most centers of a deep germ come in runs.  After a blowup at a center of
+multiplicity m, when every term (i, j) of the strict transform with j < m
+has a = i + j - m >= 0, the restriction to the new divisor is c*y^m alone
+and the next center is the point t = 0 of the same multiplicity m.  Each
+such blowup maps (i, j) to (i + j - m, j), lowering a by m - j, so the next
+k centers are forced, k the least a // (m - j) + 1 over those terms: their
+nodes are made at once, and the transform after them is the one
+substitution (i, j) -> (i + k*(j - m), j).  Runs are long because the
+centers of one Euclid step on the Puiseux exponents share one chart and one
+multiplicity: a run and the center that starts it make up to a partial
+quotient's worth of centers.  So y^a - c*x^b, whose resolution has the sum
+of the partial quotients of b/a as its number of centers (Casas-Alvero,
+Singularities of Plane Curves, ch. 3-5), costs a few blowups per partial
+quotient instead of one per center.
+
 Chart bookkeeping keeps exceptional divisors along coordinate axes: after a
 blowup, the finite-direction chart is (x, y) -> (x, x*(y + t)) with the new
 exceptional divisor at {x = 0}, and the vertical-direction chart is
@@ -132,6 +147,18 @@ def _rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fraction, int]],
         elif factor.degree() >= 2:
             has_irrational = True
     return sorted(roots), has_irrational
+
+
+def _run_length(transformed: Poly2, m: int, limit: int) -> int:
+    """How many centers after one of multiplicity m are forced (see the
+    module docstring), at most limit; ``transformed`` is the strict transform
+    made by blowing that center up.
+
+    A term (i, j) with j < m and a = i + j - m < 0 gives 0.  At m = 1 a
+    center on one divisor is only reached tangent to it, so its transform
+    has the constant term (0, 0), and no run starts at a transverse leaf.
+    """
+    return min([limit, *((i + j - m) // (m - j) + 1 for i, j in transformed.terms if j < m)])
 
 
 @dataclass(frozen=True)
@@ -287,6 +314,15 @@ def resolve(f: PolyLike, max_depth: int = MAX_DEPTH) -> ResolutionTree:
         transformed, m = local.blowup_x()
         node = ResolutionNode(len(nodes) + 1, parent, m, shift, *axes)
         nodes.append(node)
+        run = _run_length(transformed, m, max_depth - depth)
+        if run:
+            # The transform after the run keeps its term (0, m), so the run's
+            # last node has no vertical direction and ``local`` is not read.
+            for _ in range(run):
+                node = ResolutionNode(len(nodes) + 1, node.id, m, Fraction(0), *node.child_axes(Fraction(0)))
+                nodes.append(node)
+            depth += run
+            transformed = Poly2._of({(i + run * (j - m), j): c for (i, j), c in transformed.terms.items()})
         restriction = transformed.on_x_axis_restriction()
         directions, has_irrational = _rational_roots(restriction)
         if has_irrational:
@@ -350,9 +386,12 @@ def _replay(nodes: Iterable[ResolutionNode], g: Poly2) -> dict[int, Poly2]:
 def _unroll(tree: ResolutionTree, base: Callable[[ResolutionNode], int]) -> dict[int, int]:
     """The proximity recursion x_i = base(node_i) + sum of x_j over the
     proximity set of i, unrolled in creation (parent-first) order."""
-    x: dict[int, int] = {}
+    # The proximity set is the divisors along the node's two axes; an axis
+    # with no divisor (None) adds 0.
+    x: dict[int | None, int] = {None: 0}
     for node in tree.nodes:
-        x[node.id] = base(node) + sum(x[j] for j in node.proximate_to)
+        x[node.id] = base(node) + x[node.axis_x] + x[node.axis_y]
+    del x[None]
     return x
 
 

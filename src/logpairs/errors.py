@@ -68,7 +68,7 @@ class NotCoprimeError(InputError):
 
 
 class BadRangeError(InputError):
-    """Empty or inverted parameter range."""
+    """Empty or inverted parameter range, or a value above a stated limit."""
 
 
 class EmptyAfterFilterError(InputError):

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence, Union
 
 from .errors import (
     AllZeroError,
+    BadRangeError,
     DimensionMismatchError,
     MalformedPolynomialError,
     NotPrimeError,
@@ -31,7 +32,7 @@ from .errors import (
     ZeroInputError,
 )
 from .places import Place, _int_valuation, is_prime, log_fraction
-from .polynomials import _sum_terms, clear_denominators, exact_int, read_rows
+from .polynomials import MAX_DEGREE, _sum_terms, as_row, clear_denominators, exact_int, read_rows
 
 RatLike = Union[Fraction, int, str]
 
@@ -120,6 +121,8 @@ class HomogPoly:
             if exps in seen:
                 raise MalformedPolynomialError(f"duplicate exponent vector {exps}")
             seen.add(exps)
+        if self.degree > MAX_DEGREE:
+            raise BadRangeError(f"degree {self.degree} is above {MAX_DEGREE}")
         factors = tuple((c, tuple((k, e) for k, e in enumerate(exps) if e)) for exps, c in self.terms)
         object.__setattr__(self, "_factors", factors)
 
@@ -127,7 +130,10 @@ class HomogPoly:
     def from_terms(cls, num_vars: int, terms: Iterable[tuple[Sequence[int], int]]) -> "HomogPoly":
         ints = read_rows(
             terms,
-            lambda k, c: (tuple(exact_int(e, "exponent") for e in k), exact_int(c, "coefficient")),
+            lambda k, c: (
+                tuple(exact_int(e, "exponent") for e in as_row(k, MalformedPolynomialError)),
+                exact_int(c, "coefficient"),
+            ),
             MalformedPolynomialError,
         )
         cleaned = tuple(sorted(_sum_terms({}, ints).items()))

@@ -13,9 +13,11 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .errors import InputError, MalformedPolynomialError, ZeroInputError
+from .errors import BadRangeError, InputError, MalformedPolynomialError, ZeroInputError
 
 CoeffLike = Union[Fraction, int, str]
+
+MAX_DEGREE = 4096  # largest total degree of a term read from input, in Poly2 and HomogPoly
 
 
 def _coeff(c: CoeffLike) -> Fraction:
@@ -38,12 +40,20 @@ def exact_int(value, what: str) -> int:
     raise MalformedPolynomialError(f"{what} {value!r} is not an integer")
 
 
+def as_row(value, error: type[InputError]) -> list | tuple:
+    """``value`` when it is a list or tuple; anything else, a string too,
+    raises ``error``."""
+    if not isinstance(value, (list, tuple)):
+        raise error(f"{value!r} is not a list or tuple")
+    return value
+
+
 def read_rows(rows: Iterable, read: Callable, error: type[InputError]) -> list:
     """``[read(*row) for row in rows]``: rows that are not an iterable of
-    rows, or a row that ``read`` cannot take, raise ``error``; an InputError
-    raised by ``read`` passes unchanged."""
+    lists or tuples, or a row that ``read`` cannot take, raise ``error``; an
+    InputError raised by ``read`` passes unchanged."""
     try:
-        return [read(*row) for row in rows]
+        return [read(*as_row(row, error)) for row in rows]
     except InputError:
         raise
     except (ArithmeticError, TypeError, ValueError) as exc:
@@ -51,10 +61,12 @@ def read_rows(rows: Iterable, read: Callable, error: type[InputError]) -> list:
 
 
 def _term(exponents, c: CoeffLike) -> tuple[tuple[int, int], Fraction]:
-    i, j = exponents
+    i, j = as_row(exponents, MalformedPolynomialError)
     key = (exact_int(i, "exponent"), exact_int(j, "exponent"))
     if key[0] < 0 or key[1] < 0:
         raise MalformedPolynomialError(f"negative exponent in term {key}")
+    if key[0] + key[1] > MAX_DEGREE:
+        raise BadRangeError(f"term {key} has degree above {MAX_DEGREE}")
     return key, _coeff(c)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logpairs.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, build_parser, main
+from logpairs.polynomials import MAX_DEGREE
 
 NODAL_PARAM = {
     "p0": [[[2, 1], "1"], [[0, 3], "-1"]],
@@ -306,6 +307,14 @@ NEGATIVE_EXPONENT = {"generators": [{"n": 2, "terms": [[[2, -1, 0], "1"]]}]}
         ("height-eval", '{"generators": [{"n": 2.7, "terms": [[[1, 0, 0], "1"]]}]}', "--point", "1,1,2"),
         ("height-eval", json.dumps(NEGATIVE_EXPONENT), "--point", "1,2,3"),
         ("height-eval", json.dumps(NEGATIVE_EXPONENT), "--point", "1,0,3"),
+        # A string is not a row, nor a vector of exponents.
+        ("height-eval", '{"generators": [{"n": 2, "terms": [["100", "1"]]}]}', "--point=4,6,1"),
+        ("resolve-curve", '{"f": [["02", "1"], ["30", "-1"]]}'),
+        ("classify-snc", '{"divisors": [{"id": "A", "c": "1"}, {"id": "B", "c": "1"}], "edges": ["AB"]}'),
+        # Degrees above MAX_DEGREE are refused before any work.
+        ("resolve-curve", '{"f": [[[0, 2], "1"], [[1000000000, 0], "1"]]}'),
+        ("member", json.dumps(CUSP_CURVE), "--c", "1", "--g", '[[[0, 1000000000], "1"]]', "--kind", "J"),
+        ("height-eval", '{"generators": [{"n": 2, "terms": [[[1000000000, 0, 0], "1"]]}]}', "--point=4,6,1"),
     ],
 )
 def test_malformed_input_exits_3(capsys, argv):
@@ -342,7 +351,8 @@ def test_parser_reused_across_calls(capsys):
 
 # Fuzzed argv: each value comes from a list of valid inputs or one of
 # malformed ones; sizes stay small (--bound, gcd-family ranges, degrees) so
-# that every case is cheap.
+# that every case is cheap.  Over-limit degrees are MAX_DEGREE + 1.
+OVER = MAX_DEGREE + 1
 CURVES = (
     [json.dumps(CUSP_CURVE), json.dumps(DEEP_TOWER), '{"f": [[[0, 2], "1"], [[2, 0], "-1"], [[3, 0], "-1"]]}'],
     [
@@ -353,6 +363,8 @@ CURVES = (
         '{"f": [[[1.5, 0], "1"]]}',
         '{"f": [[[0, 1], "1/0"]]}',
         '{"f": [[[-1, 1], "1"]]}',
+        f'{{"f": [[[0, 2], "1"], [[{OVER}, 0], "-1"]]}}',
+        '{"f": [["02", "1"], ["30", "-1"]]}',
         "{}",
         "[1]",
         "{",
@@ -360,10 +372,22 @@ CURVES = (
         "no-such-file.json",
     ],
 )
-POLYS = (['[[[0, 0], "1"]]', '[[[1, 0], "1"]]', '[[[0, 3], "2/3"]]', "[]"], ["[1]", '[[[0, 0.5], "1"]]', "{"])
+POLYS = (
+    ['[[[0, 0], "1"]]', '[[[1, 0], "1"]]', '[[[0, 3], "2/3"]]', "[]"],
+    ["[1]", '[[[0, 0.5], "1"]]', "{", f'[[[{MAX_DEGREE}, 1], "1"]]'],
+)
 SUBSCHEMES = (
     [json.dumps(V01)],
-    [json.dumps(MIXED_DEGREE), json.dumps(NEGATIVE_EXPONENT), '{"generators": []}', "{}", "[1]", "7"],
+    [
+        json.dumps(MIXED_DEGREE),
+        json.dumps(NEGATIVE_EXPONENT),
+        '{"generators": []}',
+        "{}",
+        "[1]",
+        "7",
+        f'{{"generators": [{{"n": 2, "terms": [[[{OVER}, 0, 0], "1"]]}}]}}',
+        '{"generators": [{"n": 2, "terms": [["100", "1"]]}]}',
+    ],
 )
 POINTS = (["4,6,1", "1/2,1,3", "[1, 2, 3]"], ["0,0,1", "1,2", "a,1,2", '[1, "b", 2]', "0,0,0", "inf,1,1", ""])
 SNC_PAIRS = (
@@ -372,6 +396,7 @@ SNC_PAIRS = (
         '{"divisors": [{"id": "E1", "c": "1"}], "edges": [["E1", "E2"]]}',
         '{"divisors": [{"id": "E1", "c": "1"}], "edges": [["E1"]]}',
         '{"divisors": [{"id": "E1", "c": "x"}]}',
+        '{"divisors": [{"id": "A", "c": "1"}, {"id": "B", "c": "1"}], "edges": ["AB"]}',
         "[1]",
     ],
 )

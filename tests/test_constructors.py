@@ -10,14 +10,14 @@ import pytest
 
 from logpairs import curves
 from logpairs.cli import build_parser
-from logpairs.errors import InputError, MalformedConfigurationError, MalformedPolynomialError
+from logpairs.errors import BadRangeError, InputError, MalformedConfigurationError, MalformedPolynomialError
 from logpairs.heights import HomogPoly, ProjPoint, normalize_point
-from logpairs.polynomials import Poly2
+from logpairs.polynomials import MAX_DEGREE, Poly2
 from logpairs.snc import ResolvedPairData, SNCPair
 
 
 def _homog_direct(num_vars, terms):
-    degree = sum(terms[0][0]) if terms else 0
+    degree = sum(terms[0][0]) if terms and isinstance(terms[0][0], tuple) else 0
     return HomogPoly(num_vars, degree, tuple((tuple(e), c) for e, c in terms))
 
 
@@ -52,6 +52,7 @@ CASES = [
             (3, [((1, 0, 0), 1), ((2, 0, 0), 1)]),
             (3, [((1, 0, 0), 0)]),
             (3, []),
+            (3, [("100", 1)]),
         ],
     ),
     *_cases(
@@ -59,7 +60,7 @@ CASES = [
         Poly2,
         Poly2.from_json,
         [([((0, 0), c)],) for c in [*UNREADABLE, "1/0", math.inf]]
-        + [([((-1, 0), 1)],), ([((0.5, 0), 1)],), (5,), ([5],), ([((1, 2, 3), 1)],)],
+        + [([((-1, 0), 1)],), ([((0.5, 0), 1)],), (5,), ([5],), ([((1, 2, 3), 1)],), ([("12", 3)],)],
     ),
     *_cases(
         "SNCPair",
@@ -70,6 +71,7 @@ CASES = [
             ([("E", 1), ("E", 2)], []),
             ([("E0", 1), ("E1", 1)], [("E0", "E0")]),
             ([("E0", 1)], [("E0", "E9")]),
+            (["E1"], []),
         ],
     ),
     *_cases(
@@ -81,6 +83,7 @@ CASES = [
             *(([("E", 0, c, True)],) for c in UNREADABLE),
             ([("E", 0, -1, True)],),
             ([("E", 0, 1, True), ("E", 0, 2, True)],),
+            (["E011"],),
         ],
     ),
     *_cases(
@@ -109,6 +112,11 @@ def test_constructor_and_parser_reject_alike(direct, parse, args):
         (lambda: HomogPoly.from_terms(3, [(5, 1)]), MalformedPolynomialError),
         (lambda: SNCPair.build(5), MalformedConfigurationError),
         (lambda: SNCPair.build([("E0", 0), ("E1", 0)], [("E0",)]), MalformedConfigurationError),
+        # A string is not a row: "AB" is not the edge A-B, nor "12" the exponents (1, 2).
+        (lambda: SNCPair.build([("A", 0), ("B", 0)], ["AB"]), MalformedConfigurationError),
+        (lambda: SNCPair.build(["A0"]), MalformedConfigurationError),
+        (lambda: Poly2.from_json([["12", "3"]]), MalformedPolynomialError),
+        (lambda: HomogPoly.from_json({"n": 2, "terms": [["100", "1"]]}), MalformedPolynomialError),
     ],
 )
 def test_rows_of_the_wrong_shape_raise_typed_errors(make, error):
@@ -116,6 +124,22 @@ def test_rows_of_the_wrong_shape_raise_typed_errors(make, error):
     # the type's own error, not a bare TypeError or ValueError.
     with pytest.raises(error):
         make()
+
+
+def test_degree_limit():
+    # A term of degree above MAX_DEGREE raises BadRangeError when it is read,
+    # before any work; degree MAX_DEGREE itself is read.
+    assert Poly2([((MAX_DEGREE - 1, 1), 1)]).total_degree() == MAX_DEGREE
+    assert HomogPoly.from_terms(2, [((MAX_DEGREE, 0), 1)]).degree == MAX_DEGREE
+    for make in (
+        lambda: Poly2([((MAX_DEGREE, 1), 1)]),
+        lambda: Poly2.from_json([[[0, 10**9], "1"]]),
+        lambda: HomogPoly.from_terms(2, [((MAX_DEGREE, 1), 1)]),
+        lambda: HomogPoly.from_json({"n": 1, "terms": [[[10**9, 0], "1"]]}),
+        lambda: HomogPoly(2, MAX_DEGREE + 1, (((MAX_DEGREE + 1, 0), 1),)),
+    ):
+        with pytest.raises(BadRangeError):
+            make()
 
 
 def test_edge_row_is_exactly_two_labels():

@@ -1,13 +1,17 @@
 """The README's examples run: the library example prints what its comments
-say, and every command-line example exits 0."""
+say, and every command-line example exits 0.  Its limits list names every
+limit."""
 
 import contextlib
+import importlib
 import io
 import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import logpairs
 from logpairs import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -65,3 +69,16 @@ def test_command_line_examples_exit_0(tmp_path, monkeypatch, capsys):
         if "--h-min" in argv:
             # The example's high-height window holds samples.
             assert json.loads(out)["max_abs_residual_high"] > 0
+
+
+def test_every_limit_is_in_the_limits_list():
+    # A limit is a module-level MAX_* constant of a logpairs module.
+    names = {
+        name
+        for info in pkgutil.iter_modules(logpairs.__path__)
+        for name in vars(importlib.import_module(f"logpairs.{info.name}"))
+        if name.startswith("MAX_")
+    }
+    assert {"MAX_DEGREE", "MAX_DEPTH", "MAX_SAMPLE_BOUND"} <= names
+    limits = README.read_text().split("The work of a run is bounded.", 1)[1].split("```", 1)[0]
+    assert [name for name in sorted(names) if not re.search(rf"\b{name}\b", limits)] == []

@@ -15,6 +15,10 @@ germs, and a reference for the leaf rule in ``resolve``:
   (Casas-Alvero, Singularities of Plane Curves, 2000, ch. 3): ``resolve``
   records it at its parent and builds no strict transform there, and must
   give the same tree as a loop that builds every child.
+* A run of forced centers, each the point t = 0 of multiplicity m on the
+  previous divisor, is one Euclid step (Casas-Alvero, ch. 3-5): ``resolve``
+  makes its nodes without blowing each one up, and must give the same tree
+  as a loop that blows up every center.
 """
 
 import importlib.util
@@ -34,6 +38,7 @@ from logpairs.curves import (
     _rational_roots,
     _replay,
     blow_up_point,
+    ord_along,
     resolve,
     tree_ideal_member,
     tree_lct,
@@ -296,6 +301,157 @@ class TestTransverseLeaves:
         tree = resolve(_two_pairs(21, Fraction(2, 3), Fraction(3, 5)))
         assert len(tree.nodes) == 21
         assert shifts == [(0, Fraction(2, 3))]
+
+
+
+def _resolve_step_by_step(f: Poly2, max_depth: int = MAX_DEPTH) -> ResolutionTree:
+    """Reference for ``resolve``'s runs: its loop without them, so that every
+    center, forced or not, is blown up on its own."""
+    nodes: list[ResolutionNode] = []
+    contacts: set[int] = set()
+    pending = [(f, None, None, (None, None), 1)] if f.order() > 1 else []
+    while pending:
+        local, parent, shift, axes, depth = pending.pop()
+        if depth > max_depth:
+            raise DepthExceededError(f"resolution needs more than {max_depth} blowup levels")
+        transformed, m = local.blowup_x()
+        node = ResolutionNode(len(nodes) + 1, parent, m, shift, *axes)
+        nodes.append(node)
+        restriction = transformed.on_x_axis_restriction()
+        directions, has_irrational = _rational_roots(restriction)
+        if has_irrational:
+            raise NonRationalCenterError("irrational tangent directions")
+        if len(restriction) - 1 < m:
+            directions.append((None, m - len(restriction) + 1))
+        children = []
+        for t, mult in directions:
+            child_axes = node.child_axes(t)
+            if mult == 1 and None in child_axes:
+                contacts.add(node.id)
+                continue
+            if t is None:
+                child = local.blowup_y()[0]
+            else:
+                child = transformed.translate(0, t) if t else transformed
+            children.append((child, node.id, t, child_axes, depth + 1))
+        pending.extend(reversed(children))
+    return ResolutionTree(curve=f, nodes=tuple(nodes), curve_contacts=frozenset(contacts))
+
+
+def _outcome(resolver, f: Poly2, max_depth: int):
+    """The tree's nodes and contacts, or the type of the error raised."""
+    try:
+        tree = resolver(f, max_depth)
+    except (DepthExceededError, NonRationalCenterError) as exc:
+        return type(exc)
+    return tree.nodes, tree.curve_contacts
+
+
+def _assert_same_as_step_by_step(f: Poly2, max_depth: int = 2000) -> None:
+    assert _outcome(resolve, f, max_depth) == _outcome(_resolve_step_by_step, f, max_depth), f
+
+
+def _tower(a: int, b: int, c=3, swap: bool = False) -> Poly2:
+    """y^a - c*x^b, or x^a - c*y^b when swapped."""
+    u, v = (X, Y) if swap else (Y, X)
+    return u**a - _const(c) * v**b
+
+
+_TOWER_BS = [*range(1, 1001, 37), 299, 300, 301, 997, 999, 1000]
+
+_TOWER_PRODUCTS = [
+    pytest.param(_tower(2, 97) * _lines(None), id="tower-times-x"),
+    pytest.param(_tower(2, 97) * _lines(0), id="tower-times-y"),
+    pytest.param(_tower(3, 100) * _lines(1, -2), id="tower-times-two-lines"),
+    pytest.param(_tower(5, 301, Fraction(-2, 7)) * _lines(None, 0), id="tower-times-axes"),
+    pytest.param(_tower(4, 201, swap=True) * _lines(None, Fraction(1, 3)), id="swapped-tower-times-lines"),
+    pytest.param(_tower(2, 41) * _tower(2, 41, 5), id="two-tangent-towers"),
+    pytest.param(_tower(2, 41) * _tower(3, 43, 2) * _lines(0), id="towers-and-y"),
+]
+
+
+@st.composite
+def _tower_products(draw) -> Poly2:
+    """Products of 1-3 branches y^p - r*x^q with p up to 5 and q up to 150,
+    optionally times lines, and swapped half the time."""
+    f = ONE
+    for _ in range(draw(st.integers(1, 3))):
+        f = f * (Y ** draw(st.integers(1, 5)) - Poly2.constant(draw(_RATIONAL)) * X ** draw(st.integers(1, 150)))
+    for r in draw(st.lists(st.none() | _RATIONAL, max_size=2, unique=True)):
+        f = f * _line(r)
+    if draw(st.booleans()):
+        f = Poly2({(j, i): c for (i, j), c in f.terms.items()})
+    return f
+
+
+class TestRuns:
+    @pytest.mark.parametrize("swap", [False, True], ids=["y^a", "x^a"])
+    @pytest.mark.parametrize("a", [2, 3, 4, 5])
+    def test_same_tree_on_towers(self, a, swap):
+        for b in _TOWER_BS:
+            _assert_same_as_step_by_step(_tower(a, b, Fraction(-5, 7) if b % 2 else 4, swap))
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_same_tree_on_two_pair_germs(self, rational):
+        for k in range(5, 202, 2 if rational else 1):
+            _assert_same_as_step_by_step(_two_pairs(k, Fraction(2, 3), Fraction(3, 5)) if rational else _two_pairs(k))
+
+    @pytest.mark.parametrize("f", _TOWER_PRODUCTS)
+    def test_same_tree_on_products_with_lines(self, f):
+        _assert_same_as_step_by_step(f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_tower_products() | _germs() | _nondegenerate_germs())
+    def test_same_tree_on_drawn_germs(self, f):
+        _assert_same_as_step_by_step(f, 400)
+
+    @pytest.mark.parametrize(
+        "f", [_tower(2, 41), _tower(3, 31, swap=True), _tower(5, 37), _two_pairs(15), _tower(2, 41) * _lines(0)]
+    )
+    def test_same_result_at_every_depth_limit(self, f):
+        nodes = len(resolve(f, 2000).nodes)
+        for max_depth in range(1, nodes + 2):
+            assert _outcome(resolve, f, max_depth) == _outcome(_resolve_step_by_step, f, max_depth), max_depth
+
+    def test_node_counts_and_lcts_match_the_bench_oracles(self):
+        oracles = _load_bench_oracles()
+        for a in (2, 3, 4, 5):
+            for b in _TOWER_BS:
+                if b > a and math.gcd(a, b) == 1:
+                    tree = resolve(_tower(a, b), 2000)
+                    assert len(tree.nodes) == oracles.tower_nodes(a, b), (a, b)
+                    assert tree_lct(tree) == oracles.tower_lct(a, b), (a, b)
+        for k in range(5, 202):
+            tree = resolve(_two_pairs(k), 2000)
+            assert len(tree.nodes) == oracles.two_pair_nodes(k), k
+            assert tree_lct(tree) == oracles.TWO_PAIR_LCT, k
+
+    @pytest.mark.parametrize("f", [_tower(2, 97), _tower(3, 64, swap=True), _two_pairs(41)])
+    def test_pullbacks_and_extra_blowups_match_the_reference(self, f):
+        tree, reference = resolve(f, 2000), _resolve_step_by_step(f, 2000)
+        for g in [*MONOMIALS, f, Y - X**5, X**7 + Y**3]:
+            assert ord_along(tree, g) == ord_along(reference, g)
+        for node_id in (1, 2, len(tree.nodes) // 2, len(tree.nodes)):
+            for shift in (Fraction(1, 2), -3):
+                assert blow_up_point(tree, node_id, shift).nodes == blow_up_point(reference, node_id, shift).nodes
+
+    @pytest.mark.parametrize(
+        "f, nodes, most",
+        [(_tower(2, 297), 150, 3), (_two_pairs(201), 201, 6), (_two_pairs(201, Fraction(2, 3), Fraction(3, 5)), 201, 6)],
+    )
+    def test_a_run_costs_no_blowup_per_center(self, monkeypatch, f, nodes, most):
+        # Blown up one center at a time, these germs take one blowup_x per node;
+        # with runs, a few per partial quotient.
+        calls = []
+        blowup_x = Poly2.blowup_x
+
+        def counted(self, *args):
+            calls.append(1)
+            return blowup_x(self, *args)
+
+        monkeypatch.setattr(Poly2, "blowup_x", counted)
+        assert len(resolve(f, 2000).nodes) == nodes
+        assert len(calls) <= most
 
 
 def _load_bench_oracles():
