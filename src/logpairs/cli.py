@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import curves, experiments, heights, snc
 from .errors import InputError
-from .polynomials import Poly2
+from .polynomials import Poly2, read_number
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -38,7 +38,7 @@ def _load_json_arg(arg: str):
             raise InputError(f"cannot read {arg!r}: {exc.strerror}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise InputError(f"invalid JSON: {exc}") from exc
 
 
@@ -62,17 +62,12 @@ def _parser(fn):
 
 
 @_parser
-def _parse_rational(arg: str) -> Fraction:
-    return Fraction(arg)
-
-
-@_parser
 def _parse_point(arg: str) -> heights.ProjPoint:
     if arg.lstrip().startswith("["):
         entries = json.loads(arg)
     else:
         entries = arg.split(",")
-    return heights.normalize_point([Fraction(str(e)) for e in entries])
+    return heights.normalize_point(entries)
 
 
 @_parser
@@ -84,7 +79,7 @@ def _parse_subscheme(data: dict) -> heights.Subscheme:
 @_parser
 def _parse_snc_pair(data: dict) -> snc.SNCPair:
     return snc.SNCPair.build(
-        divisors=[(d["id"], Fraction(str(d["c"]))) for d in data["divisors"]],
+        divisors=[(d["id"], d["c"]) for d in data["divisors"]],
         edges=data.get("edges", []),
     )
 
@@ -184,7 +179,7 @@ def _resolve_curve_json(tree: curves.ResolutionTree, threshold: Fraction, per_c:
 
 def _cmd_resolve_curve(args) -> int:
     curve = _parse_curve(_load_json_arg(args.curve))
-    cs = [_parse_rational(c) for c in args.c.split(",")] if args.c else []
+    cs = [read_number(c, InputError) for c in args.c.split(",")] if args.c else []
     tree = curves.resolve(curve, max_depth=args.max_depth)
     threshold = curves.tree_lct(tree)
     per_c = {}
@@ -213,7 +208,7 @@ def _cmd_member(args) -> int:
     curve = _parse_curve(_load_json_arg(args.curve))
     g = _parse_poly(_load_json_arg(args.g))
     kind = curves.IdealKind[args.kind]
-    verdict = curves.ideal_member(curve, _parse_rational(args.c), g, kind, max_depth=args.max_depth)
+    verdict = curves.ideal_member(curve, read_number(args.c, InputError), g, kind, max_depth=args.max_depth)
     _emit({"c": args.c, "kind": args.kind, "member": verdict}, args.json)
     return EXIT_OK
 

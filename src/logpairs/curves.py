@@ -73,7 +73,7 @@ from .errors import (
     NonRationalCenterError,
     ZeroInputError,
 )
-from .polynomials import Poly2, clear_denominators
+from .polynomials import Poly2, clear_denominators, read_number
 from .snc import ResolvedPairData, SNCPair
 
 PolyLike = Union["AffineCurve", Poly2]
@@ -288,7 +288,7 @@ class PullbackOrders:
 def multiplicity_at(f: PolyLike, pt: tuple) -> int:
     """Order of the lowest form of f recentred at pt; 0 iff pt is off the curve."""
     poly = _as_poly(f)
-    px, py = (Fraction(c) for c in pt)
+    px, py = (read_number(c, InputError) for c in pt)
     return poly.translate(px, py).order()
 
 
@@ -362,7 +362,7 @@ def blow_up_point(tree: ResolutionTree, node_id: int, shift: Fraction | int) -> 
     center may lie off the strict transform, in which case its multiplicity
     is 0.
     """
-    shift = Fraction(shift)
+    shift = read_number(shift, InputError)
     new = ResolutionNode(len(tree.nodes) + 1, node_id, 0, shift, *tree.node(node_id).child_axes(shift))
     # Its multiplicity is the order of the curve's strict transform there.
     new = replace(new, mult=_replay((*tree.nodes, new), tree.curve)[new.id].order())
@@ -402,7 +402,7 @@ def pair_discrepancies(tree: ResolutionTree, c: Fraction | int) -> ResolvedPairD
     transform of the curve contributes a = -c and b = c.  For c = p/q the
     table holds the integers q*a and q*b over the denominator q.
     """
-    c = Fraction(c)
+    c = read_number(c, InputError)
     if c < 0:
         raise InputError(f"boundary coefficient must be nonnegative, got {c}")
     p, q = c.numerator, c.denominator

@@ -32,7 +32,7 @@ from .errors import (
     ZeroInputError,
 )
 from .places import Place, _int_valuation, is_prime, log_fraction
-from .polynomials import MAX_DEGREE, _sum_terms, as_row, clear_denominators, exact_int, read_rows
+from .polynomials import MAX_DEGREE, _sum_terms, as_row, clear_denominators, exact_int, read_number, read_rows
 
 RatLike = Union[Fraction, int, str]
 
@@ -73,13 +73,8 @@ def normalize_point(raw: Sequence[RatLike]) -> ProjPoint:
     negated with the gcd when the first nonzero entry is negative, and kept
     as it is when that signed gcd is 1.
     """
-    if all(type(v) is int for v in raw):
-        ints = raw
-    else:
-        try:
-            _, ints = clear_denominators(Fraction(v) for v in raw)
-        except (ArithmeticError, TypeError, ValueError):
-            raise NotPrimitiveError(f"coordinates {raw!r} are not rational") from None
+    all_int = all(type(v) is int for v in raw)
+    ints = raw if all_int else clear_denominators(read_number(v, NotPrimitiveError) for v in raw)[1]
     g = math.gcd(*ints)
     if g == 0:
         raise AllZeroError("cannot normalize the zero vector")

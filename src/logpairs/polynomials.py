@@ -5,6 +5,11 @@ parametrized sampling families: terms are stored sparsely as
 ``{(i, j): coefficient}`` with Fraction coefficients and no explicit zeros.
 Blowup substitutions and exact divisibility are implemented directly so that
 every transformation stays in rational arithmetic.
+
+It also owns the reading of input: ``read_number`` is the one rule by which
+every module turns a number from outside into a Fraction, with the caller's
+error type and the ``MAX_DIGITS`` limit, and ``read_rows`` the one rule for
+rows of terms or divisors.
 """
 
 from __future__ import annotations
@@ -18,26 +23,58 @@ from .errors import BadRangeError, InputError, MalformedPolynomialError, ZeroInp
 CoeffLike = Union[Fraction, int, str]
 
 MAX_DEGREE = 4096  # largest total degree of a term read from input, in Poly2 and HomogPoly
+MAX_DIGITS = 1000  # most decimal digits in the numerator or denominator of a number read by read_number
+_DIGITS_BOUND = 10**MAX_DIGITS
 
 
-def _coeff(c: CoeffLike) -> Fraction:
+def read_number(value, error: type[InputError]) -> Fraction:
+    """A number supplied by a caller, as a Fraction: a Fraction as it is, an int
+    or a "p/q", decimal or exponent-notation string as ``Fraction`` reads it, a
+    float as the decimal ``repr`` writes.  Anything else raises ``error``, and
+    a numerator or denominator of more than MAX_DIGITS digits BadRangeError."""
+    if type(value) is Fraction:
+        return value
+    text = repr(value) if isinstance(value, float) else value
+    if isinstance(text, int):
+        if -_DIGITS_BOUND < text < _DIGITS_BOUND:
+            return Fraction(text)
+    elif isinstance(text, str):
+        # A literal with no exponent has no more digits than characters.
+        short = len(text) <= MAX_DIGITS and "e" not in text and "E" not in text
+        if short or not _exponent_too_large(text):
+            try:
+                q = Fraction(text)
+            except (ValueError, ZeroDivisionError):
+                raise error(f"{value!r} is not a rational number") from None
+            if short or -_DIGITS_BOUND < q.numerator < _DIGITS_BOUND and q.denominator < _DIGITS_BOUND:
+                return q
+    elif isinstance(value, Fraction):
+        return value
+    else:
+        raise error(f"{value!r} is not a rational number")
+    raise BadRangeError(f"a number has more than {MAX_DIGITS} digits")
+
+
+def _exponent_too_large(text: str) -> bool:
+    """Whether a literal's exponent exceeds MAX_DIGITS + len(text) in size, so
+    that 10**exponent is never built.  A nonzero mantissa, of at most
+    len(text) digits, shifted that far leaves more than MAX_DIGITS digits in
+    the numerator or the denominator; a zero one is refused alike."""
+    _, e, exponent = text.lower().partition("e")
     try:
-        return c if isinstance(c, Fraction) else Fraction(c)
-    except (ArithmeticError, TypeError, ValueError):
-        raise MalformedPolynomialError(f"{c!r} is not a rational number") from None
+        return bool(e) and abs(int(exponent)) > MAX_DIGITS + len(text)
+    except ValueError:  # not an exponent; Fraction rejects the literal
+        return False
 
 
 def exact_int(value, what: str) -> int:
-    """An exponent or integer coefficient read from input, as an int: 2,
-    2.0 and "2" pass, and anything non-integral raises
-    MalformedPolynomialError instead of being truncated."""
-    try:
-        q = value if type(value) is int else Fraction(value)
-        if q.denominator == 1:
-            return q.numerator
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise MalformedPolynomialError(f"{what} {value!r} is not an integer")
+    """An exponent, integer coefficient or ``n`` read from input by
+    :func:`read_number`, as an int: 2, 2.0 and "2" pass, and anything
+    non-integral raises MalformedPolynomialError instead of being truncated."""
+    q = value if type(value) is int else read_number(value, MalformedPolynomialError)
+    if q.denominator != 1:
+        raise MalformedPolynomialError(f"{what} {value!r} is not an integer")
+    return q.numerator
 
 
 def as_row(value, error: type[InputError]) -> list | tuple:
@@ -67,7 +104,7 @@ def _term(exponents, c: CoeffLike) -> tuple[tuple[int, int], Fraction]:
         raise MalformedPolynomialError(f"negative exponent in term {key}")
     if key[0] + key[1] > MAX_DEGREE:
         raise BadRangeError(f"term {key} has degree above {MAX_DEGREE}")
-    return key, _coeff(c)
+    return key, read_number(c, MalformedPolynomialError)
 
 
 def _sum_terms(acc: dict, terms: Iterable) -> dict:
@@ -234,7 +271,7 @@ class Poly2:
                 for c, i, j in ints:
                     total += c * ax**i * ay**j
                 return Fraction(total)
-        ax, ay = _coeff(ax), _coeff(ay)
+        ax, ay = read_number(ax, MalformedPolynomialError), read_number(ay, MalformedPolynomialError)
         total = Fraction(0)
         for (i, j), c in self.terms.items():
             total += c * ax**i * ay**j
@@ -246,7 +283,7 @@ class Poly2:
         """f(x + ax, y + ay), expanded with binomial coefficients."""
         if ax == 0 and ay == 0:
             return self
-        ax, ay = _coeff(ax), _coeff(ay)
+        ax, ay = read_number(ax, MalformedPolynomialError), read_number(ay, MalformedPolynomialError)
         acc: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in self.terms.items():
             ys = _binomial(ay, j)

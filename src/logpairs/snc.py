@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import BadOrderError, MalformedConfigurationError, NegativeBError
-from .polynomials import clear_denominators, read_rows
+from .polynomials import clear_denominators, read_number, read_rows
 
 NEG_INFINITY: float = float("-inf")
 
@@ -105,9 +105,10 @@ class SNCPair:
         cls, divisors: Iterable[tuple[str, Fraction | int | str]], edges: Iterable[tuple[str, str]] = ()
     ) -> "SNCPair":
         """The pair of ``(label, coefficient)`` rows, over the lcm of their denominators."""
-        divs = read_rows(divisors, lambda d, c: (str(d), Fraction(c)), MalformedConfigurationError)
+        error = MalformedConfigurationError
+        divs = read_rows(divisors, lambda d, c: (str(d), read_number(c, error)), error)
         den, nums = clear_denominators(c for _, c in divs)
-        edges = frozenset(read_rows(edges, lambda a, b: frozenset((a, b)), MalformedConfigurationError))
+        edges = frozenset(read_rows(edges, lambda a, b: frozenset((a, b)), error))
         return cls(tuple(d for d, _ in divs), den, tuple(nums), edges)
 
     @functools.cached_property
@@ -200,8 +201,9 @@ class ResolvedPairData:
     @classmethod
     def build(cls, rows: Iterable[tuple[str, Fraction, Fraction, bool]]) -> "ResolvedPairData":
         """The table of ``(id, a, b, exceptional)`` rows, over the lcm of their denominators."""
+        error = MalformedConfigurationError
         rows = read_rows(
-            rows, lambda i, a, b, e: (str(i), Fraction(a), Fraction(b), bool(e)), MalformedConfigurationError
+            rows, lambda i, a, b, e: (str(i), read_number(a, error), read_number(b, error), bool(e)), error
         )
         den, nums = clear_denominators(x for _, a, b, _ in rows for x in (a, b))
         return cls(

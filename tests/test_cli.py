@@ -267,6 +267,7 @@ def test_curve_file_input(tmp_path, capsys):
 
 
 MIXED_DEGREE = {"generators": [{"n": 2, "terms": [[[1, 0, 0], "1"], [[0, 2, 0], "1"]]}]}
+BIG_INT = "1" * 5000  # past Python's 4300-digit limit for reading an int
 NEGATIVE_EXPONENT = {"generators": [{"n": 2, "terms": [[[2, -1, 0], "1"]]}]}
 
 
@@ -315,6 +316,13 @@ NEGATIVE_EXPONENT = {"generators": [{"n": 2, "terms": [[[2, -1, 0], "1"]]}]}
         ("resolve-curve", '{"f": [[[0, 2], "1"], [[1000000000, 0], "1"]]}'),
         ("member", json.dumps(CUSP_CURVE), "--c", "1", "--g", '[[[0, 1000000000], "1"]]', "--kind", "J"),
         ("height-eval", '{"generators": [{"n": 2, "terms": [[[1000000000, 0, 0], "1"]]}]}', "--point=4,6,1"),
+        # Numbers past MAX_DIGITS digits, or past Python's own limit, are refused
+        # when they are read, before anything is built or printed.
+        ("resolve-curve", json.dumps(CUSP_CURVE), "--c", "1e-5000"),
+        ("height-eval", json.dumps(V01), "--point", "1e5000,1,1"),
+        ("classify-snc", f'{{"divisors": [{{"id": "E1", "c": {BIG_INT}}}]}}'),
+        ("classify-snc", '{"divisors": [{"id": "E1", "c": "1e-1000000"}]}'),
+        ("resolve-curve", '{"f": [[[0, 2], "1"], [["1e1000000", 0], "1"]]}'),
     ],
 )
 def test_malformed_input_exits_3(capsys, argv):
@@ -365,6 +373,9 @@ CURVES = (
         '{"f": [[[-1, 1], "1"]]}',
         f'{{"f": [[[0, 2], "1"], [[{OVER}, 0], "-1"]]}}',
         '{"f": [["02", "1"], ["30", "-1"]]}',
+        '{"f": [[[0, 2], "1"], [[3, 0], "1e-5000"]]}',
+        '{"f": [[[0, 2], "1"], [[3, 0], 1e5000]]}',
+        f'{{"f": [[[0, 2], "1"], [[3, 0], {BIG_INT}]]}}',
         "{}",
         "[1]",
         "{",
@@ -389,7 +400,11 @@ SUBSCHEMES = (
         '{"generators": [{"n": 2, "terms": [["100", "1"]]}]}',
     ],
 )
-POINTS = (["4,6,1", "1/2,1,3", "[1, 2, 3]"], ["0,0,1", "1,2", "a,1,2", '[1, "b", 2]', "0,0,0", "inf,1,1", ""])
+POINTS = (
+    ["4,6,1", "1/2,1,3", "[1, 2, 3]"],
+    ["0,0,1", "1,2", "a,1,2", '[1, "b", 2]', "0,0,0", "inf,1,1", ""]
+    + ["1e-5000,1,1", "1e5000,1,1", f"[{BIG_INT}, 1, 1]"],
+)
 SNC_PAIRS = (
     [json.dumps(SNC_PAIR), '{"divisors": [{"id": "E1", "c": "3/2"}]}', '{"divisors": []}'],
     [
@@ -397,6 +412,9 @@ SNC_PAIRS = (
         '{"divisors": [{"id": "E1", "c": "1"}], "edges": [["E1"]]}',
         '{"divisors": [{"id": "E1", "c": "x"}]}',
         '{"divisors": [{"id": "A", "c": "1"}, {"id": "B", "c": "1"}], "edges": ["AB"]}',
+        '{"divisors": [{"id": "E1", "c": "1e-5000"}]}',
+        '{"divisors": [{"id": "E1", "c": 1e5000}]}',
+        f'{{"divisors": [{{"id": "E1", "c": {BIG_INT}}}]}}',
         "[1]",
     ],
 )
@@ -408,7 +426,7 @@ PARAMS = (
         "{}",
     ],
 )
-RATIONALS = (["0", "1", "5/6", "1/3"], ["-1", "1/0", "x", "nan", ""])
+RATIONALS = (["0", "1", "5/6", "1/3"], ["-1", "1/0", "x", "nan", "", "1e-5000", "1e5000", BIG_INT])
 SMALL_INTS = (["1", "3", "5"], ["-2", "0", "x", "2.0", "1001"])
 FLOATS = (["0.05", "0.5", "1", "2"], ["0", "-1", "nan", "inf", "1e9", "x"])
 

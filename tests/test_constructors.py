@@ -2,14 +2,17 @@
 only coerces and then calls it: both reject the same malformed input with
 an InputError subclass."""
 
+import contextlib
 import inspect
+import io
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from logpairs import curves
-from logpairs.cli import build_parser
+from logpairs import curves, snc
+from logpairs.cli import EXIT_OK, build_parser, main
 from logpairs.errors import BadRangeError, InputError, MalformedConfigurationError, MalformedPolynomialError
 from logpairs.heights import HomogPoly, ProjPoint, normalize_point
 from logpairs.polynomials import MAX_DEGREE, Poly2
@@ -37,6 +40,9 @@ def _cases(name, direct, parse, arg_lists):
 
 
 UNREADABLE = [math.nan, None, "abc", 1j]
+# A number past MAX_DIGITS digits, in exponent notation.  The float exponent
+# 1e300 below reads as 10**300, a degree past MAX_DEGREE.
+TOO_LONG = "1e-5000"
 
 CASES = [
     *_cases(
@@ -53,21 +59,24 @@ CASES = [
             (3, [((1, 0, 0), 0)]),
             (3, []),
             (3, [("100", 1)]),
+            (3, [((1, 0, 0), TOO_LONG)]),
+            (3, [((1e300, 0, 0), 1)]),
         ],
     ),
     *_cases(
         "Poly2",
         Poly2,
         Poly2.from_json,
-        [([((0, 0), c)],) for c in [*UNREADABLE, "1/0", math.inf]]
-        + [([((-1, 0), 1)],), ([((0.5, 0), 1)],), (5,), ([5],), ([((1, 2, 3), 1)],), ([("12", 3)],)],
+        [([((0, 0), c)],) for c in [*UNREADABLE, "1/0", math.inf, TOO_LONG]]
+        + [([((-1, 0), 1)],), ([((0.5, 0), 1)],), (5,), ([5],), ([((1, 2, 3), 1)],), ([("12", 3)],)]
+        + [([((1e300, 0), 1)],)],
     ),
     *_cases(
         "SNCPair",
         _snc_direct,
         SNCPair.build,
         [
-            *(([("E", c)], []) for c in UNREADABLE),
+            *(([("E", c)], []) for c in [*UNREADABLE, TOO_LONG, math.inf]),
             ([("E", 1), ("E", 2)], []),
             ([("E0", 1), ("E1", 1)], [("E0", "E0")]),
             ([("E0", 1)], [("E0", "E9")]),
@@ -79,8 +88,8 @@ CASES = [
         _resolved_direct,
         ResolvedPairData.build,
         [
-            *(([("E", c, 0, True)],) for c in UNREADABLE),
-            *(([("E", 0, c, True)],) for c in UNREADABLE),
+            *(([("E", c, 0, True)],) for c in [*UNREADABLE, TOO_LONG, math.inf]),
+            *(([("E", 0, c, True)],) for c in [*UNREADABLE, TOO_LONG, math.inf]),
             ([("E", 0, -1, True)],),
             ([("E", 0, 1, True), ("E", 0, 2, True)],),
             (["E011"],),
@@ -90,7 +99,10 @@ CASES = [
         "ProjPoint",
         lambda coords: ProjPoint(tuple(coords)),
         normalize_point,
-        [(coords,) for coords in [("a", 1), (None, 1), (math.nan, 1), (math.inf, 1), (1j, 1), (0, 0), ()]],
+        [
+            (coords,)
+            for coords in [("a", 1), (None, 1), (math.nan, 1), (math.inf, 1), (1j, 1), (0, 0), (), (TOO_LONG, 1)]
+        ],
     ),
 ]
 
@@ -166,3 +178,34 @@ def test_max_depth_default_has_one_owner():
     parser = build_parser()
     for argv in (["resolve-curve", "{}"], ["member", "{}", "--c", "1", "--g", "[]", "--kind", "J"]):
         assert parser.parse_args(argv).max_depth == curves.MAX_DEPTH, argv[0]
+
+
+def test_same_number_same_meaning():
+    # Every reader takes a JSON float as the decimal it was written as, the
+    # way it takes that decimal written as a string.
+    outputs = []
+    for c in (-0.01, "-0.01"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["resolve-curve", json.dumps({"f": [[[0, 2], 1], [[2, 0], c]]}), "--json"]) == EXIT_OK
+        outputs.append(out.getvalue())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["lct"] == "1"  # y^2 - x^2/100 is two lines
+
+    edges = [("E1", "E2")]
+    from_floats = SNCPair.build([("E1", 0.1), ("E2", 0.9)], edges)
+    assert from_floats == SNCPair.build([("E1", "0.1"), ("E2", "0.9")], edges)
+    assert snc.discrep(from_floats) == 0
+    assert ResolvedPairData.build([("E", 0.1, 0.2, True)]) == ResolvedPairData.build([("E", "1/10", "1/5", True)])
+
+    # The curve functions read their numbers by the same rule, with typed errors.
+    tree = curves.resolve(Poly2.from_json([[[0, 2], "1"], [[3, 0], "-1"]]))
+    assert curves.pair_discrepancies(tree, 0.5) == curves.pair_discrepancies(tree, "1/2")
+    assert curves.multiplicity_at(tree.curve, (0.0, "0")) == 2
+    for call in (
+        lambda: curves.pair_discrepancies(tree, "x"),
+        lambda: curves.multiplicity_at(tree.curve, ("a", 0)),
+        lambda: curves.blow_up_point(tree, 1, "q"),
+    ):
+        with pytest.raises(InputError):
+            call()

@@ -1,13 +1,14 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from logpairs.errors import MalformedPolynomialError, ZeroInputError
-from logpairs.polynomials import Poly2, _binomial, clear_denominators, univariate_gcd
+from logpairs.errors import BadRangeError, MalformedPolynomialError, ZeroInputError
+from logpairs.polynomials import MAX_DIGITS, Poly2, _binomial, clear_denominators, read_number, univariate_gcd
 
 X, Y = Poly2.x(), Poly2.y()
 
@@ -224,6 +225,73 @@ def test_non_integral_exponents_rejected(exponents):
 def test_integral_exponents_of_any_type_accepted():
     assert Poly2.from_json([[["1", 2.0], "3"], [[Fraction(2), True], 1]]) == Poly2({(1, 2): 3, (2, 1): 1})
     assert Poly2.from_json([[[1, 0], "1"], [[0, 1], "1"]]) == X + Y
+
+
+_signs = st.sampled_from(["", "-", "+"])
+_digits = st.text("0123456789", min_size=1, max_size=8)
+# Literals on both sides of the digit limit: exponents up to three times
+# MAX_DIGITS, mantissas with leading and trailing zeros or all zeros, and
+# integers of up to MAX_DIGITS + 2 digits.
+_literals = st.one_of(
+    st.builds("{}{}/{}".format, _signs, _digits, _digits.filter(lambda q: int(q))),
+    st.builds("{}{}.{}".format, _signs, _digits, _digits),
+    st.builds("{}{}.{}e{}".format, _signs, _digits, _digits, st.integers(-3 * MAX_DIGITS, 3 * MAX_DIGITS)),
+    st.builds("{}{}E{:+d}".format, _signs, _digits, st.integers(-3 * MAX_DIGITS, 3 * MAX_DIGITS)),
+    st.integers(-(10 ** (MAX_DIGITS + 2)), 10 ** (MAX_DIGITS + 2)).map(str),
+)
+
+
+@given(_literals)
+def test_read_number_reads_a_literal_as_fraction_does(text):
+    # Within the digit limit the reader agrees with Fraction.  Past it, or
+    # with an exponent above MAX_DIGITS + len(text) in size (which a nonzero
+    # mantissa cannot bring back within it), it raises BadRangeError.
+    q = Fraction(text)
+    exponent = int(text.lower().partition("e")[2] or 0)
+    if max(abs(q.numerator), q.denominator) < 10**MAX_DIGITS and abs(exponent) <= MAX_DIGITS + len(text):
+        assert read_number(text, MalformedPolynomialError) == q
+    else:
+        with pytest.raises(BadRangeError):
+            read_number(text, MalformedPolynomialError)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_read_number_reads_a_float_as_its_repr(x):
+    assert read_number(x, MalformedPolynomialError) == Fraction(repr(x))
+
+
+def test_read_number_rules():
+    q = Fraction(1, 10 ** (MAX_DIGITS + 5))
+    assert read_number(q, MalformedPolynomialError) is q  # a Fraction is not read again
+    assert read_number(True, MalformedPolynomialError) == 1
+    assert read_number(0.1, MalformedPolynomialError) == Fraction(1, 10)
+    assert read_number(" -0.0e-5 ", MalformedPolynomialError) == 0
+    assert read_number(10**MAX_DIGITS - 1, MalformedPolynomialError) == 10**MAX_DIGITS - 1
+    assert read_number(f"1/{10**MAX_DIGITS - 1}", MalformedPolynomialError).denominator == 10**MAX_DIGITS - 1
+    # An exponent a little past MAX_DIGITS, which the mantissa brings back.
+    assert read_number(f"0.001e{MAX_DIGITS + 1}", MalformedPolynomialError) == 10 ** (MAX_DIGITS - 2)
+    assert read_number(f"100E-{MAX_DIGITS + 1}", MalformedPolynomialError) == Fraction(1, 10 ** (MAX_DIGITS - 1))
+    for value in [10**MAX_DIGITS, f"1/{10**MAX_DIGITS}", f"1e{MAX_DIGITS}", f"-3e-{MAX_DIGITS}", "0e99999999"]:
+        with pytest.raises(BadRangeError):
+            read_number(value, MalformedPolynomialError)
+    for value in [None, 1j, [1], "1/0", "nan", math.inf, "1e", "0x10"]:
+        with pytest.raises(MalformedPolynomialError):
+            read_number(value, MalformedPolynomialError)
+
+
+def test_exponent_alone_refuses_a_literal_before_building_it():
+    # Building 10**3000000 takes seconds; the exponent refuses it at once,
+    # in an exponent, a coefficient or a shift alike.
+    for make in (
+        lambda: read_number("1e-3000000", ZeroInputError),
+        lambda: Poly2.from_json([[[0, 2], "1"], [[3, 0], "1e3000000"]]),
+        lambda: Poly2.from_json([[["1e3000000", 0], "1"]]),
+        lambda: X.translate("-7.5e-3000000", 0),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(BadRangeError):
+            make()
+        assert time.perf_counter() - start < 0.5
 
 
 @given(st.lists(st.fractions(max_denominator=10**6)))
