@@ -28,6 +28,14 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _load_json(text: str):
+    """The one JSON decoder: malformed or too deeply nested text raises InputError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an integer past Python's digit limit
+        raise InputError(f"invalid JSON: {exc}") from exc
+
+
 def _load_json_arg(arg: str):
     """Accept either a path to a JSON file or inline JSON text."""
     text = arg
@@ -36,74 +44,12 @@ def _load_json_arg(arg: str):
             text = Path(arg).read_text()
         except OSError as exc:
             raise InputError(f"cannot read {arg!r}: {exc.strerror}") from exc
-    try:
-        return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
-        raise InputError(f"invalid JSON: {exc}") from exc
+    return _load_json(text)
 
 
-def _parser(fn):
-    """Report input of the wrong shape (a missing key, a bad number literal,
-    a non-list) as an InputError naming what was being parsed."""
-    what = fn.__name__.removeprefix("_parse_")
-
-    @functools.wraps(fn)
-    def parse(arg):
-        try:
-            return fn(arg)
-        except InputError:
-            raise
-        except KeyError as exc:
-            raise InputError(f"malformed {what}: missing key {exc}") from exc
-        except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"malformed {what}: {exc}") from exc
-
-    return parse
-
-
-@_parser
 def _parse_point(arg: str) -> heights.ProjPoint:
-    if arg.lstrip().startswith("["):
-        entries = json.loads(arg)
-    else:
-        entries = arg.split(",")
-    return heights.normalize_point(entries)
-
-
-@_parser
-def _parse_subscheme(data: dict) -> heights.Subscheme:
-    gens = tuple(heights.HomogPoly.from_json(g) for g in data["generators"])
-    return heights.Subscheme(gens)
-
-
-@_parser
-def _parse_snc_pair(data: dict) -> snc.SNCPair:
-    return snc.SNCPair.build(
-        divisors=[(d["id"], d["c"]) for d in data["divisors"]],
-        edges=data.get("edges", []),
-    )
-
-
-@_parser
-def _parse_curve(data) -> curves.AffineCurve:
-    if isinstance(data, dict):
-        data = data["f"]
-    return curves.AffineCurve.from_json(data)
-
-
-@_parser
-def _parse_poly(data) -> Poly2:
-    return Poly2.from_json(data)
-
-
-@_parser
-def _parse_param(data: dict) -> experiments.ParamCurve:
-    return experiments.ParamCurve(
-        p0=Poly2.from_json(data["p0"]),
-        p1=Poly2.from_json(data["p1"]),
-        p2=Poly2.from_json(data["p2"]),
-        target=heights.HomogPoly.from_json(data["target"]),
-    )
+    """A ``--point``: comma-separated coordinates, or a JSON array of them."""
+    return heights.normalize_point(_load_json(arg) if arg.lstrip().startswith("[") else arg.split(","))
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -115,7 +61,7 @@ def _emit(payload: dict, as_json: bool) -> None:
 
 
 def _cmd_height_eval(args) -> int:
-    zed = _parse_subscheme(_load_json_arg(args.subscheme))
+    zed = heights.Subscheme.from_json(_load_json_arg(args.subscheme))
     point = _parse_point(args.point)
     triple = heights.arakelov_decompose(zed, point)
     _emit({"point": str(point), "h": triple.h, "N": triple.N, "m": triple.m}, args.json)
@@ -123,7 +69,7 @@ def _cmd_height_eval(args) -> int:
 
 
 def _cmd_classify_snc(args) -> int:
-    pair = _parse_snc_pair(_load_json_arg(args.pair))
+    pair = snc.SNCPair.from_json(_load_json_arg(args.pair))
     d = snc.discrep(pair)
     td = snc.totaldiscrep(pair)
     _emit(
@@ -178,7 +124,7 @@ def _resolve_curve_json(tree: curves.ResolutionTree, threshold: Fraction, per_c:
 
 
 def _cmd_resolve_curve(args) -> int:
-    curve = _parse_curve(_load_json_arg(args.curve))
+    curve = curves.AffineCurve.from_json(_load_json_arg(args.curve))
     cs = [read_number(c, InputError) for c in args.c.split(",")] if args.c else []
     tree = curves.resolve(curve, max_depth=args.max_depth)
     threshold = curves.tree_lct(tree)
@@ -205,8 +151,8 @@ def _cmd_resolve_curve(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    curve = _parse_curve(_load_json_arg(args.curve))
-    g = _parse_poly(_load_json_arg(args.g))
+    curve = curves.AffineCurve.from_json(_load_json_arg(args.curve))
+    g = Poly2.from_json(_load_json_arg(args.g))
     kind = curves.IdealKind[args.kind]
     verdict = curves.ideal_member(curve, read_number(args.c, InputError), g, kind, max_depth=args.max_depth)
     _emit({"c": args.c, "kind": args.kind, "member": verdict}, args.json)
@@ -214,7 +160,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_mdlaw(args) -> int:
-    pc = _parse_param(_load_json_arg(args.param))
+    pc = experiments.ParamCurve.from_json(_load_json_arg(args.param))
     sample = experiments.sample_param_points(pc, args.bound)
     if not sample.points:
         raise InputError("sampling produced no usable points")
@@ -240,7 +186,7 @@ def _cmd_gcd_family(args) -> int:
 
 
 def _cmd_gcd_bounds(args) -> int:
-    pc = _parse_param(_load_json_arg(args.param))
+    pc = experiments.ParamCurve.from_json(_load_json_arg(args.param))
     sample = experiments.sample_param_points(pc, args.bound)
     report = experiments.gcd_bounds_check(pc.target, sample.points, args.eps, args.delta)
     _emit(report.to_json(), args.json)

@@ -70,10 +70,11 @@ from typing import Callable, Iterable, Union
 from .errors import (
     DepthExceededError,
     InputError,
+    MalformedPolynomialError,
     NonRationalCenterError,
     ZeroInputError,
 )
-from .polynomials import Poly2, clear_denominators, read_number
+from .polynomials import Poly2, clear_denominators, read_number, read_shape
 from .snc import ResolvedPairData, SNCPair
 
 PolyLike = Union["AffineCurve", Poly2]
@@ -176,8 +177,10 @@ class AffineCurve:
             raise InputError("curve polynomial must be squarefree over Q")
 
     @classmethod
-    def from_json(cls, data: list) -> "AffineCurve":
-        return cls(Poly2.from_json(data))
+    def from_json(cls, data: list | dict) -> "AffineCurve":
+        """The :meth:`Poly2.from_json` rows of the curve, bare or as ``{"f": rows}``."""
+        rows = read_shape(lambda d: d["f"] if isinstance(d, dict) else d, data, MalformedPolynomialError)
+        return cls(Poly2.from_json(rows))
 
 
 @dataclass(frozen=True)

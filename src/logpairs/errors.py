@@ -28,7 +28,9 @@ class NotPrimitiveError(InputError):
 class MalformedPolynomialError(InputError):
     """A polynomial term has a bad exponent (not an int, negative, wrong count or
     degree, repeated) or coefficient (zero, not an int or not rational), a
-    subscheme generator is not a HomogPoly, or a power is negative."""
+    subscheme generator is not a HomogPoly, a power is negative, or a
+    polynomial, subscheme, curve or parametrization document is not of its
+    shape (a missing key, a field of the wrong type)."""
 
 
 class DimensionMismatchError(InputError):
@@ -36,7 +38,8 @@ class DimensionMismatchError(InputError):
 
 
 class MalformedConfigurationError(InputError):
-    """Divisor labels repeat, an edge is a loop or names an unknown divisor, or a value is unreadable."""
+    """Divisor labels repeat, an edge is a loop or names an unknown divisor, a
+    value is unreadable, or an SNC pair document is not of its shape."""
 
 
 class SupportPointError(InputError):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from operator import itemgetter
 from statistics import StatisticsError, linear_regression
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -23,6 +24,7 @@ from .errors import (
     BadRangeError,
     EmptyAfterFilterError,
     InputError,
+    MalformedPolynomialError,
     NotCoprimeError,
     PointIsOError,
     ZeroInputError,
@@ -35,15 +37,16 @@ from .heights import (
     normalize_point,
     weil_arch_ratio,
 )
-from .polynomials import Poly2, univariate_gcd
+from .polynomials import Poly2, read_shape, univariate_gcd
 
 ORIGIN_COORDS = (0, 0, 1)
 
 # Work limits, each checked before any work starts: the largest sampling
-# bound (about 1.2*bound^2 parameter pairs), and the most bases and the largest
-# exponent d of one gcd-family run.
+# bound (about 1.2*bound^2 parameter pairs), and the most bases, the largest
+# |base| and the largest exponent d of one gcd-family run.
 MAX_SAMPLE_BOUND = 1000
 MAX_GCD_FAMILY_RANGE = 10**6
+MAX_GCD_FAMILY_BASE = 10**6
 MAX_GCD_FAMILY_D = 64
 
 
@@ -104,6 +107,13 @@ class ParamCurve:
             total = total + part
         if not total.is_zero:
             raise InputError("parametrization does not satisfy the target equation")
+
+    @classmethod
+    def from_json(cls, data: dict) -> "ParamCurve":
+        """``{"p0": rows, "p1": rows, "p2": rows, "target": form}``: the forms as
+        :meth:`Poly2.from_json` rows, the target a :meth:`HomogPoly.from_json` document."""
+        *forms, target = read_shape(itemgetter("p0", "p1", "p2", "target"), data, MalformedPolynomialError)
+        return cls(*map(Poly2.from_json, forms), HomogPoly.from_json(target))
 
     @property
     def degree(self) -> int:
@@ -330,6 +340,8 @@ def gcd_family_check(kind: str, d: int, m: int, a_range: tuple[int, int]) -> Gcd
         raise BadRangeError(f"range [{a_min}, {a_max}] holds more than {MAX_GCD_FAMILY_RANGE} bases")
     if d > MAX_GCD_FAMILY_D:
         raise BadRangeError(f"exponent d = {d} exceeds {MAX_GCD_FAMILY_D}")
+    if max(abs(a_min), abs(a_max)) > MAX_GCD_FAMILY_BASE:
+        raise BadRangeError(f"|a_min| and |a_max| must be at most {MAX_GCD_FAMILY_BASE}")
     violations = []
     checked = 0
     for a in range(a_min, a_max + 1):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -26,13 +27,21 @@ from .errors import (
     BadRangeError,
     DimensionMismatchError,
     MalformedPolynomialError,
-    NotPrimeError,
     NotPrimitiveError,
     SupportPointError,
     ZeroInputError,
 )
-from .places import Place, _int_valuation, is_prime, log_fraction
-from .polynomials import MAX_DEGREE, _sum_terms, as_row, clear_denominators, exact_int, read_number, read_rows
+from .places import Place, _int_valuation, log_fraction, read_prime
+from .polynomials import (
+    MAX_DEGREE,
+    _sum_terms,
+    as_row,
+    clear_denominators,
+    exact_int,
+    read_number,
+    read_rows,
+    read_shape,
+)
 
 RatLike = Union[Fraction, int, str]
 
@@ -142,7 +151,9 @@ class HomogPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "HomogPoly":
-        return cls.from_terms(exact_int(data["n"], "n") + 1, data["terms"])
+        """``{"n": n, "terms": [[exponents, coefficient], ...]}``, a form in P^n."""
+        n, terms = read_shape(itemgetter("n", "terms"), data, MalformedPolynomialError)
+        return cls.from_terms(exact_int(n, "n") + 1, terms)
 
     def evaluate(self, coords: Sequence[int]) -> int:
         total = 0
@@ -183,6 +194,12 @@ class Subscheme:
     @property
     def num_vars(self) -> int:
         return self.generators[0].num_vars
+
+    @classmethod
+    def from_json(cls, data: dict) -> "Subscheme":
+        """``{"generators": [form, ...]}``, each form a :meth:`HomogPoly.from_json` document."""
+        read = lambda d: tuple(map(HomogPoly.from_json, d["generators"]))
+        return cls(read_shape(read, data, MalformedPolynomialError))
 
     @classmethod
     def of_coordinates(cls, num_vars: int, indices: Sequence[int]) -> "Subscheme":
@@ -237,8 +254,7 @@ def counting_gcd(Z: Subscheme, x: ProjPoint) -> int:
 
 def weil_finite_valuation(Z: Subscheme, x: ProjPoint, p: int) -> int | None:
     """min over generators of v_p(f(x)); None when x lies in the support."""
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    p = read_prime(p)
     vals = [v for v in Z.values_at(x) if v != 0]
     if not vals:
         return None

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import NotPrimeError, ZeroInputError
+from .errors import InputError, NotPrimeError, ZeroInputError
+from .polynomials import exact_int, read_number
 
 Rat = Union[Fraction, int]
 
@@ -23,7 +24,13 @@ _MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for ``n`` below 3.3e24 (Miller-Rabin)."""
+    """Deterministic primality test for ``n`` below 3.3e24 (Miller-Rabin).
+
+    ``n`` is read by the ``exact_int`` rule: 7.0 and "7" are 7, and a value
+    that is not an integer raises NotPrimeError.
+    """
+    if type(n) is not int:
+        n = exact_int(n, "modulus", NotPrimeError)
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -49,6 +56,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def read_prime(p) -> int:
+    """A prime read by the ``exact_int`` rule, as an int: 7, 7.0 and "7" are 7;
+    anything else, 7.5 and "x" too, raises NotPrimeError."""
+    n = exact_int(p, "prime", NotPrimeError)
+    if not is_prime(n):
+        raise NotPrimeError(f"{p!r} is not prime")
+    return n
+
+
+def _rational(q) -> Rat:
+    """An int or Fraction as it is, so that a computed value of any size is
+    taken; anything else by :func:`read_number`."""
+    return q if isinstance(q, (int, Fraction)) else read_number(q, InputError)
+
+
 @dataclass(frozen=True)
 class Place:
     """A place of Q: archimedean, or the p-adic place of a prime p.
@@ -60,8 +82,8 @@ class Place:
     prime: int | None = None
 
     def __post_init__(self) -> None:
-        if self.prime is not None and not is_prime(self.prime):
-            raise NotPrimeError(f"{self.prime} is not prime")
+        if self.prime is not None:
+            object.__setattr__(self, "prime", read_prime(self.prime))
 
     @classmethod
     def archimedean(cls) -> "Place":
@@ -99,9 +121,8 @@ def padic_valuation(q: Rat, p: int) -> int:
 
     Additive under multiplication.  Examples: v_2(12) = 2, v_5(9/20) = -1.
     """
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
-    q = Fraction(q)
+    p = read_prime(p)
+    q = _rational(q)
     if q == 0:
         raise ZeroInputError("valuation of zero is undefined")
     return _int_valuation(abs(q.numerator), p) - _int_valuation(q.denominator, p)
@@ -112,7 +133,7 @@ def local_log_norm(q: Rat, v: Place) -> float:
 
     Finite p: ``-padic_valuation(q, p) * log(p)``.  Archimedean: ``log|q|``.
     """
-    q = Fraction(q)
+    q = _rational(q)
     if q == 0:
         raise ZeroInputError("local norm of zero is undefined")
     if v.is_archimedean:

@@ -8,8 +8,10 @@ every transformation stays in rational arithmetic.
 
 It also owns the reading of input: ``read_number`` is the one rule by which
 every module turns a number from outside into a Fraction, with the caller's
-error type and the ``MAX_DIGITS`` limit, and ``read_rows`` the one rule for
-rows of terms or divisors.
+error type and the ``MAX_DIGITS`` limit, ``read_rows`` the one rule for
+rows of terms or divisors, and ``read_shape`` the one rule for the keys of a
+JSON document; both map the ``_SHAPE_ERRORS`` of input of the wrong shape to
+the caller's error type.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ CoeffLike = Union[Fraction, int, str]
 MAX_DEGREE = 4096  # largest total degree of a term read from input, in Poly2 and HomogPoly
 MAX_DIGITS = 1000  # most decimal digits in the numerator or denominator of a number read by read_number
 _DIGITS_BOUND = 10**MAX_DIGITS
+# What indexing, unpacking or converting input of the wrong shape raises.
+_SHAPE_ERRORS = (ArithmeticError, LookupError, TypeError, ValueError)
 
 
 def read_number(value, error: type[InputError]) -> Fraction:
@@ -67,13 +71,13 @@ def _exponent_too_large(text: str) -> bool:
         return False
 
 
-def exact_int(value, what: str) -> int:
-    """An exponent, integer coefficient or ``n`` read from input by
+def exact_int(value, what: str, error: type[InputError] = MalformedPolynomialError) -> int:
+    """An exponent, integer coefficient, ``n`` or prime read from input by
     :func:`read_number`, as an int: 2, 2.0 and "2" pass, and anything
-    non-integral raises MalformedPolynomialError instead of being truncated."""
-    q = value if type(value) is int else read_number(value, MalformedPolynomialError)
+    non-integral raises ``error`` instead of being truncated."""
+    q = value if type(value) is int else read_number(value, error)
     if q.denominator != 1:
-        raise MalformedPolynomialError(f"{what} {value!r} is not an integer")
+        raise error(f"{what} {value!r} is not an integer")
     return q.numerator
 
 
@@ -93,8 +97,20 @@ def read_rows(rows: Iterable, read: Callable, error: type[InputError]) -> list:
         return [read(*as_row(row, error)) for row in rows]
     except InputError:
         raise
-    except (ArithmeticError, TypeError, ValueError) as exc:
+    except _SHAPE_ERRORS as exc:
         raise error(f"unreadable rows: {exc}") from exc
+
+
+def read_shape(read: Callable, document, error: type[InputError]):
+    """``read(document)``: a document that ``read`` cannot take (a missing key,
+    a list where an object belongs, a field of the wrong type) raises
+    ``error``; an InputError raised by ``read`` passes unchanged."""
+    try:
+        return read(document)
+    except InputError:
+        raise
+    except _SHAPE_ERRORS as exc:
+        raise error(f"malformed document: {type(exc).__name__}: {exc}") from exc
 
 
 def _term(exponents, c: CoeffLike) -> tuple[tuple[int, int], Fraction]:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import BadOrderError, MalformedConfigurationError, NegativeBError
-from .polynomials import clear_denominators, read_number, read_rows
+from .polynomials import clear_denominators, read_number, read_rows, read_shape
 
 NEG_INFINITY: float = float("-inf")
 
@@ -110,6 +110,13 @@ class SNCPair:
         den, nums = clear_denominators(c for _, c in divs)
         edges = frozenset(read_rows(edges, lambda a, b: frozenset((a, b)), error))
         return cls(tuple(d for d, _ in divs), den, tuple(nums), edges)
+
+    @classmethod
+    def from_json(cls, data: dict) -> "SNCPair":
+        """``{"divisors": [{"id": label, "c": coefficient}, ...], "edges": [[label, label], ...]}``;
+        ``edges`` may be left out."""
+        read = lambda d: ([(e["id"], e["c"]) for e in d["divisors"]], d.get("edges", ()))
+        return cls.build(*read_shape(read, data, MalformedConfigurationError))
 
     @functools.cached_property
     def divisors(self) -> tuple[tuple[str, Fraction], ...]:

@@ -3,7 +3,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logpairs.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, build_parser, main
@@ -269,6 +269,7 @@ def test_curve_file_input(tmp_path, capsys):
 MIXED_DEGREE = {"generators": [{"n": 2, "terms": [[[1, 0, 0], "1"], [[0, 2, 0], "1"]]}]}
 BIG_INT = "1" * 5000  # past Python's 4300-digit limit for reading an int
 NEGATIVE_EXPONENT = {"generators": [{"n": 2, "terms": [[[2, -1, 0], "1"]]}]}
+DEEP_JSON = "[" * 100_000
 
 
 @pytest.mark.parametrize(
@@ -323,6 +324,17 @@ NEGATIVE_EXPONENT = {"generators": [{"n": 2, "terms": [[[2, -1, 0], "1"]]}]}
         ("classify-snc", f'{{"divisors": [{{"id": "E1", "c": {BIG_INT}}}]}}'),
         ("classify-snc", '{"divisors": [{"id": "E1", "c": "1e-1000000"}]}'),
         ("resolve-curve", '{"f": [[[0, 2], "1"], [["1e1000000", 0], "1"]]}'),
+        # JSON nested past Python's recursion limit.
+        ("classify-snc", DEEP_JSON),
+        ("height-eval", json.dumps(V01), "--point", DEEP_JSON),
+        ("resolve-curve", DEEP_JSON),
+        ("mdlaw", DEEP_JSON),
+        # Documents of the wrong shape, read by their own types.
+        ("height-eval", '{"generators": 5}', "--point", "1,1,2"),
+        ("classify-snc", '{"divisors": [{"id": "E1"}]}'),
+        ("classify-snc", '{"divisors": [], "edges": 5}'),
+        ("mdlaw", json.dumps({k: v for k, v in NODAL_PARAM.items() if k != "target"})),
+        ("member", json.dumps(CUSP_CURVE), "--c", "1", "--g", '{"x": 1}', "--kind", "J"),
     ],
 )
 def test_malformed_input_exits_3(capsys, argv):
@@ -359,8 +371,13 @@ def test_parser_reused_across_calls(capsys):
 
 # Fuzzed argv: each value comes from a list of valid inputs or one of
 # malformed ones; sizes stay small (--bound, gcd-family ranges, degrees) so
-# that every case is cheap.  Over-limit degrees are MAX_DEGREE + 1.
+# that every case is cheap.  Over-limit degrees are MAX_DEGREE + 1.  Every
+# document may also be of the wrong shape or nested too deeply ("5" is read
+# as a file name); 20,000 brackets pass the recursion limit and stay short
+# enough for hypothesis to print a failing example.
 OVER = MAX_DEGREE + 1
+NESTED = "[" * 20_000
+WRONG_SHAPES = ["{}", "[]", "5", NESTED]
 CURVES = (
     [json.dumps(CUSP_CURVE), json.dumps(DEEP_TOWER), '{"f": [[[0, 2], "1"], [[2, 0], "-1"], [[3, 0], "-1"]]}'],
     [
@@ -376,16 +393,16 @@ CURVES = (
         '{"f": [[[0, 2], "1"], [[3, 0], "1e-5000"]]}',
         '{"f": [[[0, 2], "1"], [[3, 0], 1e5000]]}',
         f'{{"f": [[[0, 2], "1"], [[3, 0], {BIG_INT}]]}}',
-        "{}",
         "[1]",
         "{",
         "null",
         "no-such-file.json",
+        *WRONG_SHAPES,
     ],
 )
 POLYS = (
     ['[[[0, 0], "1"]]', '[[[1, 0], "1"]]', '[[[0, 3], "2/3"]]', "[]"],
-    ["[1]", '[[[0, 0.5], "1"]]', "{", f'[[[{MAX_DEGREE}, 1], "1"]]'],
+    ["[1]", '[[[0, 0.5], "1"]]', "{", f'[[[{MAX_DEGREE}, 1], "1"]]', '{"x": 1}', NESTED],
 )
 SUBSCHEMES = (
     [json.dumps(V01)],
@@ -393,17 +410,17 @@ SUBSCHEMES = (
         json.dumps(MIXED_DEGREE),
         json.dumps(NEGATIVE_EXPONENT),
         '{"generators": []}',
-        "{}",
         "[1]",
-        "7",
         f'{{"generators": [{{"n": 2, "terms": [[[{OVER}, 0, 0], "1"]]}}]}}',
         '{"generators": [{"n": 2, "terms": [["100", "1"]]}]}',
+        '{"generators": 5}',
+        *WRONG_SHAPES,
     ],
 )
 POINTS = (
     ["4,6,1", "1/2,1,3", "[1, 2, 3]"],
     ["0,0,1", "1,2", "a,1,2", '[1, "b", 2]', "0,0,0", "inf,1,1", ""]
-    + ["1e-5000,1,1", "1e5000,1,1", f"[{BIG_INT}, 1, 1]"],
+    + ["1e-5000,1,1", "1e5000,1,1", f"[{BIG_INT}, 1, 1]", NESTED],
 )
 SNC_PAIRS = (
     [json.dumps(SNC_PAIR), '{"divisors": [{"id": "E1", "c": "3/2"}]}', '{"divisors": []}'],
@@ -416,6 +433,8 @@ SNC_PAIRS = (
         '{"divisors": [{"id": "E1", "c": 1e5000}]}',
         f'{{"divisors": [{{"id": "E1", "c": {BIG_INT}}}]}}',
         "[1]",
+        '{"divisors": [{"id": "E1"}]}',
+        *WRONG_SHAPES,
     ],
 )
 PARAMS = (
@@ -423,7 +442,8 @@ PARAMS = (
     [
         '{"p0": [], "p1": [], "p2": [], "target": {"n": 2, "terms": []}}',
         json.dumps({**NODAL_PARAM, "target": NEGATIVE_EXPONENT["generators"][0]}),
-        "{}",
+        json.dumps({k: v for k, v in NODAL_PARAM.items() if k != "target"}),
+        *WRONG_SHAPES,
     ],
 )
 RATIONALS = (["0", "1", "5/6", "1/3"], ["-1", "1/0", "x", "nan", "", "1e-5000", "1e5000", BIG_INT])
@@ -460,7 +480,8 @@ def _argv(draw):
     elif command == "gcd-family":
         argv = [_pick(draw, (["pure", "shifted", "mixed"], ["other"]))]
         argv += _pick(draw, ([("3", "2"), ("5", "2"), ("7", "3")], [("4", "2"), ("2", "3"), ("x", "1"), ("65", "2")]))
-        argv += _pick(draw, ([("-3", "5"), ("1", "4")], [("5", "1"), ("0", "x"), ("1", "1000001"), ("1", "100000000")]))
+        ranges = [("5", "1"), ("0", "x"), ("1", "1000001"), ("1", "100000000"), ("1000001", "1000002")]
+        argv += _pick(draw, ([("-3", "5"), ("1", "4")], ranges))
     else:
         argv = [_pick(draw, PARAMS), *_flag(draw, "--bound", SMALL_INTS)]
         if command == "mdlaw":
@@ -473,6 +494,8 @@ def _argv(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_argv())
+@example(["classify-snc", NESTED])  # drawn in most runs, and always tried
+@example(["height-eval", json.dumps(V01), "--point", NESTED])
 def test_fuzzed_argv_exits_0_2_or_3(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)

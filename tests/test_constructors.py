@@ -3,6 +3,7 @@ only coerces and then calls it: both reject the same malformed input with
 an InputError subclass."""
 
 import contextlib
+import functools
 import inspect
 import io
 import json
@@ -13,8 +14,15 @@ import pytest
 
 from logpairs import curves, snc
 from logpairs.cli import EXIT_OK, build_parser, main
-from logpairs.errors import BadRangeError, InputError, MalformedConfigurationError, MalformedPolynomialError
-from logpairs.heights import HomogPoly, ProjPoint, normalize_point
+from logpairs.errors import (
+    BadRangeError,
+    InputError,
+    MalformedConfigurationError,
+    MalformedPolynomialError,
+    ZeroInputError,
+)
+from logpairs.experiments import ParamCurve
+from logpairs.heights import HomogPoly, ProjPoint, Subscheme, normalize_point
 from logpairs.polynomials import MAX_DEGREE, Poly2
 from logpairs.snc import ResolvedPairData, SNCPair
 
@@ -114,9 +122,34 @@ def test_constructor_and_parser_reject_alike(direct, parse, args):
             make(*args)
 
 
+FORM = {"n": 2, "terms": [[[1, 0, 0], "1"]]}
+WRONG_SHAPES = [{}, [], 5, None]
+NO_TARGET = {"p0": [], "p1": [], "p2": []}
+# Each document reader, its error, and documents of the wrong shape: the four
+# above, a missing inner key, a field of the wrong type.
+DOCUMENTS = [
+    (HomogPoly.from_json, MalformedPolynomialError, [*WRONG_SHAPES, {"n": 2}, {"n": 2, "terms": 5}]),
+    (Subscheme.from_json, MalformedPolynomialError, [*WRONG_SHAPES, {"generators": [{"n": 2}]}, {"generators": 5}]),
+    (
+        SNCPair.from_json,
+        MalformedConfigurationError,
+        [*WRONG_SHAPES, {"divisors": [{"id": "E"}]}, {"divisors": [], "edges": 5}, {"divisors": 5}],
+    ),
+    # A bare [] is the rows of the zero polynomial, which is no curve (below).
+    (curves.AffineCurve.from_json, MalformedPolynomialError, [{}, 5, None, {"g": []}, {"f": 5}, {"f": [[[0, 2]]]}]),
+    (
+        ParamCurve.from_json,
+        MalformedPolynomialError,
+        [*WRONG_SHAPES, NO_TARGET, {**NO_TARGET, "target": {"n": 2}}, {**NO_TARGET, "p0": 5, "target": FORM}],
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "make, error",
     [
+        *((functools.partial(read, doc), error) for read, error, docs in DOCUMENTS for doc in docs),
+        (lambda: curves.AffineCurve.from_json([]), ZeroInputError),
         (lambda: Poly2(5), MalformedPolynomialError),
         (lambda: Poly2.from_json(5), MalformedPolynomialError),
         (lambda: Poly2.from_json([[[1, 2]]]), MalformedPolynomialError),
@@ -197,6 +230,10 @@ def test_same_number_same_meaning():
     assert from_floats == SNCPair.build([("E1", "0.1"), ("E2", "0.9")], edges)
     assert snc.discrep(from_floats) == 0
     assert ResolvedPairData.build([("E", 0.1, 0.2, True)]) == ResolvedPairData.build([("E", "1/10", "1/5", True)])
+
+    # A curve document is its rows, bare or under "f".
+    rows = [[[0, 2], "1"], [[3, 0], -1]]
+    assert curves.AffineCurve.from_json({"f": rows}) == curves.AffineCurve.from_json(rows)
 
     # The curve functions read their numbers by the same rule, with typed errors.
     tree = curves.resolve(Poly2.from_json([[[0, 2], "1"], [[3, 0], "-1"]]))

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -437,6 +438,18 @@ class TestWorkLimits:
         with pytest.raises(BadRangeError):
             gcd_family_check("pure", 3, 2, (-5, 5))
 
+    def test_gcd_family_base_size(self):
+        # |a_min| and |a_max| are bounded, so a short range of huge bases is
+        # refused before any power is taken.
+        top = experiments.MAX_GCD_FAMILY_BASE
+        assert gcd_family_check("pure", 64, 1, (top - 2, top)).checked == 3
+        assert gcd_family_check("shifted", 64, 1, (-top, -top + 2)).ok
+        for a_range in ((top, top + 1), (-top - 1, -top), (-(10**4000), -(10**4000) + 5), (10**4000, 10**4000)):
+            start = time.perf_counter()
+            with pytest.raises(BadRangeError):
+                gcd_family_check("pure", 64, 1, a_range)
+            assert time.perf_counter() - start < 0.1
+
     def test_gcd_family_degree(self):
         d = experiments.MAX_GCD_FAMILY_D
         assert gcd_family_check("mixed", d, 1, (1, 5)).ok
@@ -455,8 +468,9 @@ class TestWorkLimits:
         for argv in (
             ["gcd-family", "pure", "3", "2", "1", "100000000"],
             ["gcd-family", "shifted", "65", "2", "1", "5"],
+            ["gcd-family", "pure", "64", "1", "1000001", "1000001"],
             ["mdlaw", param, "--bound", "1000000"],
             ["gcd-bounds", param, "--bound", "1001"],
         ):
             assert cli.main(argv) == cli.EXIT_INPUT, argv
-        assert capsys.readouterr().err.count("error:") == 4
+        assert capsys.readouterr().err.count("error:") == 5

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from logpairs.errors import NotPrimeError, ZeroInputError
+from logpairs.errors import InputError, NotPrimeError, ZeroInputError
+from logpairs.heights import Subscheme, normalize_point, weil_finite_valuation, weil_local
 from logpairs.places import Place, is_prime, local_log_norm, padic_valuation
 
 
@@ -89,3 +90,57 @@ def test_is_prime_small_table():
 def test_is_prime_large_values():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
+
+
+class TestReadingInputs:
+    """A prime is read by the exact_int rule and a rational by read_number, with
+    typed errors; a float prime is an int before any valuation is taken."""
+
+    def test_a_prime_written_as_a_float_or_string_is_that_prime(self):
+        # Float modulo loses the digits of 2*7^20: this read 0, not 20.
+        assert padic_valuation(2 * 7**20, 7.0) == 20
+        assert padic_valuation(7**400, 7.0) == 400  # an OverflowError before
+        assert padic_valuation(Fraction(9, 20), "5") == -1
+        assert Place(7.0) == Place("7") == Place(7)
+        assert type(Place(7.0).prime) is int
+        assert is_prime("7") and is_prime(7.0) and not is_prime("91")
+        zed = Subscheme.of_coordinates(3, [0, 1])
+        x = normalize_point([7**25, 3 * 7**25, 1])
+        assert weil_finite_valuation(zed, x, 7.0) == weil_finite_valuation(zed, x, "7") == 25
+        assert weil_local(zed, x, Place(7.0)) == pytest.approx(25 * math.log(7), abs=0)  # 48.65, not 0.0
+
+    # None is no modulus (Place(None) is the archimedean place).
+    @pytest.mark.parametrize("p", [7.5, "x", math.nan, math.inf, "7/2", 91.0, True])
+    def test_a_modulus_that_is_not_a_prime_integer_is_refused(self, p):
+        for call in (
+            lambda: Place(p),
+            lambda: padic_valuation(12, p),
+            lambda: weil_finite_valuation(Subscheme.of_coordinates(3, [0]), normalize_point([2, 1, 1]), p),
+        ):
+            with pytest.raises(NotPrimeError):
+                call()
+
+    def test_is_prime_reads_its_argument_with_a_typed_error(self):
+        for n in (7.5, "x", None):
+            with pytest.raises(NotPrimeError):
+                is_prime(n)
+        with pytest.raises(NotPrimeError):
+            padic_valuation(12, None)
+
+    def test_an_unreadable_rational_is_typed(self):
+        for call in (
+            lambda: padic_valuation("x", 2),
+            lambda: padic_valuation(None, 2),
+            lambda: local_log_norm("x", Place.finite(2)),
+            lambda: local_log_norm("x", Place.archimedean()),
+        ):
+            with pytest.raises(InputError):
+                call()
+        assert padic_valuation("9/20", 5) == padic_valuation(0.45, 5) == -1
+
+    def test_computed_values_of_any_size_pass(self):
+        # An int or Fraction is not held to the digit limit of read_number.
+        big = 3**5000
+        assert padic_valuation(big, 3) == 5000
+        assert padic_valuation(Fraction(2, big), 3) == -5000
+        assert local_log_norm(big, Place.finite(3)) == pytest.approx(-5000 * math.log(3))
