@@ -7,6 +7,7 @@ The residual of a record is hO - (m/d)*h.  It is computed as
 the first two coordinates, R the archimedean max-ratio, and M the largest
 absolute coordinate; when the law is exact (Q == 1) the float residual is
 exactly 0.0, with no tolerance needed.  Sampling and Q stay in integers:
+``Poly2.evaluate`` returns the integral forms' values at int pairs as ints,
 only R is a Fraction, and Q is reduced by an integer gcd before its logs.
 """
 
@@ -69,9 +70,9 @@ def _dehomog_coeffs(p: Poly2) -> list[Fraction]:
 class ParamCurve:
     """Three binary integer forms of equal degree parametrizing a plane curve.
 
-    The forms must have no common polynomial factor, and substituting them
-    into the target polynomial must vanish identically; both are checked at
-    construction.
+    The target must be a form in three variables, the forms must have no
+    common polynomial factor, and substituting them into the target must
+    vanish identically; all three are checked at construction.
     """
 
     p0: Poly2
@@ -80,6 +81,8 @@ class ParamCurve:
     target: HomogPoly
 
     def __post_init__(self) -> None:
+        if self.target.num_vars != 3:
+            raise InputError("target curve must live in the projective plane")
         forms = (self.p0, self.p1, self.p2)
         for f in forms:
             if f.is_zero:
@@ -120,11 +123,7 @@ class ParamCurve:
         return self.p0.total_degree()
 
     def evaluate(self, s: int, t: int) -> tuple[int, int, int]:
-        return (
-            self.p0.evaluate(s, t).numerator,
-            self.p1.evaluate(s, t).numerator,
-            self.p2.evaluate(s, t).numerator,
-        )
+        return (self.p0.evaluate(s, t), self.p1.evaluate(s, t), self.p2.evaluate(s, t))
 
 
 def pure_power_param(m: int, d: int) -> ParamCurve:

@@ -254,7 +254,11 @@ def counting_gcd(Z: Subscheme, x: ProjPoint) -> int:
 
 def weil_finite_valuation(Z: Subscheme, x: ProjPoint, p: int) -> int | None:
     """min over generators of v_p(f(x)); None when x lies in the support."""
-    p = read_prime(p)
+    return _finite_valuation(Z, x, read_prime(p))
+
+
+def _finite_valuation(Z: Subscheme, x: ProjPoint, p: int) -> int | None:
+    """weil_finite_valuation at a prime p that is already checked."""
     vals = [v for v in Z.values_at(x) if v != 0]
     if not vals:
         return None
@@ -293,7 +297,7 @@ def weil_local(Z: Subscheme, x: ProjPoint, v: Place) -> float:
         if ratio == 0:
             return math.inf
         return -log_fraction(ratio) + 0.0
-    val = weil_finite_valuation(Z, x, v.prime)
+    val = _finite_valuation(Z, x, v.prime)
     if val is None:
         return math.inf
     return val * math.log(v.prime)

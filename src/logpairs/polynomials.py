@@ -270,7 +270,9 @@ class Poly2:
             n >>= 1
         return result
 
-    def evaluate(self, ax: CoeffLike, ay: CoeffLike) -> Fraction:
+    def evaluate(self, ax: CoeffLike, ay: CoeffLike) -> int | Fraction:
+        """The value at (ax, ay): an int when both arguments are ints and every
+        coefficient is integral, else a Fraction."""
         if type(ax) is int and type(ay) is int:
             try:
                 ints = self._ints
@@ -286,7 +288,7 @@ class Poly2:
                 total = 0
                 for c, i, j in ints:
                     total += c * ax**i * ay**j
-                return Fraction(total)
+                return total
         ax, ay = read_number(ax, MalformedPolynomialError), read_number(ay, MalformedPolynomialError)
         total = Fraction(0)
         for (i, j), c in self.terms.items():

@@ -344,6 +344,17 @@ def test_malformed_input_exits_3(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["mdlaw", "gcd-bounds"])
+def test_target_outside_the_plane_exits_3(capsys, command):
+    # the nodal cubic's forms with the P^3 target x3 * (x1^2 x2 - x0^3 - x0^2 x2)
+    terms = [[[0, 2, 1, 1], "1"], [[3, 0, 0, 1], "-1"], [[2, 0, 1, 1], "-1"]]
+    doc = dict(NODAL_PARAM, target={"n": 3, "terms": terms})
+    code, out, err = run(capsys, command, json.dumps(doc), "--bound", "5")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.splitlines() == ["error: target curve must live in the projective plane"]
+
+
 DEEP_TOWER = {"f": [[[0, 2], "1"], [[15, 0], "-1"]]}
 
 

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from logpairs import cli, experiments
@@ -58,6 +58,58 @@ class TestParamCurve:
         assert nodal_cubic_param().degree == 3
         assert pure_power_param(2, 3).degree == 3
 
+    def test_target_outside_the_plane_rejected(self):
+        # x3 * (x1^2 x2 - x0^3 - x0^2 x2) in P^3: zipping its exponent vectors
+        # with the three forms would drop x3 and leave the nodal cubic
+        nodal = nodal_cubic_param()
+        terms = [[[0, 2, 1, 1], "1"], [[3, 0, 0, 1], "-1"], [[2, 0, 1, 1], "-1"]]
+        target = HomogPoly.from_json({"n": 3, "terms": terms})
+        with pytest.raises(InputError, match="projective plane"):
+            ParamCurve(nodal.p0, nodal.p1, nodal.p2, target)
+        # refused before the forms are looked at
+        with pytest.raises(InputError, match="projective plane"):
+            ParamCurve(Poly2(), Poly2(), Poly2(), target)
+        rows = lambda f: [[list(k), str(c)] for k, c in f.terms.items()]
+        doc = {name: rows(getattr(nodal, name)) for name in ("p0", "p1", "p2")}
+        doc["target"] = {"n": 3, "terms": terms}
+        with pytest.raises(InputError, match="projective plane"):
+            ParamCurve.from_json(doc)
+        doc["target"] = {"n": 1, "terms": [[[3, 0], "1"], [[1, 2], "-1"]]}
+        with pytest.raises(InputError, match="projective plane"):
+            ParamCurve.from_json(doc)
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.integers(-(10**6), 10**6), min_size=d + 1, max_size=d + 1),
+                st.lists(st.integers(-(10**6), 10**6), min_size=d + 1, max_size=d + 1),
+            )
+        ),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+        st.integers(-(10**6), 10**6),
+        st.integers(-(10**6), 10**6),
+    )
+    def test_evaluate_is_the_exact_integer_sum(self, coeffs, a, b, s, t):
+        # p0, p1 drawn forms of degree d, p2 = a*p0 + b*p1 on the line
+        # x2 = a*x0 + b*x1; the values are checked against the sums of
+        # c * s^i * t^(d-i) over the drawn coefficients, in Fractions
+        d = len(coeffs[0]) - 1
+        f0, f1 = (Poly2({(i, d - i): c for i, c in enumerate(cs)}) for cs in coeffs)
+        f2 = Poly2.constant(a) * f0 + Poly2.constant(b) * f1
+        target = HomogPoly.from_terms(3, [((1, 0, 0), a), ((0, 1, 0), b), ((0, 0, 1), -1)])
+        try:
+            pc = ParamCurve(f0, f1, f2, target)
+        except InputError:
+            assume(False)
+        e0, e1 = (
+            sum(Fraction(c) * Fraction(s) ** i * Fraction(t) ** (d - i) for i, c in enumerate(cs))
+            for cs in coeffs
+        )
+        values = pc.evaluate(s, t)
+        assert type(values) is tuple and [type(v) for v in values] == [int, int, int]
+        assert values == (e0, e1, a * e0 + b * e1)
+
 
 class TestSampling:
     def test_known_image(self):
@@ -90,6 +142,22 @@ class TestSampling:
     def test_bad_bound(self):
         with pytest.raises(BadRangeError):
             sample_param_points(nodal_cubic_param(), 0)
+
+    @pytest.mark.parametrize("pc", [nodal_cubic_param(), pure_power_param(3, 7)], ids=["nodal", "pure37"])
+    def test_builds_no_fraction(self, monkeypatch, pc):
+        # every sampled pair is evaluated and normalized in ints
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        sample = sample_param_points(pc, 12)
+        monkeypatch.undo()
+        assert len(sample.points) > 100
+        assert built == []
 
     @pytest.mark.parametrize("pc", [nodal_cubic_param(), pure_power_param(2, 3)], ids=["nodal", "pure23"])
     def test_pairs_match_the_sorted_enumeration(self, pc):

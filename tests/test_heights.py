@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from logpairs import places
 from logpairs.errors import (
     AllZeroError,
     DimensionMismatchError,
     MalformedPolynomialError,
+    NotPrimeError,
     NotPrimitiveError,
     SupportPointError,
     ZeroInputError,
@@ -144,6 +146,20 @@ class TestWeilLocal:
             x = pt(*coords)
             for p in (2, 3, 5):
                 assert weil_local(V01, x, Place.finite(p)) >= 0.0
+
+    def test_finite_place_prime_is_not_tested_again(self, monkeypatch):
+        # Place checked its prime; weil_finite_valuation checks the one it is given
+        place, x = Place.finite(7), pt(49, 14, 1)
+        tested = []
+        is_prime = places.is_prime
+        monkeypatch.setattr(places, "is_prime", lambda n: tested.append(n) or is_prime(n))
+        assert weil_local(V01, x, place) == math.log(7)
+        assert weil_local(V01, pt(0, 0, 1), place) == math.inf
+        assert tested == []
+        assert weil_finite_valuation(V01, x, 7) == 1
+        assert tested == [7]
+        with pytest.raises(NotPrimeError):
+            weil_finite_valuation(V01, x, 8)
 
 
 class TestArakelovDecompose:
