@@ -24,13 +24,10 @@ from .heights import (
     HeightTriple,
     HomogPoly,
     ProjPoint,
-    QSubscheme,
     Subscheme,
     arakelov_decompose,
     counting_gcd,
     normalize_point,
-    q_decompose,
-    standard_height,
     subscheme_product,
     subscheme_union_generators,
     weil_arch_ratio,

@@ -230,9 +230,12 @@ def _origin_subscheme() -> Subscheme:
     return Subscheme.of_coordinates(3, (0, 1))
 
 
-def _origin_multiplicity(target: HomogPoly) -> int:
-    """Multiplicity m of the target curve at the distinguished point (0:0:1)."""
-    return multiplicity_at(dehomogenize_at_origin_chart(target), (0, 0))
+def _degree_and_multiplicity(target: HomogPoly) -> tuple[int, int]:
+    """The degree d >= 1 of the target curve and its multiplicity m at the
+    distinguished point (0:0:1)."""
+    if target.degree < 1:
+        raise InputError("target curve must have positive degree")
+    return target.degree, multiplicity_at(dehomogenize_at_origin_chart(target), (0, 0))
 
 
 def mdlaw_records(target: HomogPoly, points: Sequence[ProjPoint]) -> list[ExperimentRecord]:
@@ -242,10 +245,7 @@ def mdlaw_records(target: HomogPoly, points: Sequence[ProjPoint]) -> list[Experi
     expected slope m/d; residuals come from the exact rational route in the
     module docstring.
     """
-    d = target.degree
-    if d < 1:
-        raise InputError("target curve must have positive degree")
-    m = _origin_multiplicity(target)
+    d, m = _degree_and_multiplicity(target)
     z_origin = _origin_subscheme()
     records = []
     for pt in points:
@@ -393,8 +393,7 @@ def gcd_bounds_check(
     distinguished point in the euclidean sense."""
     if not (0 < eps < math.inf and 0 < delta < math.inf):
         raise BadRangeError("eps and delta must be positive and finite")
-    d = target.degree
-    m = _origin_multiplicity(target)
+    d, m = _degree_and_multiplicity(target)
     lo = m / d - eps
     hi = m / d + eps
     delta_num, delta_den = Fraction(delta).as_integer_ratio()

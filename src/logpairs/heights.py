@@ -214,18 +214,6 @@ class Subscheme:
 
 
 @dataclass(frozen=True)
-class QSubscheme:
-    """A formal rational combination of subschemes with nonzero coefficients."""
-
-    parts: tuple[tuple[Subscheme, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        for _, c in self.parts:
-            if c == 0:
-                raise ZeroInputError("zero coefficient in a formal combination")
-
-
-@dataclass(frozen=True)
 class HeightTriple:
     """Height, counting, and proximity values with h = N + m."""
 
@@ -315,23 +303,3 @@ def arakelov_decompose(Z: Subscheme, x: ProjPoint) -> HeightTriple:
     n_val = math.log(g)
     m_val = weil_local(Z, x, Place())
     return HeightTriple(h=n_val + m_val, N=n_val, m=m_val)
-
-
-def standard_height(x: ProjPoint) -> float:
-    """log of the largest absolute coordinate of a primitive point."""
-    return math.log(max(abs(c) for c in x.coords))
-
-
-def q_decompose(D: QSubscheme, x: ProjPoint) -> HeightTriple:
-    """Coefficient-weighted sum of the per-part decompositions."""
-    h = n = m = 0.0
-    for idx, (Z, c) in enumerate(D.parts):
-        try:
-            triple = arakelov_decompose(Z, x)
-        except SupportPointError as exc:
-            raise SupportPointError(f"part {idx} of the combination: {exc}") from exc
-        w = float(c)
-        h += w * triple.h
-        n += w * triple.N
-        m += w * triple.m
-    return HeightTriple(h=h, N=n, m=m)

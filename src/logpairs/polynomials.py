@@ -36,8 +36,6 @@ def read_number(value, error: type[InputError]) -> Fraction:
     or a "p/q", decimal or exponent-notation string as ``Fraction`` reads it, a
     float as the decimal ``repr`` writes.  Anything else raises ``error``, and
     a numerator or denominator of more than MAX_DIGITS digits BadRangeError."""
-    if type(value) is Fraction:
-        return value
     text = repr(value) if isinstance(value, float) else value
     if isinstance(text, int):
         if -_DIGITS_BOUND < text < _DIGITS_BOUND:
@@ -355,8 +353,8 @@ class Poly2:
             key = (ri - di, rj - dj)
             q = rc / dc
             quotient[key] = q
-            rem = rem - divisor * Poly2({key: q})
-        return Poly2(quotient)
+            rem = rem - divisor * Poly2._of({key: q})
+        return Poly2._of(quotient)
 
     def __repr__(self) -> str:
         if not self.terms:

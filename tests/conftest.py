@@ -1,6 +1,23 @@
-"""Values shared by more than one test module."""
+"""Values shared by more than one test module, and one import made early.
+
+When a hypothesis test fails, hypothesis's pytest plugin imports
+``hypothesis.extra._patching`` to print a patch hint.  That import pulls in
+``libcst``, whose ``mypy_extensions`` raises a DeprecationWarning, and
+``filterwarnings = ["error"]`` would turn it into an INTERNALERROR that hides
+every later result.  Importing the module here, with that warning ignored,
+caches it before any test runs; the filter still holds for project code.
+"""
+
+import warnings
 
 import pytest
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: the plugin skips its patch hint too
+        pass
 
 
 @pytest.fixture(scope="session")

@@ -389,6 +389,15 @@ class TestGcdBounds:
         with pytest.raises(BadRangeError):
             gcd_bounds_check(pc.target, [normalize_point((3, 6, 1))], eps=1e9, delta=1.0)
 
+    def test_degree_zero_target_rejected(self):
+        # A constant form has no slope m/d: both readers of d refuse it.
+        constant = HomogPoly.from_terms(3, [((0, 0, 0), 1)])
+        points = [normalize_point((3, 6, 1))]
+        with pytest.raises(InputError, match="positive degree"):
+            gcd_bounds_check(constant, points, eps=0.05, delta=1.0)
+        with pytest.raises(InputError, match="positive degree"):
+            mdlaw_records(constant, points)
+
 
 # (target, m, d): the nodal cubic and every pure power x0^d = x1^m x2^(d-m)
 # with coprime m < d <= 7.

@@ -17,16 +17,12 @@ from logpairs.errors import (
     ZeroInputError,
 )
 from logpairs.heights import (
-    HeightTriple,
     HomogPoly,
     ProjPoint,
-    QSubscheme,
     Subscheme,
     arakelov_decompose,
     counting_gcd,
     normalize_point,
-    q_decompose,
-    standard_height,
     subscheme_product,
     subscheme_union_generators,
     weil_arch_ratio,
@@ -199,41 +195,6 @@ class TestArakelovDecompose:
             assert triple.N >= 0.0
 
 
-class TestStandardHeight:
-    def test_examples(self):
-        assert standard_height(pt(3, 6, 1)) == math.log(6)
-        assert standard_height(pt(0, 0, 1)) == 0.0
-        a, m, d = 5, 2, 3
-        assert standard_height(pt(a**m, a**d, 1)) == math.log(a**d)
-
-
-class TestQDecompose:
-    def test_singleton_matches_plain_decomposition(self):
-        d = QSubscheme(((V01, Fraction(1)),))
-        x = pt(4, 6, 1)
-        assert q_decompose(d, x) == arakelov_decompose(V01, x)
-
-    def test_cancellation(self):
-        d = QSubscheme(((V01, Fraction(1)), (V01, Fraction(-1))))
-        for coords in [(4, 6, 1), (7, 3, 2), (1, 0, 5)]:
-            triple = q_decompose(d, pt(*coords))
-            assert triple == HeightTriple(0.0, 0.0, 0.0)
-        d2 = QSubscheme(((V01, Fraction(2)), (V01, Fraction(-2))))
-        assert q_decompose(d2, pt(4, 6, 1)) == HeightTriple(0.0, 0.0, 0.0)
-
-    def test_halved_coefficient(self):
-        d = QSubscheme(((V01, Fraction(1, 2)),))
-        triple = q_decompose(d, pt(4, 6, 1))
-        assert triple.N == 0.5 * math.log(2)
-        assert triple.m == 0.0
-        assert triple.h == 0.5 * math.log(2)
-
-    def test_support_error_names_the_part(self):
-        d = QSubscheme(((V01, Fraction(1)),))
-        with pytest.raises(SupportPointError, match="part 0"):
-            q_decompose(d, pt(0, 0, 1))
-
-
 class TestTypeValidation:
     def test_homog_poly_degree_mismatch(self):
         with pytest.raises(ValueError):
@@ -246,10 +207,6 @@ class TestTypeValidation:
     def test_subscheme_variable_mismatch(self):
         with pytest.raises(ValueError):
             Subscheme((HomogPoly.coordinate(3, 0), HomogPoly.coordinate(4, 0)))
-
-    def test_qsubscheme_zero_coefficient(self):
-        with pytest.raises(ValueError):
-            QSubscheme(((V01, Fraction(0)),))
 
     def test_cancelling_terms_rejected(self):
         with pytest.raises(ValueError):

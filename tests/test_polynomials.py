@@ -208,6 +208,12 @@ class TestExactDivision:
         with pytest.raises(ZeroInputError):
             X.divide_exact(Poly2())
 
+    def test_computed_degrees_are_not_input_limited(self):
+        # MAX_DEGREE bounds what is read from input; the quotient f^2 and
+        # the steps' monomials are computed and reach degree 4200.
+        f = X**2100 + Y
+        assert (f * f * f).divide_exact(f) == f * f
+
 
 def test_negative_exponents_rejected_with_typed_errors():
     with pytest.raises(MalformedPolynomialError):
@@ -275,7 +281,7 @@ def test_read_number_rules():
     # An exponent a little past MAX_DIGITS, which the mantissa brings back.
     assert read_number(f"0.001e{MAX_DIGITS + 1}", MalformedPolynomialError) == 10 ** (MAX_DIGITS - 2)
     assert read_number(f"100E-{MAX_DIGITS + 1}", MalformedPolynomialError) == Fraction(1, 10 ** (MAX_DIGITS - 1))
-    for value in [10**MAX_DIGITS, f"1/{10**MAX_DIGITS}", f"1e{MAX_DIGITS}", f"-3e-{MAX_DIGITS}", "0e99999999"]:
+    for value in [10**MAX_DIGITS, f"1/{10**MAX_DIGITS}", f"1e{MAX_DIGITS}", f"1E{MAX_DIGITS}", f"-3e-{MAX_DIGITS}", "0e99999999"]:
         with pytest.raises(BadRangeError):
             read_number(value, MalformedPolynomialError)
     for value in [None, 1j, [1], "1/0", "nan", math.inf, "1e", "0x10"]:

@@ -19,10 +19,14 @@ germs, and a reference for the leaf rule in ``resolve``:
   previous divisor, is one Euclid step (Casas-Alvero, ch. 3-5): ``resolve``
   makes its nodes without blowing each one up, and must give the same tree
   as a loop that blows up every center.
+* Divisorial valuations read on curvettes (Casas-Alvero, ch. 3-5): at
+  shifted centers, ``ord_along`` must give ord_t g on a curvette of each
+  exceptional divisor, found through the recorded chart maps alone.
 """
 
 import importlib.util
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -461,3 +465,80 @@ def _load_bench_oracles():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _curvette_orders(tree: ResolutionTree, g: Poly2) -> dict[int, int]:
+    """ord_{E_i}(g) for every node i, read on curvettes, with no strict transform.
+
+    Node i's coordinates map to the root's through the recorded charts,
+    (x, y) -> (x, x*(y + shift)) or (x*y, y).  The curve (t, c*t) there lifts
+    to a curvette of E_i through its point c, and ord_{E_i}(g) is
+    ord_t g(Phi_i(t, c*t)) for all but finitely many c (Casas-Alvero,
+    Singularities of Plane Curves, 2000, ch. 3-5); a special c only raises
+    it, so the least over three values of c is taken.
+    """
+    orders = {}
+    for node in tree.nodes:
+        seen = []
+        for c in (Fraction(3, 7), Fraction(-5, 11), Fraction(13, 4)):
+            u, w = X, _const(c) * X
+            n = node
+            while n.parent is not None:
+                u, w = (u, u * (w + _const(n.shift))) if n.shift is not None else (u * w, w)
+                n = tree.node(n.parent)
+            value = Poly2()
+            for (i, j), a in g.terms.items():
+                value = value + _const(a) * u**i * w**j
+            if value:
+                seen.append(value.order())
+        orders[node.id] = min(seen)
+    return orders
+
+
+_SLOPES = [1, 2, Fraction(1, 2), -3]
+
+
+def _shifted_germs():
+    """(y - s*x)^2 - x^3, (y - s*x)^2 - x^5, (y - s*x)^3 - x^7 and
+    y*((y - s*x)^2 - x^3): the tangent y = s*x makes the second center the
+    nonzero shift s, and every later center sits in its charts."""
+    for s in _SLOPES:
+        L = Y - _const(s) * X
+        for name, f in [("A2", L**2 - X**3), ("A4", L**2 - X**5), ("E", L**3 - X**7), ("y-A2", Y * (L**2 - X**3))]:
+            yield pytest.param(f, L, id=f"{name}-s={s}")
+
+
+def _random_poly(rng: random.Random, a: Poly2, b: Poly2) -> Poly2:
+    """A sum of one to four terms c*a^i*b^j with i + j <= 5."""
+    g = Poly2()
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randint(0, 5)
+        j = rng.randint(0, 5 - i)
+        g = g + _const(Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]), rng.randint(1, 3))) * a**i * b**j
+    return g if g else X
+
+
+class TestCurvettes:
+    @pytest.mark.parametrize("f, L", _shifted_germs())
+    def test_ord_along_matches_curvettes_at_shifted_centers(self, f, L):
+        # Random g in (x, y), random g in (x, y - s*x), which share the
+        # curve's centers, and a few that follow the curve further.
+        rng = random.Random(str(f))
+        gs = [
+            *(_random_poly(rng, X, Y) for _ in range(14)),
+            *(_random_poly(rng, X, L) for _ in range(14)),
+            *(L + _const(a) * X**2 for a in (1, -2, Fraction(1, 3))),
+            L**2 - X**3,
+            L**3 - X**7,
+            X * L,
+            f,
+            f + X**9,
+        ]
+        tree = resolve(f)
+        for g in gs:
+            assert ord_along(tree, g).by_divisor == _curvette_orders(tree, g), g
+
+    def test_cusp_on_the_diagonal(self):
+        # The shift-sign mirror in the replay reads {1: 1, 2: 1, 3: 2} here.
+        L = Y - X
+        assert ord_along(resolve(L**2 - X**3), L).by_divisor == {1: 1, 2: 2, 3: 3}
