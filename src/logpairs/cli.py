@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -54,7 +55,7 @@ def _parse_point(arg: str) -> heights.ProjPoint:
 
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json(payload))
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
@@ -90,6 +91,18 @@ def _json_block(items: list[str], indent: str, brackets: str = "{}") -> str:
         return brackets
     inner = indent + "  "
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, written directly for a
+    payload of str-keyed dicts, lists and tuples; ints and finite floats are their repr."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        return _json_block([f"{json.dumps(k)}: {_json(v, inner)}" for k, v in sorted(value.items())], indent)
+    if isinstance(value, (list, tuple)):
+        return _json_block([_json(v, inner) for v in value], indent, "[]")
+    finite = type(value) is int or type(value) is float and math.isfinite(value)
+    return repr(value) if finite else json.dumps(value)
 
 
 def _resolve_curve_json(tree: curves.ResolutionTree, threshold: Fraction, per_c: dict) -> str:
@@ -196,9 +209,11 @@ def _cmd_gcd_bounds(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every
-    ``main`` call; ``parse_args`` returns a fresh namespace each time."""
+    ``main`` call; ``parse_args`` returns a fresh namespace each time, and
+    ``commands[name]`` alone parses an argv that starts with command ``name``."""
     parser = _Parser(prog="logpairs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("height-eval", help="height, counting, and proximity of a point")
     p.add_argument("subscheme", help="subscheme JSON (path or inline)")
@@ -256,8 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    command = build_parser().commands.get(argv[0]) if argv else None
     try:
-        args = build_parser().parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ only R is a Fraction, and Q is reduced by an integer gcd before its logs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from statistics import StatisticsError, linear_regression
@@ -223,7 +223,7 @@ class SlopeReport:
     slope_fit: float
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def _origin_subscheme() -> Subscheme:
@@ -319,7 +319,7 @@ class GcdFamilyReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {**asdict(self), "violations": [list(v) for v in self.violations]}
+        return {**vars(self), "violations": [list(v) for v in self.violations]}
 
 
 def gcd_family_check(kind: str, d: int, m: int, a_range: tuple[int, int]) -> GcdFamilyReport:
@@ -379,7 +379,7 @@ class GcdBoundsReport:
     exponent_high: float
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def gcd_bounds_check(

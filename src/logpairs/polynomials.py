@@ -35,12 +35,15 @@ def read_number(value, error: type[InputError]) -> Fraction:
     """A number supplied by a caller, as a Fraction: a Fraction as it is, an int
     or a "p/q", decimal or exponent-notation string as ``Fraction`` reads it, a
     float as the decimal ``repr`` writes.  Anything else raises ``error``, and
-    a numerator or denominator of more than MAX_DIGITS digits BadRangeError."""
+    a numerator or denominator of more than MAX_DIGITS digits BadRangeError.
+    Up to MAX_DIGITS ASCII digits after an optional "-" are read by ``int``."""
     text = repr(value) if isinstance(value, float) else value
     if isinstance(text, int):
         if -_DIGITS_BOUND < text < _DIGITS_BOUND:
             return Fraction(text)
     elif isinstance(text, str):
+        if (digits := text.removeprefix("-")).isascii() and digits.isdigit() and len(digits) <= MAX_DIGITS:
+            return Fraction(int(text))  # ASCII only: "²".isdigit(), but int("²") raises
         # A literal with no exponent has no more digits than characters.
         short = len(text) <= MAX_DIGITS and "e" not in text and "E" not in text
         if short or not _exponent_too_large(text):

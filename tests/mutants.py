@@ -4,8 +4,12 @@ Each entry of MUTANTS is (name, file, old text, new text, tests).  For each,
 the script applies the edit to a temporary copy of the repository, runs the
 named tests there with pytest, and calls the mutant killed when they fail
 (pytest exit code 1).  Before that it runs every named test on the unmutated
-copy, which must pass.  The old text must occur exactly once in its file, so
-an edit that no longer applies is reported as stale, not silently skipped.
+copy, which must pass within BASELINE_LIMIT seconds.  Each mutant's run then
+has its own time limit, LIMIT_FACTOR times that baseline's duration and at
+least MIN_LIMIT seconds; a mutant that outlasts it (say, one that makes a
+loop endless) is stopped and reported "killed (timed out)".  The old text
+must occur exactly once in its file, so an edit that no longer applies is
+reported as stale, not silently skipped.
 
 Usage: ``python tests/mutants.py [name ...]`` runs all mutants, or only the
 named ones; it exits 0 when every mutant run is killed.  It is not a pytest
@@ -17,11 +21,15 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ORACLES = "tests/test_resolution_oracles.py"
 RUNS = f"{ORACLES}::TestRuns"
+BASELINE_LIMIT = 900
+LIMIT_FACTOR = 3
+MIN_LIMIT = 60
 READER = [
     "tests/test_polynomials.py::test_read_number_rules",
     "tests/test_polynomials.py::test_read_number_reads_a_float_as_its_repr",
@@ -35,13 +43,20 @@ MUTANTS = [
         "src/logpairs/curves.py",
         "local[node.parent].blowup_x(node.shift)[0]",
         "local[node.parent].blowup_x(-node.shift)[0]",
-        [f"{ORACLES}::TestCurvettes"],
+        [f"{ORACLES}::TestCurvettes", f"{ORACLES}::TestChangeOfCoordinates"],
     ),
     (
         "run length + 1",
         "src/logpairs/curves.py",
         "(i + j - m) // (m - j) + 1 for",
         "(i + j - m) // (m - j) + 2 for",
+        [RUNS],
+    ),
+    (
+        "run length - 1",
+        "src/logpairs/curves.py",
+        "(i + j - m) // (m - j) + 1 for",
+        "(i + j - m) // (m - j) for",
         [RUNS],
     ),
     (
@@ -80,6 +95,27 @@ MUTANTS = [
         [RUNS],
     ),
     (
+        "dual_edges drops the separated pairs",
+        "src/logpairs/curves.py",
+        "if frozenset((anc, node.id)) not in separated",
+        "",
+        ["tests/test_curves.py::TestDualGraph"],
+    ),
+    (
+        "J threshold rounds down",
+        "src/logpairs/curves.py",
+        "    return -a_num // den\n",
+        "    return -(a_num // den)\n",
+        [f"{ORACLES}::TestNewtonNondegenerate", "tests/test_curves.py::TestIdealThresholds"],
+    ),
+    (
+        "perturbed I threshold without its - 1",
+        "src/logpairs/curves.py",
+        "return -(a_num // den) - 1",
+        "return -(a_num // den)",
+        ["tests/test_curves.py::TestIdealThresholds"],
+    ),
+    (
         "pair_discrepancies reads c by Fraction",
         "src/logpairs/curves.py",
         "    c = read_number(c, InputError)\n",
@@ -107,6 +143,13 @@ MUTANTS = [
         "                return total\n",
         "                return Fraction(total)\n",
         ["tests/test_polynomials.py::TestIntegerEvaluate", "tests/test_experiments.py::TestSampling"],
+    ),
+    (
+        "binomial row with r for r + 1",
+        "src/logpairs/polynomials.py",
+        "num * p * (r + 1)",
+        "num * p * r",
+        ["tests/test_polynomials.py::test_binomial_rows_match_the_closed_form"],
     ),
     # The number reader and its limits.
     (
@@ -154,6 +197,31 @@ MUTANTS = [
         READER,
     ),
     (
+        "integer literals read without the ASCII test",
+        "src/logpairs/polynomials.py",
+        '(digits := text.removeprefix("-")).isascii() and digits.isdigit()',
+        '(digits := text.removeprefix("-")).isdigit()',
+        ["tests/test_polynomials.py::test_integer_literals_read_as_the_rational_route"],
+    ),
+    # The command line: argv dispatch and the --json writer.
+    (
+        "dispatch without its fallback to the top-level parser",
+        "src/logpairs/cli.py",
+        "build_parser().commands.get(argv[0]) if argv else None",
+        "build_parser().commands[argv[0]]",
+        ["tests/test_cli.py::test_usage_errors_exit_3_with_one_usage_and_one_error_line"],
+    ),
+    (
+        "JSON writer indents by one space",
+        "src/logpairs/cli.py",
+        '    inner = indent + "  "\n    if isinstance(value, dict):',
+        '    inner = indent + " "\n    if isinstance(value, dict):',
+        [
+            "tests/test_cli.py::test_json_output_is_the_indented_sorted_dump",
+            "tests/test_cli.py::test_json_writer_matches_json_dumps",
+        ],
+    ),
+    (
         "JSON errors narrowed to JSONDecodeError",
         "src/logpairs/cli.py",
         "except (ValueError, RecursionError) as exc:",
@@ -161,6 +229,20 @@ MUTANTS = [
         ["tests/test_cli.py::test_malformed_input_exits_3"],
     ),
     # Heights and the height-law experiments.
+    (
+        "normalize_point without its sign fix",
+        "src/logpairs/heights.py",
+        "    if (ints[0] or next(c for c in ints if c)) < 0:\n        g = -g\n",
+        "",
+        ["tests/test_heights.py::TestNormalizePoint"],
+    ),
+    (
+        "mdlaw_records skips the gcd reduction of Q",
+        "src/logpairs/experiments.py",
+        "        k = math.gcd(num, den)\n",
+        "        k = 1\n",
+        ["tests/test_experiments.py"],
+    ),
     (
         "weil_local tests its prime again",
         "src/logpairs/heights.py",
@@ -187,13 +269,17 @@ MUTANTS = [
 ]
 
 
-def _pytest(copy: Path, tests: list[str]) -> int:
-    """pytest's exit code for ``tests`` in ``copy``, importing its own src.
-    No bytecode is cached: a restored file can share its mutant's size and
+def _pytest(copy: Path, tests: list[str], limit: float) -> int | None:
+    """pytest's exit code for ``tests`` in ``copy``, importing its own src, or
+    None when the run takes more than ``limit`` seconds and is stopped.  No
+    bytecode is cached: a restored file can share its mutant's size and
     modification second."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=600).returncode
+    try:
+        return subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=limit).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main(names: list[str]) -> int:
@@ -207,9 +293,13 @@ def main(names: list[str]) -> int:
         skip = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__", ".bench_out")
         shutil.copytree(ROOT, copy, ignore=skip)
         baseline = sorted({t for m in chosen for t in m[4]})
-        if _pytest(copy, baseline) != 0:
-            print("the named tests fail on the unmutated copy")
+        start = time.monotonic()
+        code = _pytest(copy, baseline, BASELINE_LIMIT)
+        if code != 0:
+            why = f"take more than {BASELINE_LIMIT} s" if code is None else "fail"
+            print(f"the named tests {why} on the unmutated copy")
             return 2
+        limit = max(MIN_LIMIT, LIMIT_FACTOR * (time.monotonic() - start))
         killed = 0
         for name, file, old, new, tests in chosen:
             path = copy / file
@@ -219,11 +309,14 @@ def main(names: list[str]) -> int:
                 continue
             path.write_text(original.replace(old, new))
             try:
-                code = _pytest(copy, tests)
+                code = _pytest(copy, tests, limit)
             finally:
                 path.write_text(original)
-            verdict = "killed" if code == 1 else f"SURVIVED (pytest exit {code})"
-            killed += code == 1
+            if code is None:
+                verdict = "killed (timed out)"
+            else:
+                verdict = "killed" if code == 1 else f"SURVIVED (pytest exit {code})"
+            killed += code in (None, 1)
             print(f"{verdict:9} {name}")
     print(f"{killed} of {len(chosen)} mutants killed")
     return 0 if killed == len(chosen) else 1

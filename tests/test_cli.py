@@ -1,11 +1,13 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from logpairs import cli
 from logpairs.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, build_parser, main
 from logpairs.polynomials import MAX_DEGREE
 
@@ -199,17 +201,17 @@ def test_gcd_family_ok(capsys):
     ]
 
 
-def test_gcd_family_violation_exit_code(capsys, monkeypatch):
-    import logpairs.experiments as exp
-
-    real = exp.gcd_family_check
-
+def _with_violations(check):
     def broken(kind, d, m, a_range):
-        report = real(kind, d, m, a_range)
+        report = check(kind, d, m, a_range)
         object.__setattr__(report, "violations", ((2, 1, 4),))
         return report
 
-    monkeypatch.setattr("logpairs.cli.experiments.gcd_family_check", broken)
+    return broken
+
+
+def test_gcd_family_violation_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(cli.experiments, "gcd_family_check", _with_violations(cli.experiments.gcd_family_check))
     code, _, _ = run(capsys, "gcd-family", "pure", "3", "2", "1", "5", "--json")
     assert code == EXIT_VIOLATION
     code, out, _ = run(capsys, "gcd-family", "pure", "3", "2", "1", "5")
@@ -378,6 +380,131 @@ def test_parser_reused_across_calls(capsys):
     assert "resolve-curve" in capsys.readouterr().out
     code, out, _ = run(capsys, "gcd-family", "pure", "3", "2", "1", "5", "--json")
     assert code == EXIT_OK and json.loads(out)["checked"] == 5
+
+
+COMMANDS = ["height-eval", "classify-snc", "resolve-curve", "member", "mdlaw", "gcd-family", "gcd-bounds"]
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: logpairs [-h]")
+    assert all(command in out for command in COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: logpairs {command} ")
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["height-eval", json.dumps(V01)], "usage: logpairs height-eval "),  # no --point
+        (["gcd-family", "pure", "3", "2", "1", "5", "--bogus"], "usage: logpairs gcd-family "),
+        (["classify-snc", json.dumps(SNC_PAIR), "extra"], "usage: logpairs classify-snc "),
+        (["member", json.dumps(CUSP_CURVE), "--c", "1", "--g", "[]", "--kind", "K"], "usage: logpairs member "),
+        (["no-such-command"], "usage: logpairs [-h]"),
+        (["--bogus"], "usage: logpairs [-h]"),
+        ([], "usage: logpairs [-h]"),
+    ],
+)
+def test_usage_errors_exit_3_with_one_usage_and_one_error_line(capsys, argv, usage):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    lines = err.splitlines()
+    assert err.startswith(usage)
+    assert [sum(line.startswith(word) for line in lines) for word in ("usage:", "error:")] == [1, 1]
+
+
+def test_option_forms_still_parse(capsys):
+    code, out, _ = run(capsys, "mdlaw", json.dumps(NODAL_PARAM), "--bo", "5", "--json")
+    assert code == EXIT_OK
+    assert out == run(capsys, "mdlaw", json.dumps(NODAL_PARAM), "--bound", "5", "--json")[1]
+    code, out, _ = run(capsys, "height-eval", json.dumps(V01), "--point=4,6,1")
+    assert code == EXIT_OK and out.startswith("point: (4:6:1)\n")
+    code, out, _ = run(capsys, "gcd-family", "shifted", "3", "2", "-40", "40", "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["a_min"] == -40
+
+
+def _dump(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["height-eval", json.dumps(V01), "--point", "4,6,1"],
+        ["classify-snc", json.dumps(SNC_PAIR)],
+        ["member", json.dumps(CUSP_CURVE), "--c", "5/6", "--g", '[[[1, 0], "1"]]', "--kind", "J"],
+        ["mdlaw", json.dumps(NODAL_PARAM), "--bound", "10"],  # origin_hits holds [1, 1]
+        ["gcd-family", "pure", "3", "2", "1", "5"],
+        ["gcd-bounds", json.dumps(NODAL_PARAM), "--bound", "10"],
+    ],
+)
+def test_json_output_is_the_indented_sorted_dump(capsys, monkeypatch, argv):
+    payloads = []
+    real = cli._emit
+
+    def recorded(payload, as_json):
+        payloads.append(payload)
+        real(payload, as_json)
+
+    monkeypatch.setattr(cli, "_emit", recorded)
+    if argv[0] == "gcd-family":  # a non-empty violations list
+        monkeypatch.setattr(cli.experiments, "gcd_family_check", _with_violations(cli.experiments.gcd_family_check))
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code in (EXIT_OK, EXIT_VIOLATION)
+    [payload] = payloads
+    assert out == _dump(payload)
+    if argv[0] == "mdlaw":
+        assert payload["origin_hits"]
+    if argv[0] == "gcd-family":
+        assert payload["violations"] == [[2, 1, 4]]
+
+
+def test_json_writer_floats(capsys):
+    payload = {
+        "zero": -0.0,
+        "tiny": 1e-300,
+        "nan": math.nan,
+        "inf": math.inf,
+        "-inf": -math.inf,
+        "big": 10**30,
+        "flags": [True, False, None],
+        "nested": {"b": [[], {}], "a": [1.5, "\u00e9\n\"", [-0.0]]},
+        "empty": [],
+    }
+    cli._emit(payload, True)
+    assert capsys.readouterr().out == _dump(payload)
+
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.text(),
+        st.recursive(
+            _JSON_LEAVES,
+            lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+            max_leaves=20,
+        ),
+    )
+)
+def test_json_writer_matches_json_dumps(payload):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(payload, True)
+    assert out.getvalue() == _dump(payload)
 
 
 # Fuzzed argv: each value comes from a list of valid inputs or one of

@@ -4,11 +4,19 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from logpairs.errors import BadRangeError, MalformedPolynomialError, ZeroInputError
-from logpairs.polynomials import MAX_DIGITS, Poly2, _binomial, clear_denominators, read_number, univariate_gcd
+from logpairs.errors import BadRangeError, InputError, MalformedPolynomialError, ZeroInputError
+from logpairs.polynomials import (
+    MAX_DIGITS,
+    Poly2,
+    _binomial,
+    _exponent_too_large,
+    clear_denominators,
+    read_number,
+    univariate_gcd,
+)
 
 X, Y = Poly2.x(), Poly2.y()
 
@@ -287,6 +295,56 @@ def test_read_number_rules():
     for value in [None, 1j, [1], "1/0", "nan", math.inf, "1e", "0x10"]:
         with pytest.raises(MalformedPolynomialError):
             read_number(value, MalformedPolynomialError)
+
+
+def _rational_route(text: str):
+    """What the reader makes of ``text`` through Fraction's string parser: the
+    Fraction, or the class of the error it raises."""
+    if _exponent_too_large(text):
+        return BadRangeError
+    try:
+        q = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return MalformedPolynomialError
+    return q if max(abs(q.numerator), q.denominator) < 10**MAX_DIGITS else BadRangeError
+
+
+# Strings near decimal integers: signs, spaces, underscores, slashes, points,
+# exponents, a superscript two (isdigit, but not a decimal digit) and an
+# Arabic-Indic three (a decimal digit outside ASCII); and integers with exactly
+# MAX_DIGITS and MAX_DIGITS + 1 digits.
+_near_integers = st.one_of(
+    st.text("0123456789-+ _/.e\u00b2\u0663", max_size=10),
+    st.builds(
+        "{}{}".format,
+        st.sampled_from(["", "-", "+", " "]),
+        st.sampled_from([MAX_DIGITS, MAX_DIGITS + 1]).flatmap(lambda n: st.text("0123456789", min_size=n, max_size=n)),
+    ),
+)
+
+
+@given(_near_integers)
+@example("\u00b2")
+@example("-\u00b2")
+@example("\u0663")
+@example("-0")
+@example("1_000")
+@example("9" * MAX_DIGITS)
+@example("-" + "9" * MAX_DIGITS)
+@example("1" + "0" * MAX_DIGITS)
+@example("0" * (MAX_DIGITS + 1))
+def test_integer_literals_read_as_the_rational_route(text):
+    # The int path of the reader gives the same Fraction, or the same class
+    # of error, as Fraction's parser under the digit limit; no bare
+    # ValueError escapes.
+    expected = _rational_route(text)
+    if isinstance(expected, Fraction):
+        got = read_number(text, MalformedPolynomialError)
+        assert type(got) is Fraction and got == expected
+    else:
+        with pytest.raises(InputError) as caught:
+            read_number(text, MalformedPolynomialError)
+        assert caught.type is expected
 
 
 def test_exponent_alone_refuses_a_literal_before_building_it():

@@ -22,6 +22,9 @@ germs, and a reference for the leaf rule in ``resolve``:
 * Divisorial valuations read on curvettes (Casas-Alvero, ch. 3-5): at
   shifted centers, ``ord_along`` must give ord_t g on a curvette of each
   exceptional divisor, found through the recorded chart maps alone.
+* A change of coordinates phi (a shear y -> y + s*x or the swap x <-> y)
+  keeps the lct and membership: on f o phi and g o phi, ``resolve`` and
+  ``tree_ideal_member`` must give Howald's answers for f and g.
 """
 
 import importlib.util
@@ -31,7 +34,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from logpairs.curves import (
@@ -153,22 +156,30 @@ def _nondegenerate_germs(draw) -> Poly2:
     return f
 
 
+def _howald(f: Poly2) -> tuple[Fraction, list[tuple[Fraction, int, int, bool]]]:
+    """Howald's answers for a nondegenerate f: its lct, and (c, i, j, whether
+    x^i y^j lies in J(c*f)) on a grid of c around every jump below 1."""
+    edges = _compact_edges(f)
+    top = max(Fraction(phi, u + v) for u, v, phi in edges)
+    monomials = [(i, j) for i in range(4) for j in range(4)]
+    jumps = {Fraction(u * (i + 1) + v * (j + 1), phi) for u, v, phi in edges for i, j in monomials}
+    ends = [Fraction(0), *sorted(c for c in jumps if c < 1), Fraction(1)]
+    grid = ends[1:-1] + [(lo + hi) / 2 for lo, hi in zip(ends, ends[1:])]
+    cases = [
+        (c, i, j, all(u * (i + 1) + v * (j + 1) > c * phi for u, v, phi in edges)) for c in grid for i, j in monomials
+    ]
+    return min(1, 1 / top), cases
+
+
 class TestNewtonNondegenerate:
     @settings(max_examples=30, deadline=None)
     @given(_nondegenerate_germs())
     def test_multiplier_ideal_and_lct_match_newton_polygon(self, f):
-        edges = _compact_edges(f)
+        threshold, cases = _howald(f)
         tree = resolve(f)
-        top = max(Fraction(phi, u + v) for u, v, phi in edges)
-        assert tree_lct(tree) == min(1, 1 / top)
-        monomials = [(i, j) for i in range(4) for j in range(4)]
-        jumps = {Fraction(u * (i + 1) + v * (j + 1), phi) for u, v, phi in edges for i, j in monomials}
-        ends = [Fraction(0), *sorted(c for c in jumps if c < 1), Fraction(1)]
-        grid = ends[1:-1] + [(lo + hi) / 2 for lo, hi in zip(ends, ends[1:])]
-        for c in grid:
-            for i, j in monomials:
-                expected = all(u * (i + 1) + v * (j + 1) > c * phi for u, v, phi in edges)
-                assert tree_ideal_member(tree, c, X**i * Y**j, IdealKind.J) == expected, (c, i, j)
+        assert tree_lct(tree) == threshold
+        for c, i, j, expected in cases:
+            assert tree_ideal_member(tree, c, X**i * Y**j, IdealKind.J) == expected, (c, i, j)
 
 
 def _resolve_by_children(f: Poly2, max_depth: int = MAX_DEPTH) -> ResolutionTree:
@@ -206,6 +217,14 @@ def _resolve_by_children(f: Poly2, max_depth: int = MAX_DEPTH) -> ResolutionTree
 
 def _const(c) -> Poly2:
     return Poly2.constant(Fraction(c))
+
+
+def _substitute(g: Poly2, u: Poly2, w: Poly2) -> Poly2:
+    """g(u, w)."""
+    value = Poly2()
+    for (i, j), a in g.terms.items():
+        value = value + _const(a) * u**i * w**j
+    return value
 
 
 def _two_pairs(k: int, c1=1, c2=-1) -> Poly2:
@@ -486,9 +505,7 @@ def _curvette_orders(tree: ResolutionTree, g: Poly2) -> dict[int, int]:
             while n.parent is not None:
                 u, w = (u, u * (w + _const(n.shift))) if n.shift is not None else (u * w, w)
                 n = tree.node(n.parent)
-            value = Poly2()
-            for (i, j), a in g.terms.items():
-                value = value + _const(a) * u**i * w**j
+            value = _substitute(g, u, w)
             if value:
                 seen.append(value.order())
         orders[node.id] = min(seen)
@@ -542,3 +559,26 @@ class TestCurvettes:
         # The shift-sign mirror in the replay reads {1: 1, 2: 1, 3: 2} here.
         L = Y - X
         assert ord_along(resolve(L**2 - X**3), L).by_divisor == {1: 1, 2: 2, 3: 3}
+
+
+# Changes of coordinates phi, as (x, y) -> (u, w): shears y -> y + s*x, which
+# move every tangent direction but x = 0 off the axes so that later centers
+# have nonzero shifts, and the swap x <-> y.
+_CHANGES = {**{f"y+{s}x": (X, Y + _const(s) * X) for s in (1, -1, Fraction(1, 2), -3)}, "swap": (Y, X)}
+
+
+class TestChangeOfCoordinates:
+    # Membership and the lct do not change under phi: g o phi lies in
+    # J(c * f o phi) iff g lies in J(c * f).  Howald's answer is computed on
+    # the nondegenerate f, before phi, and resolve sees only f o phi.
+    @settings(max_examples=30, deadline=None)
+    @given(_nondegenerate_germs(), st.sampled_from(sorted(_CHANGES)))
+    @example(Y**2 - X**5, "y+-1x")  # y - x is in J((9/10) * ((y - x)^2 - x^5))
+    def test_newton_answer_after_a_change_of_coordinates(self, f, change):
+        u, w = _CHANGES[change]
+        threshold, cases = _howald(f)
+        tree = resolve(_substitute(f, u, w))
+        assert tree_lct(tree) == threshold
+        pulled = {(i, j): _substitute(X**i * Y**j, u, w) for _, i, j, _ in cases}
+        for c, i, j, expected in cases:
+            assert tree_ideal_member(tree, c, pulled[i, j], IdealKind.J) == expected, (c, i, j)
