@@ -2,6 +2,10 @@
 
 Exit codes: 0 on success, 2 when an exact identity check reports violations,
 3 on invalid or unusable input.
+
+Each ``_cmd_*`` handler returns its payload; ``main`` writes it, as JSON with
+``--json``, and returns 2 exactly when its ``violations`` is non-empty.
+``resolve-curve`` writes its own output.  ``--help`` shows the paragraphs above.
 """
 
 from __future__ import annotations
@@ -61,27 +65,17 @@ def _emit(payload: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
-def _cmd_height_eval(args) -> int:
+def _cmd_height_eval(args) -> dict:
     zed = heights.Subscheme.from_json(_load_json_arg(args.subscheme))
     point = _parse_point(args.point)
     triple = heights.arakelov_decompose(zed, point)
-    _emit({"point": str(point), "h": triple.h, "N": triple.N, "m": triple.m}, args.json)
-    return EXIT_OK
+    return {"point": str(point), "h": triple.h, "N": triple.N, "m": triple.m}
 
 
-def _cmd_classify_snc(args) -> int:
+def _cmd_classify_snc(args) -> dict:
     pair = snc.SNCPair.from_json(_load_json_arg(args.pair))
-    d = snc.discrep(pair)
-    td = snc.totaldiscrep(pair)
-    _emit(
-        {
-            "class": str(snc.classify(pair)),
-            "discrep": str(d),
-            "totaldiscrep": str(td),
-        },
-        args.json,
-    )
-    return EXIT_OK
+    d, td = snc.discrep(pair), snc.totaldiscrep(pair)
+    return {"class": str(snc.classify(pair)), "discrep": str(d), "totaldiscrep": str(td)}
 
 
 def _json_block(items: list[str], indent: str, brackets: str = "{}") -> str:
@@ -136,7 +130,7 @@ def _resolve_curve_json(tree: curves.ResolutionTree, threshold: Fraction, per_c:
     )
 
 
-def _cmd_resolve_curve(args) -> int:
+def _cmd_resolve_curve(args) -> None:
     curve = curves.AffineCurve.from_json(_load_json_arg(args.curve))
     cs = [read_number(c, InputError) for c in args.c.split(",")] if args.c else []
     tree = curves.resolve(curve, max_depth=args.max_depth)
@@ -160,23 +154,24 @@ def _cmd_resolve_curve(args) -> int:
         print(f"lct: {threshold}")
         for c, (cls, d, td) in per_c.items():
             print(f"c={c}: class={cls} discrep={d} totaldiscrep={td}")
-    return EXIT_OK
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args) -> dict:
     curve = curves.AffineCurve.from_json(_load_json_arg(args.curve))
     g = Poly2.from_json(_load_json_arg(args.g))
     kind = curves.IdealKind[args.kind]
     verdict = curves.ideal_member(curve, read_number(args.c, InputError), g, kind, max_depth=args.max_depth)
-    _emit({"c": args.c, "kind": args.kind, "member": verdict}, args.json)
-    return EXIT_OK
+    return {"c": args.c, "kind": args.kind, "member": verdict}
 
 
-def _cmd_mdlaw(args) -> int:
+def _sample(args) -> tuple[experiments.ParamCurve, experiments.SampleResult]:
+    """The parametrization of mdlaw or gcd-bounds, and its sample up to ``--bound``."""
     pc = experiments.ParamCurve.from_json(_load_json_arg(args.param))
-    sample = experiments.sample_param_points(pc, args.bound)
-    if not sample.points:
-        raise InputError("sampling produced no usable points")
+    return pc, experiments.sample_param_points(pc, args.bound)
+
+
+def _cmd_mdlaw(args) -> dict:
+    pc, sample = _sample(args)
     records = experiments.mdlaw_records(pc.target, sample.points)
     report = experiments.mdlaw_report(pc.target, records, h_min=args.h_min)
     if args.out:
@@ -186,24 +181,17 @@ def _cmd_mdlaw(args) -> int:
             raise InputError(f"cannot write {args.out!r}: {exc.strerror}") from exc
         with fh:
             experiments.write_mdlaw_csv(fh, sample.params, records)
-    payload = report.to_json()
-    payload["origin_hits"] = [list(pq) for pq in sample.origin_params]
-    _emit(payload, args.json)
-    return EXIT_OK
+    return {**vars(report), "origin_hits": [list(pq) for pq in sample.origin_params]}
 
 
-def _cmd_gcd_family(args) -> int:
+def _cmd_gcd_family(args) -> dict:
     report = experiments.gcd_family_check(args.kind, args.d, args.m, (args.a_min, args.a_max))
-    _emit(report.to_json(), args.json)
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    return {**vars(report), "violations": [list(v) for v in report.violations]}
 
 
-def _cmd_gcd_bounds(args) -> int:
-    pc = experiments.ParamCurve.from_json(_load_json_arg(args.param))
-    sample = experiments.sample_param_points(pc, args.bound)
-    report = experiments.gcd_bounds_check(pc.target, sample.points, args.eps, args.delta)
-    _emit(report.to_json(), args.json)
-    return EXIT_OK
+def _cmd_gcd_bounds(args) -> dict:
+    pc, sample = _sample(args)
+    return vars(experiments.gcd_bounds_check(pc.target, sample.points, args.eps, args.delta))
 
 
 @functools.cache
@@ -211,26 +199,23 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every
     ``main`` call; ``parse_args`` returns a fresh namespace each time, and
     ``commands[name]`` alone parses an argv that starts with command ``name``."""
-    parser = _Parser(prog="logpairs", description=__doc__)
+    parser = _Parser(prog="logpairs", description="\n\n".join(__doc__.split("\n\n")[:2]))
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
     p = sub.add_parser("height-eval", help="height, counting, and proximity of a point")
     p.add_argument("subscheme", help="subscheme JSON (path or inline)")
     p.add_argument("--point", required=True, help="coordinates, comma separated or a JSON array")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_height_eval)
 
     p = sub.add_parser("classify-snc", help="classify an SNC configuration")
     p.add_argument("pair", help="pair JSON (path or inline)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify_snc)
 
     p = sub.add_parser("resolve-curve", help="resolve a plane-curve germ at the origin")
     p.add_argument("curve", help="curve JSON (path or inline)")
     p.add_argument("--max-depth", type=int, default=curves.MAX_DEPTH)
     p.add_argument("--c", default="", help="comma-separated boundary coefficients")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_resolve_curve)
 
     p = sub.add_parser("member", help="ideal membership of a polynomial")
@@ -239,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True, help="test polynomial JSON (path or inline)")
     p.add_argument("--kind", choices=[k.name for k in curves.IdealKind], required=True)
     p.add_argument("--max-depth", type=int, default=curves.MAX_DEPTH)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("mdlaw", help="height-law report for a parametrized curve")
@@ -247,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=30)
     p.add_argument("--h-min", type=float, default=0.0)
     p.add_argument("--out", help="CSV output path")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_mdlaw)
 
     p = sub.add_parser("gcd-family", help="exact gcd identity over a base range")
@@ -256,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("a_min", type=int)
     p.add_argument("a_max", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_gcd_family)
 
     p = sub.add_parser("gcd-bounds", help="fit sandwich constants for gcd growth")
@@ -264,9 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=30)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_gcd_bounds)
 
+    for p in sub.choices.values():  # every command's last option
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -275,10 +258,14 @@ def main(argv: list[str] | None = None) -> int:
     command = build_parser().commands.get(argv[0]) if argv else None
     try:
         args = command.parse_args(argv[1:]) if command else build_parser().parse_args(argv)
-        return args.func(args)
+        payload = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if payload is None:  # resolve-curve has written its own output
+        return EXIT_OK
+    _emit(payload, args.json)
+    return EXIT_VIOLATION if payload.get("violations") else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -68,6 +68,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Union
 
 from .errors import (
+    BadRangeError,
     DepthExceededError,
     InputError,
     MalformedPolynomialError,
@@ -300,7 +301,10 @@ def resolve(f: PolyLike, max_depth: int = MAX_DEPTH) -> ResolutionTree:
 
     Returns the tree of blown-up centers with multiplicities and proximity
     data.  A smooth germ (or a point off the curve) yields an empty tree.
+    A negative ``max_depth`` raises ``BadRangeError`` before any work.
     """
+    if max_depth < 0:
+        raise BadRangeError(f"max_depth must be at least 0, got {max_depth}")
     poly = _as_poly(f)
     nodes: list[ResolutionNode] = []
     contacts: set[int] = set()

@@ -218,12 +218,10 @@ class SlopeReport:
     m: int
     d: int
     samples: int
+    samples_high: int  # records with h >= h_min, the window of max_abs_residual_high
     max_abs_residual: float
     max_abs_residual_high: float
     slope_fit: float
-
-    def to_json(self) -> dict:
-        return dict(vars(self))
 
 
 def _origin_subscheme() -> Subscheme:
@@ -288,6 +286,7 @@ def mdlaw_report(
         m=records[0].m,
         d=target.degree,
         samples=len(records),
+        samples_high=len(high),
         max_abs_residual=max(residuals),
         max_abs_residual_high=max(high) if high else 0.0,
         slope_fit=slope,
@@ -313,13 +312,6 @@ class GcdFamilyReport:
     a_max: int
     checked: int
     violations: tuple[tuple[int, int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_json(self) -> dict:
-        return {**vars(self), "violations": [list(v) for v in self.violations]}
 
 
 def gcd_family_check(kind: str, d: int, m: int, a_range: tuple[int, int]) -> GcdFamilyReport:
@@ -377,9 +369,6 @@ class GcdBoundsReport:
     c_upper: float
     exponent_low: float
     exponent_high: float
-
-    def to_json(self) -> dict:
-        return dict(vars(self))
 
 
 def gcd_bounds_check(

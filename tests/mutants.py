@@ -116,6 +116,16 @@ MUTANTS = [
         ["tests/test_curves.py::TestIdealThresholds"],
     ),
     (
+        "resolve accepts a negative depth",
+        "src/logpairs/curves.py",
+        "    if max_depth < 0:\n",
+        "    if False:\n",
+        [
+            "tests/test_curves.py::TestResolve::test_negative_depth_is_refused_before_any_work",
+            "tests/test_cli.py::test_negative_max_depth_exits_3",
+        ],
+    ),
+    (
         "pair_discrepancies reads c by Fraction",
         "src/logpairs/curves.py",
         "    c = read_number(c, InputError)\n",
@@ -203,7 +213,7 @@ MUTANTS = [
         '(digits := text.removeprefix("-")).isdigit()',
         ["tests/test_polynomials.py::test_integer_literals_read_as_the_rational_route"],
     ),
-    # The command line: argv dispatch and the --json writer.
+    # The command line: argv dispatch, the exit-code rule and the --json writer.
     (
         "dispatch without its fallback to the top-level parser",
         "src/logpairs/cli.py",
@@ -220,6 +230,20 @@ MUTANTS = [
             "tests/test_cli.py::test_json_output_is_the_indented_sorted_dump",
             "tests/test_cli.py::test_json_writer_matches_json_dumps",
         ],
+    ),
+    (
+        "main exits 0 whatever the payload's violations hold",
+        "src/logpairs/cli.py",
+        'return EXIT_VIOLATION if payload.get("violations") else EXIT_OK',
+        "return EXIT_OK",
+        ["tests/test_cli.py::test_gcd_family_violation_exit_code"],
+    ),
+    (
+        "gcd-family keeps its violations as tuples",
+        "src/logpairs/cli.py",
+        '"violations": [list(v) for v in report.violations]',
+        '"violations": report.violations',
+        ["tests/test_cli.py::test_gcd_family_violation_exit_code", "tests/test_cli.py::test_stdout_is_byte_exact"],
     ),
     (
         "JSON errors narrowed to JSONDecodeError",
@@ -249,6 +273,13 @@ MUTANTS = [
         "val = _finite_valuation(Z, x, v.prime)",
         "val = weil_finite_valuation(Z, x, v.prime)",
         ["tests/test_heights.py::TestWeilLocal"],
+    ),
+    (
+        "the high-height window leaves out h == h_min",
+        "src/logpairs/experiments.py",
+        "for r in records if r.h >= h_min]",
+        "for r in records if r.h > h_min]",
+        ["tests/test_experiments.py::TestMdlaw::test_samples_high_counts_the_window"],
     ),
     (
         "ParamCurve takes a target outside the plane",

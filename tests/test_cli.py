@@ -402,6 +402,389 @@ def test_command_help_exits_0(capsys, command):
     assert capsys.readouterr().out.startswith(f"usage: logpairs {command} ")
 
 
+# The command-line surface, byte for byte: every parser's --help at 80
+# columns, and each command's default and --json stdout on one fixed input.
+# argparse prints options in the order they were added, so these also pin
+# the parsers.
+HELP = {
+    "": """\
+usage: logpairs [-h]
+                {height-eval,classify-snc,resolve-curve,member,mdlaw,gcd-family,gcd-bounds}
+                ...
+
+Command-line driver. Exit codes: 0 on success, 2 when an exact identity check
+reports violations, 3 on invalid or unusable input.
+
+positional arguments:
+  {height-eval,classify-snc,resolve-curve,member,mdlaw,gcd-family,gcd-bounds}
+    height-eval         height, counting, and proximity of a point
+    classify-snc        classify an SNC configuration
+    resolve-curve       resolve a plane-curve germ at the origin
+    member              ideal membership of a polynomial
+    mdlaw               height-law report for a parametrized curve
+    gcd-family          exact gcd identity over a base range
+    gcd-bounds          fit sandwich constants for gcd growth
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "height-eval": """\
+usage: logpairs height-eval [-h] --point POINT [--json] subscheme
+
+positional arguments:
+  subscheme      subscheme JSON (path or inline)
+
+options:
+  -h, --help     show this help message and exit
+  --point POINT  coordinates, comma separated or a JSON array
+  --json
+""",
+    "classify-snc": """\
+usage: logpairs classify-snc [-h] [--json] pair
+
+positional arguments:
+  pair        pair JSON (path or inline)
+
+options:
+  -h, --help  show this help message and exit
+  --json
+""",
+    "resolve-curve": """\
+usage: logpairs resolve-curve [-h] [--max-depth MAX_DEPTH] [--c C] [--json]
+                              curve
+
+positional arguments:
+  curve                 curve JSON (path or inline)
+
+options:
+  -h, --help            show this help message and exit
+  --max-depth MAX_DEPTH
+  --c C                 comma-separated boundary coefficients
+  --json
+""",
+    "member": """\
+usage: logpairs member [-h] --c C --g G --kind {H,J,I} [--max-depth MAX_DEPTH]
+                       [--json]
+                       curve
+
+positional arguments:
+  curve                 curve JSON (path or inline)
+
+options:
+  -h, --help            show this help message and exit
+  --c C                 boundary coefficient (rational)
+  --g G                 test polynomial JSON (path or inline)
+  --kind {H,J,I}
+  --max-depth MAX_DEPTH
+  --json
+""",
+    "mdlaw": """\
+usage: logpairs mdlaw [-h] [--bound BOUND] [--h-min H_MIN] [--out OUT]
+                      [--json]
+                      param
+
+positional arguments:
+  param          parametrization JSON (path or inline)
+
+options:
+  -h, --help     show this help message and exit
+  --bound BOUND
+  --h-min H_MIN
+  --out OUT      CSV output path
+  --json
+""",
+    "gcd-family": """\
+usage: logpairs gcd-family [-h] [--json] {pure,shifted,mixed} d m a_min a_max
+
+positional arguments:
+  {pure,shifted,mixed}
+  d
+  m
+  a_min
+  a_max
+
+options:
+  -h, --help            show this help message and exit
+  --json
+""",
+    "gcd-bounds": """\
+usage: logpairs gcd-bounds [-h] [--bound BOUND] [--eps EPS] [--delta DELTA]
+                           [--json]
+                           param
+
+positional arguments:
+  param          parametrization JSON (path or inline)
+
+options:
+  -h, --help     show this help message and exit
+  --bound BOUND
+  --eps EPS
+  --delta DELTA
+  --json
+""",
+}
+
+
+@pytest.mark.parametrize("command", HELP)
+def test_help_is_byte_exact(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (HELP[command], "")
+
+
+SURFACE = {
+    "height-eval": (
+        ["height-eval", json.dumps(V01), "--point", "4,6,1"],
+        """\
+point: (4:6:1)
+h: 0.6931471805599453
+N: 0.6931471805599453
+m: 0.0
+""",
+        """\
+{
+  "N": 0.6931471805599453,
+  "h": 0.6931471805599453,
+  "m": 0.0,
+  "point": "(4:6:1)"
+}
+""",
+    ),
+    "classify-snc": (
+        ["classify-snc", json.dumps(SNC_PAIR)],
+        """\
+class: log_canonical
+discrep: -1
+totaldiscrep: -1
+""",
+        """\
+{
+  "class": "log_canonical",
+  "discrep": "-1",
+  "totaldiscrep": "-1"
+}
+""",
+    ),
+    "resolve-curve": (
+        ["resolve-curve", json.dumps(CUSP_CURVE), "--c", "5/6,1"],
+        """\
+node 1: parent=None proximate_to=[] mult=2
+node 2: parent=1 proximate_to=[1] mult=1
+node 3: parent=2 proximate_to=[1, 2] mult=1
+E1: k=1 v=2
+E2: k=2 v=3
+E3: k=4 v=6
+lct: 5/6
+c=5/6: class=log_canonical discrep=-5/6 totaldiscrep=-1
+c=1: class=not_log_canonical discrep=-inf totaldiscrep=-inf
+""",
+        """\
+{
+  "classification": {
+    "1": {
+      "class": "not_log_canonical",
+      "discrep": "-inf",
+      "totaldiscrep": "-inf"
+    },
+    "5/6": {
+      "class": "log_canonical",
+      "discrep": "-5/6",
+      "totaldiscrep": "-1"
+    }
+  },
+  "k": {
+    "1": 1,
+    "2": 2,
+    "3": 4
+  },
+  "lct": "5/6",
+  "nodes": [
+    {
+      "id": 1,
+      "mult": 2,
+      "parent": null,
+      "proximate_to": []
+    },
+    {
+      "id": 2,
+      "mult": 1,
+      "parent": 1,
+      "proximate_to": [
+        1
+      ]
+    },
+    {
+      "id": 3,
+      "mult": 1,
+      "parent": 2,
+      "proximate_to": [
+        1,
+        2
+      ]
+    }
+  ],
+  "v": {
+    "1": 2,
+    "2": 3,
+    "3": 6
+  }
+}
+""",
+    ),
+    "member": (
+        ["member", json.dumps(CUSP_CURVE), "--c", "5/6", "--g", '[[[1, 0], "1"]]', "--kind", "J"],
+        """\
+c: 5/6
+kind: J
+member: True
+""",
+        """\
+{
+  "c": "5/6",
+  "kind": "J",
+  "member": true
+}
+""",
+    ),
+    "mdlaw": (
+        ["mdlaw", json.dumps(NODAL_PARAM), "--bound", "5", "--h-min", "1.5"],
+        """\
+m: 2
+d: 3
+samples: 38
+samples_high: 36
+max_abs_residual: 0.2755595243948226
+max_abs_residual_high: 0.2755595243948226
+slope_fit: 0.6721608236934588
+origin_hits: [[-1, 1], [1, 1]]
+""",
+        """\
+{
+  "d": 3,
+  "m": 2,
+  "max_abs_residual": 0.2755595243948226,
+  "max_abs_residual_high": 0.2755595243948226,
+  "origin_hits": [
+    [
+      -1,
+      1
+    ],
+    [
+      1,
+      1
+    ]
+  ],
+  "samples": 38,
+  "samples_high": 36,
+  "slope_fit": 0.6721608236934588
+}
+""",
+    ),
+    "gcd-family": (
+        ["gcd-family", "shifted", "3", "2", "-10", "10"],
+        """\
+kind: shifted
+d: 3
+m: 2
+a_min: -10
+a_max: 10
+checked: 18
+violations: []
+""",
+        """\
+{
+  "a_max": 10,
+  "a_min": -10,
+  "checked": 18,
+  "d": 3,
+  "kind": "shifted",
+  "m": 2,
+  "violations": []
+}
+""",
+    ),
+    "gcd-bounds": (
+        ["gcd-bounds", json.dumps(NODAL_PARAM), "--bound", "5"],
+        """\
+m: 2
+d: 3
+eps: 0.05
+delta: 1.0
+samples: 18
+c_lower: 0.8967758838818929
+c_upper: 1.0
+exponent_low: 0.6166666666666666
+exponent_high: 0.7166666666666667
+""",
+        """\
+{
+  "c_lower": 0.8967758838818929,
+  "c_upper": 1.0,
+  "d": 3,
+  "delta": 1.0,
+  "eps": 0.05,
+  "exponent_high": 0.7166666666666667,
+  "exponent_low": 0.6166666666666666,
+  "m": 2,
+  "samples": 18
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", SURFACE)
+def test_stdout_is_byte_exact(capsys, command):
+    argv, plain, as_json = SURFACE[command]
+    assert run(capsys, *argv) == (EXIT_OK, plain, "")
+    assert run(capsys, *argv, "--json") == (EXIT_OK, as_json, "")
+
+
+def test_an_empty_window_reads_samples_high_0(capsys):
+    argv = ["mdlaw", json.dumps(NODAL_PARAM), "--bound", "5", "--h-min", "1e9"]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert "\nsamples_high: 0\n" in out and "\nmax_abs_residual_high: 0.0\n" in out
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert (payload["samples"], payload["samples_high"]) == (38, 0)
+
+
+# p1 = 2*p0 and p0 = st(s^2 - t^2) vanishes at every pair of bound 1, so every
+# sampled image is the distinguished point (0:0:1).
+ALL_AT_ORIGIN = {
+    "p0": [[[3, 1], "1"], [[1, 3], "-1"]],
+    "p1": [[[3, 1], "2"], [[1, 3], "-2"]],
+    "p2": [[[4, 0], "1"], [[0, 4], "1"]],
+    "target": {"n": 2, "terms": [[[0, 1, 0], "1"], [[1, 0, 0], "-2"]]},
+}
+
+
+def test_an_empty_sample_exits_3_before_the_csv_is_opened(capsys, tmp_path):
+    out_csv = tmp_path / "law.csv"
+    argv = ["mdlaw", json.dumps(ALL_AT_ORIGIN), "--bound", "1", "--out", str(out_csv)]
+    assert run(capsys, *argv) == (EXIT_INPUT, "", "error: cannot build a report from an empty sample\n")
+    assert not out_csv.exists()
+
+
+SMOOTH_CURVE = {"f": [[[0, 1], "1"], [[2, 0], "-1"]]}
+
+
+@pytest.mark.parametrize("curve", [CUSP_CURVE, SMOOTH_CURVE], ids=["singular", "smooth"])
+@pytest.mark.parametrize("command", ["resolve-curve", "member"])
+def test_negative_max_depth_exits_3(capsys, command, curve):
+    def argv(depth):
+        extra = ["--c", "1", "--g", '[[[1, 0], "1"]]', "--kind", "J"] if command == "member" else []
+        return [command, json.dumps(curve), "--max-depth", depth, *extra]
+
+    assert run(capsys, *argv("-5")) == (EXIT_INPUT, "", "error: max_depth must be at least 0, got -5\n")
+    # Depth 0 resolves the smooth germ; the cusp needs a blowup.
+    assert run(capsys, *argv("0"))[0] == (EXIT_OK if curve is SMOOTH_CURVE else EXIT_INPUT)
+
+
 @pytest.mark.parametrize(
     "argv, usage",
     [

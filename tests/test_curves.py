@@ -29,7 +29,8 @@ from logpairs.curves import (
     tree_ideal_member,
     tree_lct,
 )
-from logpairs.errors import DepthExceededError, InputError, NonRationalCenterError
+from logpairs import curves
+from logpairs.errors import BadRangeError, DepthExceededError, InputError, NonRationalCenterError
 from logpairs.polynomials import Poly2
 from logpairs.snc import PairClass, classify, classify_resolved, loci_divisors, vojta_reduced_divisor
 
@@ -214,6 +215,26 @@ class TestResolve:
     def test_depth_limit(self):
         with pytest.raises(DepthExceededError):
             resolve(CUSP, max_depth=1)
+
+    @pytest.mark.parametrize("curve", [CUSP, SMOOTH], ids=["singular", "smooth"])
+    def test_negative_depth_is_refused_before_any_work(self, curve, monkeypatch):
+        def no_work(f):
+            raise AssertionError("the curve was read")
+
+        monkeypatch.setattr(curves, "_as_poly", no_work)
+        for call in (
+            lambda: resolve(curve, max_depth=-1),
+            lambda: resolve(curve, -5),
+            lambda: lct(curve, max_depth=-1),
+            lambda: ideal_member(curve, 1, X, IdealKind.J, max_depth=-1),
+        ):
+            with pytest.raises(BadRangeError, match="max_depth must be at least 0"):
+                call()
+
+    def test_depth_zero_resolves_only_a_smooth_germ(self):
+        assert resolve(SMOOTH, max_depth=0).nodes == ()
+        with pytest.raises(DepthExceededError):
+            resolve(CUSP, max_depth=0)
 
     def test_deep_tower_without_deep_stack(self):
         # y^2 - x^151 needs a chain of 77 centers; resolve must not spend

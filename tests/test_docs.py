@@ -68,7 +68,8 @@ def test_command_line_examples_exit_0(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         if "--h-min" in argv:
             # The example's high-height window holds samples.
-            assert json.loads(out)["max_abs_residual_high"] > 0
+            payload = json.loads(out)
+            assert payload["samples_high"] > 0 and payload["max_abs_residual_high"] > 0
 
 
 def test_every_limit_is_in_the_limits_list():

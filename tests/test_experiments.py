@@ -204,6 +204,18 @@ class TestMdlaw:
         with pytest.raises(BadRangeError):
             mdlaw_report(pc.target, records, h_min=h_min)
 
+    def test_samples_high_counts_the_window(self):
+        pc = nodal_cubic_param()
+        records = mdlaw_records(pc.target, sample_param_points(pc, 10).points)
+        # Thresholds at records' own heights put ties at the window's edge.
+        for h_min in (-1.0, 0.0, records[0].h, records[len(records) // 2].h, records[-1].h, 1e9):
+            report = mdlaw_report(pc.target, records, h_min=h_min)
+            high = [r for r in records if r.h >= h_min]
+            assert report.samples_high == sum(r.h >= h_min for r in records) == len(high)
+            assert report.max_abs_residual_high == max((abs(r.residual) for r in high), default=0.0)
+        assert mdlaw_report(pc.target, records, h_min=1e9).samples_high == 0
+        assert mdlaw_report(pc.target, records).samples_high == len(records)
+
     def test_nodal_cubic_residual_value(self):
         record = mdlaw_records(nodal_cubic_param().target, [normalize_point((3, 6, 1))])[0]
         assert record.residual == pytest.approx(math.log(3) - Fraction(2, 3) * math.log(6), abs=1e-12)
@@ -321,7 +333,7 @@ class TestGcdFamilies:
     def test_all_families_clean(self):
         for kind in ("pure", "shifted", "mixed"):
             report = gcd_family_check(kind, 3, 2, (-20, 20))
-            assert report.ok
+            assert report.violations == ()
             assert report.checked > 0
 
     def test_shifted_skips_small_bases(self):
@@ -520,7 +532,7 @@ class TestWorkLimits:
         # refused before any power is taken.
         top = experiments.MAX_GCD_FAMILY_BASE
         assert gcd_family_check("pure", 64, 1, (top - 2, top)).checked == 3
-        assert gcd_family_check("shifted", 64, 1, (-top, -top + 2)).ok
+        assert gcd_family_check("shifted", 64, 1, (-top, -top + 2)).violations == ()
         for a_range in ((top, top + 1), (-top - 1, -top), (-(10**4000), -(10**4000) + 5), (10**4000, 10**4000)):
             start = time.perf_counter()
             with pytest.raises(BadRangeError):
@@ -529,7 +541,7 @@ class TestWorkLimits:
 
     def test_gcd_family_degree(self):
         d = experiments.MAX_GCD_FAMILY_D
-        assert gcd_family_check("mixed", d, 1, (1, 5)).ok
+        assert gcd_family_check("mixed", d, 1, (1, 5)).violations == ()
         with pytest.raises(BadRangeError):
             gcd_family_check("mixed", d + 1, 1, (1, 5))
 
