@@ -38,7 +38,7 @@ from .heights import (
     normalize_point,
     weil_arch_ratio,
 )
-from .polynomials import Poly2, read_shape, univariate_gcd
+from .polynomials import Poly2, read_shape
 
 ORIGIN_COORDS = (0, 0, 1)
 
@@ -58,21 +58,15 @@ def dehomogenize_at_origin_chart(target: HomogPoly) -> Poly2:
     return Poly2(((e[0], e[1]), c) for e, c in target.terms)
 
 
-def _dehomog_coeffs(p: Poly2) -> list[Fraction]:
-    """Coefficients of p(1, t) indexed by the power of t."""
-    coeffs = [Fraction(0)] * (max(j for _, j in p.terms) + 1 if p.terms else 0)
-    for (_, j), c in p.terms.items():
-        coeffs[j] += c
-    return coeffs
-
-
 @dataclass(frozen=True)
 class ParamCurve:
-    """Three binary integer forms of equal degree parametrizing a plane curve.
+    """Three binary integer forms of one degree d >= 1 parametrizing a plane curve.
 
     The target must be a form in three variables, the forms must have no
     common polynomial factor, and substituting them into the target must
-    vanish identically; all three are checked at construction.
+    vanish identically; all three are checked at construction.  A common
+    factor is found by Euclid on the values p(1, t), or as the factor s when
+    no form has a t^d term.
     """
 
     p0: Poly2
@@ -87,19 +81,19 @@ class ParamCurve:
         for f in forms:
             if f.is_zero:
                 raise ZeroInputError("parametrization forms must be nonzero")
-            if not f.is_homogeneous():
-                raise InputError("parametrization forms must be homogeneous")
             if not f.has_integer_coefficients():
                 raise InputError("parametrization forms must have integer coefficients")
-        degrees = {f.total_degree() for f in forms}
-        if len(degrees) != 1 or min(degrees) < 1:
-            raise InputError("forms must share one degree >= 1")
-        if min(min(i for i, _ in f.terms) for f in forms) > 0:
-            raise InputError("forms share a power of the first parameter")
-        g = _dehomog_coeffs(forms[0])
-        for f in forms[1:]:
-            g = univariate_gcd(g, _dehomog_coeffs(f))
-        if len(g) > 1:
+        degrees = {i + j for f in forms for i, j in f.terms}
+        if len(degrees) != 1 or 0 in degrees:
+            raise InputError("parametrization forms must be homogeneous of one degree >= 1")
+        (d,) = degrees
+        # Euclid on the values p(1, t); s divides all three when none has a t^d term.
+        g = Poly2()
+        for f in forms:
+            h = Poly2._of({(0, j): c for (_, j), c in f.terms.items()})
+            while h:
+                g, h = h, g.divide(h)[1]
+        if g.total_degree() or all((0, d) not in f.terms for f in forms):
             raise InputError("parametrization forms share a common factor")
         total = Poly2()
         for exps, coeff in self.target.terms:
@@ -167,7 +161,8 @@ def sample_param_points(pc: ParamCurve, bound: int) -> SampleResult:
     entries bounded by ``bound``, one representative per projective pair.
 
     Pairs run in sorted order, with (1, 0) just before (1, 1).  Images are
-    normalized and deduplicated; all-zero images are dropped.
+    normalized and deduplicated.  No image is all zero: at a primitive (p, q)
+    that would make q*s - p*t a common factor of the forms.
     """
     if not 1 <= bound <= MAX_SAMPLE_BOUND:
         raise BadRangeError(f"bound must be in [1, {MAX_SAMPLE_BOUND}], got {bound}")
@@ -182,10 +177,7 @@ def sample_param_points(pc: ParamCurve, bound: int) -> SampleResult:
     origin_params: list[tuple[int, int]] = []
     seen: set[tuple[int, ...]] = set()
     for p, q in pairs:
-        vals = pc.evaluate(p, q)
-        if not any(vals):
-            continue
-        pt = normalize_point(vals)
+        pt = normalize_point(pc.evaluate(p, q))
         coords = pt.coords
         if coords == ORIGIN_COORDS:
             origin_params.append((p, q))
@@ -380,6 +372,8 @@ def gcd_bounds_check(
     """Fit the tightest constants sandwiching gcd(x, y) between powers of
     max(|x|, |y|) with exponents m/d -+ eps, over points far enough from the
     distinguished point in the euclidean sense."""
+    if not points:
+        raise InputError("cannot build a report from an empty sample")
     if not (0 < eps < math.inf and 0 < delta < math.inf):
         raise BadRangeError("eps and delta must be positive and finite")
     d, m = _degree_and_multiplicity(target)

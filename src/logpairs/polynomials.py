@@ -3,8 +3,10 @@
 This is the small arithmetic kernel behind plane-curve resolution and the
 parametrized sampling families: terms are stored sparsely as
 ``{(i, j): coefficient}`` with Fraction coefficients and no explicit zeros.
-Blowup substitutions and exact divisibility are implemented directly so that
-every transformation stays in rational arithmetic.
+Blowup substitutions and division are implemented directly so that every
+transformation stays in rational arithmetic.  ``Poly2.divide`` is the one
+division loop: exact divisibility and the Euclid that finds a common factor
+of a parametrization both run on it.
 
 It also owns the reading of input: ``read_number`` is the one rule by which
 every module turns a number from outside into a Fraction, with the caller's
@@ -233,10 +235,6 @@ class Poly2:
             raise ZeroInputError("order of the zero polynomial")
         return min(i + j for i, j in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degs = {i + j for i, j in self.terms}
-        return len(degs) <= 1
-
     def has_integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
 
@@ -342,8 +340,10 @@ class Poly2:
         key = max(self.terms, key=lambda k: (k[0] + k[1], k))
         return key, self.terms[key]
 
-    def divide_exact(self, divisor: "Poly2") -> "Poly2 | None":
-        """Return self / divisor if the division is exact in Q[x,y], else None."""
+    def divide(self, divisor: "Poly2") -> tuple["Poly2", "Poly2"]:
+        """``(quotient, rest)`` with self == quotient * divisor + rest: multiples
+        of ``divisor`` are taken off while its leading term divides the rest's.
+        In one variable this is division with remainder."""
         if divisor.is_zero:
             raise ZeroInputError("division by the zero polynomial")
         quotient: dict[tuple[int, int], Fraction] = {}
@@ -352,12 +352,17 @@ class Poly2:
         while rem.terms:
             (ri, rj), rc = rem._leading()
             if ri < di or rj < dj:
-                return None
+                break
             key = (ri - di, rj - dj)
             q = rc / dc
             quotient[key] = q
             rem = rem - divisor * Poly2._of({key: q})
-        return Poly2._of(quotient)
+        return Poly2._of(quotient), rem
+
+    def divide_exact(self, divisor: "Poly2") -> "Poly2 | None":
+        """Return self / divisor if the division is exact in Q[x,y], else None."""
+        quotient, rest = self.divide(divisor)
+        return None if rest else quotient
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -371,28 +376,3 @@ class Poly2:
                 factors.append("y" if j == 1 else f"y^{j}")
             parts.append("*".join(factors))
         return "Poly2(" + " + ".join(parts) + ")"
-
-
-def univariate_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of two dense univariate rational polynomials (Euclid)."""
-
-    def trim(p: list[Fraction]) -> list[Fraction]:
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        # a mod b
-        while len(a) >= len(b) and a:
-            factor = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for k in range(len(b)):
-                a[shift + k] -= factor * b[k]
-            a.pop()
-            trim(a)
-        a, b = b, a
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a

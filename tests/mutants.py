@@ -132,20 +132,27 @@ MUTANTS = [
         "    c = Fraction(c)\n",
         ["tests/test_constructors.py::test_same_number_same_meaning"],
     ),
-    # Polynomials: exact division and the integer evaluate path.
+    # Polynomials: division and the integer evaluate path.
     (
-        "divide_exact builds each step's monomial through the reader",
+        "divide builds each step's monomial through the reader",
         "src/logpairs/polynomials.py",
         "divisor * Poly2._of({key: q})",
         "divisor * Poly2({key: q})",
         ["tests/test_polynomials.py::TestExactDivision"],
     ),
     (
-        "divide_exact builds its quotient through the reader",
+        "divide builds its quotient through the reader",
         "src/logpairs/polynomials.py",
         "return Poly2._of(quotient)",
         "return Poly2(quotient)",
         ["tests/test_polynomials.py::TestExactDivision"],
+    ),
+    (
+        "divide_exact returns its quotient whatever the rest",
+        "src/logpairs/polynomials.py",
+        "return None if rest else quotient",
+        "return quotient",
+        ["tests/test_polynomials.py::TestExactDivision", "tests/test_polynomials.py::TestDivide"],
     ),
     (
         "integer evaluate wraps its sum in a Fraction",
@@ -288,6 +295,45 @@ MUTANTS = [
         '            raise InputError("target curve must live in the projective plane")\n',
         "",
         ["tests/test_experiments.py::TestParamCurve"],
+    ),
+    (
+        "ParamCurve's Euclid keeps the quotient",
+        "src/logpairs/experiments.py",
+        "g, h = h, g.divide(h)[1]",
+        "g, h = h, g.divide(h)[0]",
+        ["tests/test_experiments.py::TestParamCurve"],
+    ),
+    (
+        "ParamCurve's Euclid takes one division step",
+        "src/logpairs/experiments.py",
+        "            while h:\n",
+        "            if h:\n",
+        ["tests/test_experiments.py::TestParamCurve"],
+    ),
+    (
+        "ParamCurve misses the common factor s",
+        "src/logpairs/experiments.py",
+        "if g.total_degree() or all((0, d) not in f.terms for f in forms):",
+        "if g.total_degree():",
+        ["tests/test_experiments.py::TestParamCurve"],
+    ),
+    (
+        "ParamCurve takes forms of degree 0",
+        "src/logpairs/experiments.py",
+        "if len(degrees) != 1 or 0 in degrees:",
+        "if len(degrees) != 1:",
+        ["tests/test_experiments.py::TestParamCurve"],
+    ),
+    (
+        "gcd_bounds_check blames the filter for an empty sample",
+        "src/logpairs/experiments.py",
+        "    if not points:\n"
+        '        raise InputError("cannot build a report from an empty sample")\n',
+        "",
+        [
+            "tests/test_experiments.py::TestGcdBounds",
+            "tests/test_cli.py::test_gcd_bounds_reports_an_empty_sample_at_any_delta",
+        ],
     ),
     (
         "no check that the target has positive degree",

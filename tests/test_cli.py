@@ -770,6 +770,12 @@ def test_an_empty_sample_exits_3_before_the_csv_is_opened(capsys, tmp_path):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("delta", ["0.001", "1.0"])
+def test_gcd_bounds_reports_an_empty_sample_at_any_delta(capsys, delta):
+    argv = ["gcd-bounds", json.dumps(ALL_AT_ORIGIN), "--bound", "1", "--delta", delta]
+    assert run(capsys, *argv) == (EXIT_INPUT, "", "error: cannot build a report from an empty sample\n")
+
+
 SMOOTH_CURVE = {"f": [[[0, 1], "1"], [[2, 0], "-1"]]}
 
 

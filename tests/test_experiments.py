@@ -3,9 +3,10 @@ import json
 import math
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from logpairs import cli, experiments
@@ -32,6 +33,12 @@ from logpairs.experiments import (
 from logpairs.heights import HomogPoly, Subscheme, counting_gcd, normalize_point, weil_arch_ratio
 from logpairs.places import log_fraction
 from logpairs.polynomials import Poly2
+
+
+def _dense_form(coeffs) -> Poly2:
+    """The binary form sum of c * s^(e - j) * t^j over coeffs = (c_0, ..., c_e)."""
+    e = len(coeffs) - 1
+    return Poly2({(e - j, j): c for j, c in enumerate(coeffs)})
 
 
 class TestParamCurve:
@@ -77,6 +84,78 @@ class TestParamCurve:
         doc["target"] = {"n": 1, "terms": [[[3, 0], "1"], [[1, 2], "-1"]]}
         with pytest.raises(InputError, match="projective plane"):
             ParamCurve.from_json(doc)
+
+    @pytest.mark.parametrize(
+        "forms, words",
+        [
+            # s^3 + t^2, s(s^2 - t^2), t^3: one form is not homogeneous
+            (({(3, 0): 1, (0, 2): 1}, {(3, 0): 1, (1, 2): -1}, {(0, 3): 1}), "homogeneous"),
+            # the nodal cubic's forms with p0 halved
+            (({(2, 1): "1/2", (0, 3): "-1/2"}, {(3, 0): 1, (1, 2): -1}, {(0, 3): 1}), "integer coefficients"),
+            # s^2, s^3, t^3: homogeneous forms of two degrees
+            (({(2, 0): 1}, {(3, 0): 1}, {(0, 3): 1}), "one degree"),
+            # constant forms satisfy x0 - x1 = 0 but have degree 0
+            (({(0, 0): 1}, {(0, 0): 1}, {(0, 0): 1}), "one degree"),
+            # the nodal cubic's forms times s: no form has a t^4 term
+            (({(3, 1): 1, (1, 3): -1}, {(4, 0): 1, (2, 2): -1}, {(1, 3): 1}), "share"),
+        ],
+        ids=["not-homogeneous", "not-integral", "two-degrees", "degree-0", "shared-s"],
+    )
+    def test_refusals_name_their_rule(self, forms, words):
+        # The target is satisfied wherever it matters: the nodal cubic for the
+        # nodal forms, x0 - x1 for the constants; each rule refuses first.
+        if forms[0] == {(0, 0): 1}:
+            target = HomogPoly.from_terms(3, [((1, 0, 0), 1), ((0, 1, 0), -1)])
+        else:
+            target = nodal_cubic_param().target
+        with pytest.raises(InputError, match=words):
+            ParamCurve(*map(Poly2, forms), target)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["line", "conic"]),
+        st.sampled_from([(1,), (1, 0), (0, 1), (1, -2), (1, 0, 1)]),
+        st.lists(st.integers(-4, 4), min_size=1, max_size=7),
+        st.lists(st.integers(-4, 4), min_size=1, max_size=7),
+        st.integers(-2, 2),
+        st.integers(-2, 2),
+    )
+    @example("line", (1, 0), [1, 1], [1, -1], 1, 1)  # the planted s: no form has a t^d term
+    @example("conic", (0, 1), [1, 1], [1, -1], 1, 1)
+    def test_refuses_exactly_the_forms_sympy_finds_a_common_factor_of(self, family, planted, c0, c1, a, b):
+        # Forms of degree 1-6 on the line x2 = a*x0 + b*x1 or the conic
+        # x0*x2 = x1^2, built from two drawn forms times a planted factor:
+        # 1, s, t, s - 2t or s^2 + t^2 (dense coefficients, highest power of
+        # s first).  ParamCurve refuses exactly when sympy's gcd of the three
+        # forms is not constant, and an accepted curve has no all-zero image
+        # at a primitive pair.
+        import sympy
+
+        k = len(planted) - 1
+        e = min(len(c0), len(c1), (7 if family == "line" else 4) - k)
+        assume(e - 1 + k >= 1)
+        u, v = (_dense_form(c[:e]) * _dense_form(planted) for c in (c0, c1))
+        if family == "line":
+            forms = (u, v, Poly2.constant(a) * u + Poly2.constant(b) * v)
+            target = HomogPoly.from_terms(3, [((1, 0, 0), a), ((0, 1, 0), b), ((0, 0, 1), -1)])
+        else:
+            forms = (u * u, u * v, v * v)
+            target = HomogPoly.from_terms(3, [((1, 0, 1), 1), ((0, 2, 0), -1)])
+        assume(all(forms))
+        s, t = sympy.symbols("s t")
+        as_sympy = [sum(int(c) * s**i * t**j for (i, j), c in f.terms.items()) for f in forms]
+        common = sympy.Poly(sympy.gcd(sympy.gcd(as_sympy[0], as_sympy[1]), as_sympy[2]), s, t)
+        try:
+            pc = ParamCurve(*forms, target)
+        except InputError as exc:
+            assert common.total_degree() > 0, exc
+            assert "share" in str(exc)
+            return
+        assert common.total_degree() == 0
+        for p in range(-6, 7):
+            for q in range(0, 7):
+                if math.gcd(p, q) == 1:
+                    assert any(pc.evaluate(p, q)), (p, q)
 
     @given(
         st.integers(1, 7).flatmap(
@@ -143,9 +222,20 @@ class TestSampling:
         with pytest.raises(BadRangeError):
             sample_param_points(nodal_cubic_param(), 0)
 
-    @pytest.mark.parametrize("pc", [nodal_cubic_param(), pure_power_param(3, 7)], ids=["nodal", "pure37"])
-    def test_builds_no_fraction(self, monkeypatch, pc):
+    def test_pairs_with_one_image_keep_the_first(self):
+        # (s^4 : s^2 t^2 : t^4) on x0*x2 = x1^2 sends (p, q) and (-p, q) to one
+        # point, so each image keeps its pair with p < 0; (0, 1) hits (0:0:1)
+        target = HomogPoly.from_terms(3, [((1, 0, 1), 1), ((0, 2, 0), -1)])
+        pc = ParamCurve(Poly2.monomial(4, 0), Poly2.monomial(2, 2), Poly2.monomial(0, 4), target)
+        sample = sample_param_points(pc, 3)
+        assert sample.params == ((-3, 1), (-3, 2), (-2, 1), (-2, 3), (-1, 1), (-1, 2), (-1, 3), (1, 0))
+        assert len({p.coords for p in sample.points}) == len(sample.points) == 8
+        assert sample.origin_params == ((0, 1),)
+
+    @pytest.mark.parametrize("make", [nodal_cubic_param, partial(pure_power_param, 3, 7)], ids=["nodal", "pure37"])
+    def test_builds_no_fraction(self, monkeypatch, make):
         # every sampled pair is evaluated and normalized in ints
+        pc = make()
         built = []
         new = Fraction.__new__
 
@@ -159,10 +249,11 @@ class TestSampling:
         assert len(sample.points) > 100
         assert built == []
 
-    @pytest.mark.parametrize("pc", [nodal_cubic_param(), pure_power_param(2, 3)], ids=["nodal", "pure23"])
-    def test_pairs_match_the_sorted_enumeration(self, pc):
+    @pytest.mark.parametrize("make", [nodal_cubic_param, partial(pure_power_param, 2, 3)], ids=["nodal", "pure23"])
+    def test_pairs_match_the_sorted_enumeration(self, make):
         # reference: (1, 0) and every coprime (p, q) with 1 <= q <= b and
         # |p| <= b, sorted, then the same zero, origin and image filters
+        pc = make()
         for bound in range(1, 41):
             pairs = [(1, 0)] + [
                 (p, q)
@@ -225,6 +316,12 @@ class TestMdlaw:
     def test_point_is_origin_rejected(self):
         with pytest.raises(PointIsOError):
             mdlaw_records(nodal_cubic_param().target, [normalize_point((0, 0, 1))])
+
+    def test_target_outside_the_plane_rejected(self):
+        # x0*x3 - x1^2 in P^3 has no chart (x0, x1) at (0:0:1)
+        target = HomogPoly.from_terms(4, [((1, 0, 0, 1), 1), ((0, 2, 0, 0), -1)])
+        with pytest.raises(InputError, match="projective plane"):
+            mdlaw_records(target, [normalize_point((3, 6, 1))])
 
     def test_curve_missing_origin_has_slope_zero(self):
         # x^3 = (y + z)^2 z does not pass through (0:0:1)
@@ -348,6 +445,10 @@ class TestGcdFamilies:
         with pytest.raises(BadRangeError):
             gcd_family_check("pure", 3, 2, (5, 1))
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InputError, match="unknown family kind 'cubic'"):
+            gcd_family_check("cubic", 3, 2, (1, 5))
+
 
 class TestGcdBounds:
     def test_pure_family_is_the_identity_case(self):
@@ -386,6 +487,19 @@ class TestGcdBounds:
         with pytest.raises(EmptyAfterFilterError):
             gcd_bounds_check(pc.target, points, eps=0.05, delta=1e9)
 
+    @pytest.mark.parametrize("delta", [1e-9, 1.0, 1e9])
+    def test_an_empty_sample_is_not_blamed_on_delta(self, delta):
+        # st(s^2 - t^2), 2st(s^2 - t^2), s^4 + t^4 on x1 = 2*x0: every image at
+        # bound 1 is (0:0:1), so the sample is empty before any filter
+        f = Poly2({(3, 1): 1, (1, 3): -1})
+        target = HomogPoly.from_terms(3, [((0, 1, 0), 1), ((1, 0, 0), -2)])
+        pc = ParamCurve(f, Poly2.constant(2) * f, Poly2({(4, 0): 1, (0, 4): 1}), target)
+        sample = sample_param_points(pc, 1)
+        assert sample.points == () and len(sample.origin_params) == 4
+        with pytest.raises(InputError, match="cannot build a report from an empty sample") as raised:
+            gcd_bounds_check(pc.target, sample.points, eps=0.05, delta=delta)
+        assert type(raised.value) is InputError
+
     @pytest.mark.parametrize(
         "eps, delta",
         [(math.nan, 1.0), (math.inf, 1.0), (0.05, math.nan), (0.05, math.inf), (0.0, 1.0), (0.05, -1.0)],
@@ -411,10 +525,11 @@ class TestGcdBounds:
             mdlaw_records(constant, points)
 
 
-# (target, m, d): the nodal cubic and every pure power x0^d = x1^m x2^(d-m)
-# with coprime m < d <= 7.
-LAW_TARGETS = [(nodal_cubic_param().target, 2, 3)] + [
-    (pure_power_param(m, d).target, m, d)
+# (target, m, d): the nodal cubic x1^2 x2 = x0^3 + x0^2 x2 and every pure
+# power x0^d = x1^m x2^(d-m) with coprime m < d <= 7, written out here so
+# that collecting this module builds no ParamCurve.
+LAW_TARGETS = [(HomogPoly.from_terms(3, [((0, 2, 1), 1), ((3, 0, 0), -1), ((2, 0, 1), -1)]), 2, 3)] + [
+    (HomogPoly.from_terms(3, [((d, 0, 0), 1), ((0, m, d - m), -1)]), m, d)
     for d in range(2, 8)
     for m in range(1, d)
     if math.gcd(m, d) == 1

@@ -227,6 +227,8 @@ class TestTypeValidation:
             Subscheme((HomogPoly.coordinate(3, 0), HomogPoly.coordinate(4, 0)))
         with pytest.raises(MalformedPolynomialError):
             Subscheme((HomogPoly.coordinate(3, 0), 1))
+        with pytest.raises(ZeroInputError, match="at least one generator"):
+            Subscheme(())
         with pytest.raises(DimensionMismatchError):
             V01.values_at(ProjPoint((1, 2, 3, 4)))
 

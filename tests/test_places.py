@@ -92,6 +92,14 @@ def test_is_prime_large_values():
     assert not is_prime(2**61 + 1)
 
 
+def test_is_prime_composites_without_a_small_factor():
+    # No witness divides these, so Miller-Rabin decides: 1763 = 41 * 43, and
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to the bases
+    # 2, 3, 5 and 7, so only a later witness shows it composite.
+    assert not is_prime(1763)
+    assert not is_prime(3215031751)
+
+
 class TestReadingInputs:
     """A prime is read by the exact_int rule and a rational by read_number, with
     typed errors; a float prime is an int before any valuation is taken."""

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from logpairs.errors import BadRangeError, InputError, MalformedPolynomialError, ZeroInputError
@@ -15,7 +15,6 @@ from logpairs.polynomials import (
     _exponent_too_large,
     clear_denominators,
     read_number,
-    univariate_gcd,
 )
 
 X, Y = Poly2.x(), Poly2.y()
@@ -375,31 +374,27 @@ def test_clear_denominators_mixes_ints_and_fractions():
     assert clear_denominators([]) == (1, [])
 
 
-class TestUnivariateGcd:
-    @given(st.lists(small_coeffs, min_size=1, max_size=4), st.lists(small_coeffs, min_size=1, max_size=4))
-    def test_gcd_divides_both(self, a, b):
-        fa = [Fraction(c) for c in a]
-        fb = [Fraction(c) for c in b]
-        g = univariate_gcd(fa, fb)
-        if not g:
-            assert all(c == 0 for c in a) and all(c == 0 for c in b)
-            return
-        assert g[-1] == 1  # monic
-        for coeffs in (fa, fb):
-            poly = _as_poly_y(coeffs)
-            if poly.is_zero:
-                continue
-            assert poly.divide_exact(_as_poly_y(g)) is not None
-
-    def test_known_values(self):
-        # (y-1)(y-2) and (y-1)(y-3) share y-1
-        a = [Fraction(c) for c in (2, -3, 1)]
-        b = [Fraction(c) for c in (3, -4, 1)]
-        assert univariate_gcd(a, b) == [Fraction(-1), Fraction(1)]
-
-    def test_coprime(self):
-        assert univariate_gcd([Fraction(1), Fraction(1)], [Fraction(2)]) == [Fraction(1)]
-
-
-def _as_poly_y(coeffs) -> Poly2:
-    return Poly2({(0, j): c for j, c in enumerate(coeffs)})
+class TestDivide:
+    @given(
+        st.booleans(),
+        st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 5)), small_coeffs, max_size=6),
+        st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 4)), small_coeffs, max_size=4),
+    )
+    @example(True, {(0, 2): 1, (0, 1): -3, (0, 0): 2}, {(0, 2): 1, (0, 1): -4, (0, 0): 3})
+    @example(False, {(1, 1): 1, (0, 0): 1}, {(1, 0): 1})
+    def test_division_stops_where_the_leading_term_stops_dividing(self, in_y, a, b):
+        # f == quotient * g + rest, and rest is zero or g's leading term does
+        # not divide rest's; in y alone that is division with remainder:
+        # (y-1)(y-2) = 1 * (y-1)(y-3) + (y - 1)
+        keep = lambda terms: {(0 if in_y else i, j): c for (i, j), c in terms.items()}
+        f, g = Poly2(keep(a)), Poly2(keep(b))
+        assume(g)
+        quotient, rest = f.divide(g)
+        assert quotient * g + rest == f
+        assert f.divide_exact(g) == (None if rest else quotient)
+        if rest:
+            (ri, rj), _ = rest._leading()
+            (gi, gj), _ = g._leading()
+            assert ri < gi or rj < gj
+            if in_y:
+                assert rest.total_degree() < g.total_degree()

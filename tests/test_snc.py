@@ -245,6 +245,9 @@ class TestValidation:
             ResolvedPairData.build([("E1", 0, 1)])
         with pytest.raises(MalformedConfigurationError):
             SNCPair(("E0", "E1"), 1, (1,), frozenset())
+        for den in (0, -2):
+            with pytest.raises(MalformedConfigurationError, match="denominator must be a positive integer"):
+                SNCPair(("E",), den, (1,), frozenset())
         with pytest.raises(MalformedConfigurationError):
             ResolvedPairData(("E1",), 1, (0,), (1,), ())
 
