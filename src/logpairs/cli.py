@@ -42,13 +42,15 @@ def _load_json(text: str):
 
 
 def _load_json_arg(arg: str):
-    """Accept either a path to a JSON file or inline JSON text."""
+    """Accept either a path to a JSON file, read as UTF-8, or inline JSON text."""
     text = arg
     if not arg.lstrip().startswith(("{", "[")):
         try:
-            text = Path(arg).read_text()
+            text = Path(arg).read_text(encoding="utf-8")
         except OSError as exc:
             raise InputError(f"cannot read {arg!r}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"cannot read {arg!r}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
     return _load_json(text)
 
 

@@ -7,9 +7,12 @@ named tests there with pytest, and calls the mutant killed when they fail
 copy, which must pass within BASELINE_LIMIT seconds.  Each mutant's run then
 has its own time limit, LIMIT_FACTOR times that baseline's duration and at
 least MIN_LIMIT seconds; a mutant that outlasts it (say, one that makes a
-loop endless) is stopped and reported "killed (timed out)".  The old text
-must occur exactly once in its file, so an edit that no longer applies is
-reported as stale, not silently skipped.
+loop endless) is stopped and reported "killed (timed out)".  A run that ends
+with pytest exit 2 to 5 (interrupted, an internal or usage error, or no test
+collected; a mutant that breaks the import of a named test gives 2 or 4) is
+reported "NOT RUN" with its reason, and like a survivor it is not counted
+as killed.  The old text must occur exactly once in its file, so an edit
+that no longer applies is reported as stale, not silently skipped.
 
 Usage: ``python tests/mutants.py [name ...]`` runs all mutants, or only the
 named ones; it exits 0 when every mutant run is killed.  It is not a pytest
@@ -30,6 +33,13 @@ RUNS = f"{ORACLES}::TestRuns"
 BASELINE_LIMIT = 900
 LIMIT_FACTOR = 3
 MIN_LIMIT = 60
+SQUAREFREE = "tests/test_curves.py::TestSquarefree::test_each_branch_of_the_certificate"
+NOT_RUN = {
+    2: "interrupted by a collection error",
+    3: "internal error",
+    4: "usage error, as when a named test cannot be collected",
+    5: "no tests collected",
+}
 READER = [
     "tests/test_polynomials.py::test_read_number_rules",
     "tests/test_polynomials.py::test_read_number_reads_a_float_as_its_repr",
@@ -131,6 +141,35 @@ MUTANTS = [
         "    c = read_number(c, InputError)\n",
         "    c = Fraction(c)\n",
         ["tests/test_constructors.py::test_same_number_same_meaning"],
+    ),
+    # The squarefree test: the content, the univariate certificate, the fallback.
+    (
+        "squarefree test takes u^2 | f for squarefree",
+        "src/logpairs/curves.py",
+        "for column in columns.values()) > 1:",
+        "for column in columns.values()) > 2:",
+        [SQUAREFREE],
+    ),
+    (
+        "squarefree test skips the content gcd",
+        "src/logpairs/curves.py",
+        "if all(len(column) > 1 for column in columns.values()):",
+        "if False:",
+        [SQUAREFREE],
+    ),
+    (
+        "squarefree certificate ignores the leading column",
+        "src/logpairs/curves.py",
+        "        if values[(top,)]:\n",
+        "        if True:\n",
+        [SQUAREFREE],
+    ),
+    (
+        "squarefree test answers False when no value certifies",
+        "src/logpairs/curves.py",
+        '    f = sympy.Poly.from_dict(terms, first, second, domain="ZZ")\n',
+        "    return False\n",
+        [SQUAREFREE],
     ),
     # Polynomials: division and the integer evaluate path.
     (
@@ -377,7 +416,7 @@ def main(names: list[str]) -> int:
             print(f"the named tests {why} on the unmutated copy")
             return 2
         limit = max(MIN_LIMIT, LIMIT_FACTOR * (time.monotonic() - start))
-        killed = 0
+        killed = not_run = 0
         for name, file, old, new, tests in chosen:
             path = copy / file
             original = path.read_text()
@@ -391,11 +430,16 @@ def main(names: list[str]) -> int:
                 path.write_text(original)
             if code is None:
                 verdict = "killed (timed out)"
+            elif code == 1:
+                verdict = "killed"
+            elif code in NOT_RUN:
+                verdict = f"NOT RUN (pytest exit {code}: {NOT_RUN[code]})"
+                not_run += 1
             else:
-                verdict = "killed" if code == 1 else f"SURVIVED (pytest exit {code})"
+                verdict = f"SURVIVED (pytest exit {code})"
             killed += code in (None, 1)
             print(f"{verdict:9} {name}")
-    print(f"{killed} of {len(chosen)} mutants killed")
+    print(f"{killed} of {len(chosen)} mutants killed, {not_run} not run")
     return 0 if killed == len(chosen) else 1
 
 

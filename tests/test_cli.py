@@ -268,6 +268,26 @@ def test_curve_file_input(tmp_path, capsys):
     assert json.loads(out)["lct"] == "5/6"
 
 
+@pytest.mark.parametrize(
+    "command, rest",
+    [
+        ("height-eval", ["--point", "1,2,3"]),
+        ("resolve-curve", []),
+        ("member", ["--c", "1", "--g", '[[[0, 0], "1"]]', "--kind", "J"]),
+        ("classify-snc", []),
+        ("mdlaw", ["--bound", "5"]),
+        ("gcd-bounds", ["--bound", "5"]),
+    ],
+)
+def test_a_file_that_is_not_utf8_exits_3(tmp_path, capsys, command, rest):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, command, str(path), *rest)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.splitlines() == [f"error: cannot read {str(path)!r}: not UTF-8 (invalid start byte at byte 0)"]
+
+
 MIXED_DEGREE = {"generators": [{"n": 2, "terms": [[[1, 0, 0], "1"], [[0, 2, 0], "1"]]}]}
 BIG_INT = "1" * 5000  # past Python's 4300-digit limit for reading an int
 NEGATIVE_EXPONENT = {"generators": [{"n": 2, "terms": [[[2, -1, 0], "1"]]}]}

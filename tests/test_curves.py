@@ -152,6 +152,42 @@ class TestSquarefree:
                 assert _sympy_is_squarefree(f) is True
                 assert _is_squarefree(f) is True
 
+    # One case per branch of the certificate; in one of the two orientations
+    # u is y, in the other x.
+    @pytest.mark.parametrize(
+        "f, expected",
+        [
+            # g(x) = x + (x - 1)(x + 1)(x - 2) agrees with x at 1, -1 and 2, so
+            # f(a, y) = (y - a)^2 at every tried a: the bivariate gcds decide.
+            ((Y - X) * (Y - X - (X - ONE) * (X + ONE) * (X - Poly2.constant(2))), True),
+            # Swapped, the leading column (y - 1)^2 vanishes at a = 1, where f is 1.
+            (((X - ONE) * Y + ONE) ** 2, False),
+            # The content x^2 + 1 has no column that is a monomial.
+            ((X**2 + ONE) ** 2 * (Y - X), False),
+            ((X**2 + ONE) * (Y - X) * (Y + X), True),
+            # u^2 divides f (L = 2).
+            (X**2 * (Y - ONE), False),
+        ],
+    )
+    def test_each_branch_of_the_certificate(self, f, expected):
+        for g in (f, _swap(f)):
+            assert _sympy_is_squarefree(g) is expected
+            assert _is_squarefree(g) is expected
+
+    def test_small_coefficient_products(self):
+        # With small integer coefficients the content gcd runs, and no tried a
+        # certifies, far more often than with the large rationals above.
+        rng = random.Random(10)
+        for _ in range(60):
+            f = ONE
+            for _ in range(rng.randint(1, 3)):
+                terms = {(i, j): rng.randint(-2, 2) for i in range(3) for j in range(3 - i)}
+                factor = Poly2(terms)
+                if factor.total_degree() > 0:
+                    f = f * factor ** rng.choice([1, 1, 2])
+            for g in (f, _swap(f)):
+                assert _is_squarefree(g) == _sympy_is_squarefree(g)
+
 
 class TestMultiplicityAt:
     def test_cusp(self):
