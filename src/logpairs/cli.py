@@ -111,10 +111,11 @@ def _resolve_curve_json(tree: curves.ResolutionTree, threshold: Fraction, per_c:
         return _json_block([f'"{i}": {x}' for i, x in sorted((str(i), x) for i, x in values.items())], "  ")
 
     def node(n: curves.ResolutionNode) -> str:
+        near = ",\n        ".join([str(a) for a in sorted([a for a in (n.axis_x, n.axis_y) if a is not None])])
+        near = f"[\n        {near}\n      ]" if near else "[]"
         parent = "null" if n.parent is None else n.parent
-        near = _json_block([str(a) for a in sorted(n.proximate_to)], "      ", "[]")
-        fields = [f'"id": {n.id}', f'"mult": {n.mult}', f'"parent": {parent}', f'"proximate_to": {near}']
-        return _json_block(fields, "    ")
+        fields = f'"id": {n.id},\n      "mult": {n.mult},\n      "parent": {parent},\n      "proximate_to": {near}'
+        return f"{{\n      {fields}\n    }}"
 
     classes = [
         f'"{c}": ' + _json_block([f'"class": "{k}"', f'"discrep": "{d}"', f'"totaldiscrep": "{td}"'], "    ")

@@ -54,18 +54,19 @@ exceptional divisor at {x = 0}, and the vertical-direction chart is
 (x, y) -> (x*y, y) with the new divisor at {y = 0}.  At any center at most
 two exceptional divisors pass through, one per axis, so a center's
 proximity set is read off its two axes.  A node keeps only its chart's shift
-(None for the vertical chart) and its two axes; the strict transform of the
-curve, or of any other polynomial, at a center is replayed from the origin
-through the recorded charts.
+(None for the vertical chart) and its two axes; the order of the strict
+transform of the curve, or of any other polynomial, at a center is replayed
+from the origin through the recorded charts, by runs too: a chain of shift-0
+x-chart centers costs one minimum per center, not one blowup.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .errors import (
     BadRangeError,
@@ -81,6 +82,7 @@ from .snc import ResolvedPairData, SNCPair
 PolyLike = Union["AffineCurve", Poly2]
 
 MAX_DEPTH = 64  # default bound on blowup levels, for resolve, its callers and the CLI
+_ZERO = Fraction(0)  # the shift of every run node
 
 
 class IdealKind(enum.Enum):
@@ -225,15 +227,15 @@ class AffineCurve:
         return cls(Poly2.from_json(rows))
 
 
-@dataclass(frozen=True)
-class ResolutionNode:
+class ResolutionNode(NamedTuple):
     """One blowup center.
 
     ``shift`` says how local coordinates at this center arise from the
     parent's: (x, x*(y + shift)) in the x chart, or (x*y, y) in the y chart
     when ``shift`` is None; the root has no parent and no shift.  ``axis_x``
     and ``axis_y`` name the exceptional divisors along the two coordinate
-    axes here.
+    axes here.  A named tuple: a deep tree makes one per center, several
+    times faster than a frozen dataclass.
     """
 
     id: int
@@ -302,17 +304,20 @@ class ResolutionTree:
 
         Valid for trees as produced by :func:`resolve`.
         """
-        # A center is proximate to at most two divisors, so E_anc and E_node
-        # are separated exactly when a later center is proximate to both.
-        separated = {n.proximate_to for n in self.nodes if len(n.proximate_to) == 2}
+        # A center is proximate to at most two divisors, its axes, so E_anc
+        # and E_node are separated exactly when a later center has both.
+        meets: set[tuple[int, int]] = set()
+        for node in self.nodes:
+            ax, ay = node.axis_x, node.axis_y
+            if ax is not None:
+                meets.add((ax, node.id))
+            if ay is not None:
+                meets.add((ay, node.id))
+                if ax is not None:
+                    meets.discard((ax, ay) if ax < ay else (ay, ax))
         # Node ids count from 1 in creation order; labels[-1] is the strict transform.
         labels = self.labels
-        edges = {
-            frozenset((labels[anc - 1], labels[node.id - 1]))
-            for node in self.nodes
-            for anc in node.proximate_to
-            if frozenset((anc, node.id)) not in separated
-        }
+        edges = {frozenset((labels[a - 1], labels[b - 1])) for a, b in meets}
         edges.update(frozenset((labels[anc - 1], labels[-1])) for anc in self.curve_contacts)
         return frozenset(edges)
 
@@ -367,7 +372,8 @@ def resolve(f: PolyLike, max_depth: int = MAX_DEPTH) -> ResolutionTree:
             # The transform after the run keeps its term (0, m), so the run's
             # last node has no vertical direction and ``local`` is not read.
             for _ in range(run):
-                node = ResolutionNode(len(nodes) + 1, node.id, m, Fraction(0), *node.child_axes(Fraction(0)))
+                # child_axes(0), written out: a run is all of a deep tree's nodes.
+                node = ResolutionNode(node.id + 1, node.id, m, _ZERO, node.id, node.axis_y)
                 nodes.append(node)
             depth += run
             transformed = Poly2._of({(i + run * (j - m), j): c for (i, j), c in transformed.terms.items()})
@@ -406,29 +412,41 @@ def blow_up_point(tree: ResolutionTree, node_id: int, shift: Fraction | int) -> 
     exceptional divisor of ``node_id``, in that node's post-blowup chart.
 
     Intended for resolution-independence experiments; the chosen divisor
-    must not have been modified by later blowups near that point.  The new
-    center may lie off the strict transform, in which case its multiplicity
-    is 0.
+    must not have been modified by later blowups near that point, and a
+    point the tree already blew up (a child of ``node_id`` at that shift)
+    raises ``InputError``.  The new center may lie off the strict
+    transform, in which case its multiplicity is 0.
     """
     shift = read_number(shift, InputError)
+    if any(n.parent == node_id and n.shift == shift for n in tree.nodes):
+        raise InputError(f"node {node_id} already has a child at shift {shift}")
     new = ResolutionNode(len(tree.nodes) + 1, node_id, 0, shift, *tree.node(node_id).child_axes(shift))
     # Its multiplicity is the order of the curve's strict transform there.
-    new = replace(new, mult=_replay((*tree.nodes, new), tree.curve)[new.id].order())
+    new = new._replace(mult=_replay((*tree.nodes, new), tree.curve)[new.id])
     return ResolutionTree(curve=tree.curve, nodes=(*tree.nodes, new), curve_contacts=tree.curve_contacts)
 
 
-def _replay(nodes: Iterable[ResolutionNode], g: Poly2) -> dict[int, Poly2]:
-    """The strict transform of g at each center, in that center's local
-    coordinates, from the recorded charts (parents come first)."""
-    local: dict[int, Poly2] = {}
+def _replay(nodes: Iterable[ResolutionNode], g: Poly2) -> dict[int, int]:
+    """The order of the strict transform of g at each center, replayed from
+    the recorded charts (parents come first).
+
+    A shift-0 x-chart center maps each term (i, j) to (i + j - m, j), m the
+    order at its parent; k of them in a row map a transform h to
+    (i + k*j - s, j), s the sum of their orders.  So h is kept with (k, s)
+    and blown up only where a center leaves the run.
+    """
+    orders: dict[int, int] = {}
+    runs: dict[int, tuple[Poly2, int, int]] = {}
     for node in nodes:
-        if node.parent is None:
-            local[node.id] = g
-        elif node.shift is not None:
-            local[node.id] = local[node.parent].blowup_x(node.shift)[0]
-        else:
-            local[node.id] = local[node.parent].blowup_y()[0]
-    return local
+        h, k, s = runs.get(node.parent, (g, 0, 0))
+        if node.shift == 0:
+            k, s = k + 1, s + orders[node.parent]
+        elif node.parent is not None:
+            local = Poly2._of({(i + k * j - s, j): c for (i, j), c in h.terms.items()}) if k else h
+            h, k, s = (local.blowup_x(node.shift) if node.shift is not None else local.blowup_y())[0], 0, 0
+        runs[node.id] = (h, k, s)
+        orders[node.id] = min(i + (k + 1) * j for i, j in h.terms) - s
+    return orders
 
 
 def _unroll(tree: ResolutionTree, base: Callable[[ResolutionNode], int]) -> dict[int, int]:
@@ -490,8 +508,8 @@ def ord_along(tree: ResolutionTree, g: Poly2) -> PullbackOrders:
     """
     if g.is_zero:
         raise ZeroInputError("cannot pull back the zero polynomial")
-    local = _replay(tree.nodes, g)
-    w = _unroll(tree, lambda node: local[node.id].order())
+    orders = _replay(tree.nodes, g)
+    w = _unroll(tree, lambda node: orders[node.id])
     strict, rem = 0, g
     while (quotient := rem.divide_exact(tree.curve)) is not None:
         strict, rem = strict + 1, quotient

@@ -12,7 +12,8 @@ with pytest exit 2 to 5 (interrupted, an internal or usage error, or no test
 collected; a mutant that breaks the import of a named test gives 2 or 4) is
 reported "NOT RUN" with its reason, and like a survivor it is not counted
 as killed.  The old text must occur exactly once in its file, so an edit
-that no longer applies is reported as stale, not silently skipped.
+that no longer applies is reported as stale, not silently skipped, and the
+summary line counts stale mutants next to those not run.
 
 Usage: ``python tests/mutants.py [name ...]`` runs all mutants, or only the
 named ones; it exits 0 when every mutant run is killed.  It is not a pytest
@@ -51,9 +52,37 @@ MUTANTS = [
     (
         "replay mirrors every chart shift",
         "src/logpairs/curves.py",
-        "local[node.parent].blowup_x(node.shift)[0]",
-        "local[node.parent].blowup_x(-node.shift)[0]",
+        "local.blowup_x(node.shift)",
+        "local.blowup_x(-node.shift)",
         [f"{ORACLES}::TestCurvettes", f"{ORACLES}::TestChangeOfCoordinates"],
+    ),
+    (
+        "run replay substitutes one step short",
+        "src/logpairs/curves.py",
+        "{(i + k * j - s, j)",
+        "{(i + (k - 1) * j - s, j)",
+        [f"{ORACLES}::TestRunReplay"],
+    ),
+    (
+        "run replay reads each order one step short",
+        "src/logpairs/curves.py",
+        "min(i + (k + 1) * j for",
+        "min(i + k * j for",
+        [f"{ORACLES}::TestRunReplay"],
+    ),
+    (
+        "run node written with axis_y None",
+        "src/logpairs/curves.py",
+        "ResolutionNode(node.id + 1, node.id, m, _ZERO, node.id, node.axis_y)",
+        "ResolutionNode(node.id + 1, node.id, m, _ZERO, node.id, None)",
+        [RUNS],
+    ),
+    (
+        "blow_up_point takes a center the tree already has",
+        "src/logpairs/curves.py",
+        "    if any(n.parent == node_id and n.shift == shift for n in tree.nodes):\n",
+        "    if False:\n",
+        ["tests/test_curves.py::TestResolutionIndependence::test_a_center_the_tree_has_is_refused"],
     ),
     (
         "run length + 1",
@@ -107,8 +136,15 @@ MUTANTS = [
     (
         "dual_edges drops the separated pairs",
         "src/logpairs/curves.py",
-        "if frozenset((anc, node.id)) not in separated",
-        "",
+        "meets.discard((ax, ay) if ax < ay else (ay, ax))",
+        "pass",
+        ["tests/test_curves.py::TestDualGraph"],
+    ),
+    (
+        "dual_edges separates a pair in axis order",
+        "src/logpairs/curves.py",
+        "meets.discard((ax, ay) if ax < ay else (ay, ax))",
+        "meets.discard((ax, ay))",
         ["tests/test_curves.py::TestDualGraph"],
     ),
     (
@@ -278,6 +314,13 @@ MUTANTS = [
         ],
     ),
     (
+        "JSON proximity list in axis order",
+        "src/logpairs/cli.py",
+        "[str(a) for a in sorted([a for a in (n.axis_x, n.axis_y) if a is not None])]",
+        "[str(a) for a in [a for a in (n.axis_x, n.axis_y) if a is not None]]",
+        ["tests/test_cli.py::test_resolve_curve_json_on_deep_trees"],
+    ),
+    (
         "main exits 0 whatever the payload's violations hold",
         "src/logpairs/cli.py",
         'return EXIT_VIOLATION if payload.get("violations") else EXIT_OK',
@@ -416,12 +459,13 @@ def main(names: list[str]) -> int:
             print(f"the named tests {why} on the unmutated copy")
             return 2
         limit = max(MIN_LIMIT, LIMIT_FACTOR * (time.monotonic() - start))
-        killed = not_run = 0
+        killed = not_run = stale = 0
         for name, file, old, new, tests in chosen:
             path = copy / file
             original = path.read_text()
             if original.count(old) != 1:
                 print(f"stale     {name}: the old text is not in {file} exactly once")
+                stale += 1
                 continue
             path.write_text(original.replace(old, new))
             try:
@@ -439,7 +483,7 @@ def main(names: list[str]) -> int:
                 verdict = f"SURVIVED (pytest exit {code})"
             killed += code in (None, 1)
             print(f"{verdict:9} {name}")
-    print(f"{killed} of {len(chosen)} mutants killed, {not_run} not run")
+    print(f"{killed} of {len(chosen)} mutants killed, {not_run} not run, {stale} stale")
     return 0 if killed == len(chosen) else 1
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from logpairs import cli
 from logpairs.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, build_parser, main
+from logpairs.curves import AffineCurve, resolve
 from logpairs.polynomials import MAX_DEGREE
 
 NODAL_PARAM = {
@@ -143,6 +144,45 @@ def test_resolve_curve_json_is_the_indented_sorted_dump(argv):
     with contextlib.redirect_stdout(out):
         assert main(argv) == EXIT_OK
     assert out.getvalue() == json.dumps(json.loads(out.getvalue()), indent=2, sort_keys=True) + "\n"
+
+
+A296 = [[[0, 2], "1"], [[297, 0], "-2/3"]]  # y^2 - (2/3)x^297, 150 centers
+_DEEP_CURVES = [
+    # Ids from 100 on sort before 11 as strings.
+    pytest.param(A296, "1/2,299/594,5/12", id="y^2-x^297"),
+    pytest.param([[[0, 3], "1"], [[151, 0], "-2/3"]], "", id="y^3-x^151"),
+    # 119 of its 121 centers have axis_x > axis_y: the proximity list must be sorted.
+    pytest.param([[[120, 0], "1"], [[0, 121], "-2/3"]], "1/3", id="x^120-y^121"),
+    pytest.param([[[0, 4], "1"], [[3, 2], "-2"], [[6, 0], "1"], [[13, 1], "-1"]], "", id="two-pairs-13"),
+]
+
+
+@pytest.mark.parametrize("f, cs", _DEEP_CURVES)
+def test_resolve_curve_json_on_deep_trees(capsys, f, cs):
+    argv = ["resolve-curve", json.dumps({"f": f}), "--max-depth", "400", "--json", *(["--c", cs] if cs else [])]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    tree = resolve(AffineCurve.from_json(f), 400)
+    assert [n["proximate_to"] for n in payload["nodes"]] == [sorted(n.proximate_to) for n in tree.nodes]
+
+
+def test_resolve_curve_text_on_a_deep_tower(capsys):
+    # y^2 - (2/3)x^297 is the A_296 singularity: a run of 148 centers of
+    # multiplicity 2, then two simple ones; lct 1/2 + 1/297.
+    code, out, _ = run(capsys, "resolve-curve", json.dumps({"f": A296}), "--max-depth", "400")
+    assert code == EXIT_OK
+    nodes = [
+        "node 1: parent=None proximate_to=[] mult=2",
+        *(f"node {i}: parent={i - 1} proximate_to=[{i - 1}] mult=2" for i in range(2, 149)),
+        "node 149: parent=148 proximate_to=[148] mult=1",
+        "node 150: parent=149 proximate_to=[148, 149] mult=1",
+    ]
+    divisors = [*(f"E{i}: k={i} v={2 * i}" for i in range(1, 149)), "E149: k=149 v=297", "E150: k=298 v=594"]
+    last = ["lct: 299/594", "c=299/594: class=log_canonical discrep=-296/297 totaldiscrep=-1"]
+    assert out.splitlines() == [*nodes, *divisors, *last]
+
 
 def test_mdlaw_with_csv(tmp_path, capsys):
     out_csv = tmp_path / "law.csv"

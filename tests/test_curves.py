@@ -674,6 +674,16 @@ class TestResolutionIndependence:
         assert tree_lct(extended) == tree_lct(tree) == Fraction(5, 6)
         self.assert_same_verdicts(tree, extended)
 
+    def test_a_center_the_tree_has_is_refused(self):
+        # On y^2 - x^7, node 2 is the center at shift 0 on E1; a second copy
+        # of it would give E6 the (k, v) of E2.
+        tree = resolve(Y**2 - X**7)
+        assert (tree.node(2).parent, tree.node(2).shift) == (1, 0)
+        for node_id, shift in ((1, 0), (2, "0"), (3, Fraction(0))):
+            with pytest.raises(InputError, match="already has a child at shift 0"):
+                blow_up_point(tree, node_id, shift)
+        assert blow_up_point(tree, 1, 1).nodes[-1] == (6, 1, 0, 1, 1, None)
+
     def test_free_extra_blowup(self):
         tree = resolve(CUSP)
         extended = blow_up_point(tree, 3, Fraction(7))
@@ -716,13 +726,16 @@ class TestDualGraph:
     def test_matches_nested_scan(self):
         rng = random.Random(17)
         curves = [(Y**2 - X**3) ** 2 - X**k * Y for k in range(7, 16)]
+        # Deep towers up to b = 300, and swapped ones with centers whose
+        # x-axis divisor is the newer one, so a separated pair comes axis_x first.
+        curves += [Y**2 - X**297, X**3 - Poly2.constant(Fraction(2, 3)) * Y**151, X**120 - Y**121]
         for _ in range(12):
             a = rng.choice([2, 3, 4])
-            b = rng.choice([b for b in range(a + 1, 60) if math.gcd(a, b) == 1])
+            b = rng.choice([b for b in range(a + 1, 301) if math.gcd(a, b) == 1])
             c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
             curves.append(Y**a - Poly2.constant(c) * X**b)
         for curve in curves:
-            tree = resolve(curve, max_depth=200)
+            tree = resolve(curve, max_depth=400)
             data = pair_discrepancies(tree, Fraction(1, 2))
             strict = {frozenset((f"E{anc}", "C")) for anc in tree.curve_contacts}
             assert dual_graph_pair(tree, data).edges == nested_scan_edges(tree) | strict

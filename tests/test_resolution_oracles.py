@@ -18,7 +18,9 @@ germs, and a reference for the leaf rule in ``resolve``:
 * A run of forced centers, each the point t = 0 of multiplicity m on the
   previous divisor, is one Euclid step (Casas-Alvero, ch. 3-5): ``resolve``
   makes its nodes without blowing each one up, and must give the same tree
-  as a loop that blows up every center.
+  as a loop that blows up every center.  ``ord_along`` and ``blow_up_point``
+  replay a pullback along the runs the same way, and must give the orders of
+  a replay that blows up every center.
 * Divisorial valuations read on curvettes (Casas-Alvero, ch. 3-5): at
   shifted centers, ``ord_along`` must give ord_t g on a curvette of each
   exceptional divisor, found through the recorded chart maps alone.
@@ -43,7 +45,7 @@ from logpairs.curves import (
     ResolutionNode,
     ResolutionTree,
     _rational_roots,
-    _replay,
+    _unroll,
     blow_up_point,
     ord_along,
     resolve,
@@ -85,6 +87,20 @@ def _germs(draw) -> Poly2:
 MONOMIALS = [X**i * Y**j for i in range(4) for j in range(4 - i)]
 
 
+def _replay_step_by_step(nodes, g: Poly2) -> dict[int, Poly2]:
+    """Reference for ``_replay``'s runs: the strict transform of g at each
+    center, one blowup per center through the recorded charts."""
+    local: dict[int, Poly2] = {}
+    for node in nodes:
+        if node.parent is None:
+            local[node.id] = g
+        elif node.shift is not None:
+            local[node.id] = local[node.parent].blowup_x(node.shift)[0]
+        else:
+            local[node.id] = local[node.parent].blowup_y()[0]
+    return local
+
+
 def _verdicts(tree, cs) -> list[bool]:
     return [tree_ideal_member(tree, c, g, kind) for c in cs for g in MONOMIALS for kind in IdealKind]
 
@@ -105,7 +121,7 @@ class TestBirationalInvariance:
             # origin of an x-chart child.  Half the time it is a point where
             # the curve's strict transform meets the node's divisor.
             taken = {(n.parent, n.shift) for n in extended.nodes}
-            local = _replay(extended.nodes, f)
+            local = _replay_step_by_step(extended.nodes, f)
             on_curve = [
                 (n.id, t)
                 for n in extended.nodes
@@ -464,7 +480,8 @@ class TestRuns:
     )
     def test_a_run_costs_no_blowup_per_center(self, monkeypatch, f, nodes, most):
         # Blown up one center at a time, these germs take one blowup_x per node;
-        # with runs, a few per partial quotient.
+        # with runs, a few per partial quotient.  The same holds for the
+        # replay of a pullback along the tree.
         calls = []
         blowup_x = Poly2.blowup_x
 
@@ -473,8 +490,77 @@ class TestRuns:
             return blowup_x(self, *args)
 
         monkeypatch.setattr(Poly2, "blowup_x", counted)
-        assert len(resolve(f, 2000).nodes) == nodes
+        tree = resolve(f, 2000)
+        assert len(tree.nodes) == nodes
         assert len(calls) <= most
+        calls.clear()
+        ord_along(tree, X * Y)
+        assert len(calls) <= most
+
+
+@st.composite
+def _deep_towers(draw, swaps: bool = True) -> Poly2:
+    """Towers with at least 100 centers: y^2 - c*x^b (odd b from 199) and
+    y^3 - c*x^b (b from 298), swapped half the time if ``swaps``, and
+    x^120 - c*y^121, whose shift-0 centers have axis_x > axis_y."""
+    c, swap = draw(_RATIONAL), swaps and draw(st.booleans())
+    shape = draw(st.sampled_from(["2", "3", "120"]))
+    if shape == "2":
+        return _tower(2, 2 * draw(st.integers(99, 150)) + 1, c, swap)
+    if shape == "3":
+        return _tower(3, draw(st.sampled_from([b for b in range(298, 331) if b % 3])), c, swap)
+    return _tower(120, 121, c, swap=True)
+
+
+@st.composite
+def _pulled_back(draw, top: int = 320) -> Poly2:
+    """One to four terms r*x^i*y^j, or a branch y^e - r*x^k, which follows
+    a tower's centers for a while; i and k are at most ``top``."""
+    if draw(st.booleans()):
+        return Y ** draw(st.integers(1, 3)) - Poly2.constant(draw(_RATIONAL)) * X ** draw(st.integers(1, top))
+    g = Poly2()
+    for _ in range(draw(st.integers(1, 4))):
+        g = g + Poly2.monomial(draw(st.integers(0, top)), draw(st.integers(0, 6)), draw(_RATIONAL))
+    return g if g else X
+
+
+def _assert_replay_matches_step_by_step(tree: ResolutionTree, g: Poly2) -> None:
+    local = _replay_step_by_step(tree.nodes, g)
+    assert ord_along(tree, g).by_divisor == _unroll(tree, lambda node: local[node.id].order()), g
+
+
+_EXTRA_SHIFTS = [Fraction(t) for t in (0, 1, -1, Fraction(1, 2), Fraction(-2, 3), 3, Fraction(-5, 4))]
+
+
+class TestRunReplay:
+    # ``_replay`` takes each chain of shift-0 x-chart centers in one
+    # substitution; the reference blows up every center on its own.
+    @settings(max_examples=40, deadline=None)
+    @given(_deep_towers(), st.lists(_pulled_back(), min_size=1, max_size=4))
+    def test_ord_along_on_deep_towers(self, f, gs):
+        tree = resolve(f, 2000)
+        assert len(tree.nodes) >= 100
+        for g in [f, *gs]:
+            _assert_replay_matches_step_by_step(tree, g)
+
+    # A swapped tower's vertical charts raise the y-degree of its transforms
+    # to about b, which an extra center's shift would expand densely.
+    @settings(max_examples=40, deadline=None)
+    @given(_deep_towers(swaps=False), st.data())
+    def test_extra_blowups_inside_runs(self, f, data):
+        extended = resolve(f, 2000)
+        for _ in range(data.draw(st.integers(1, 4))):
+            # A center inside a run, or the last one made, so that a shift-0
+            # child of an extra center starts a chain the tree did not record.
+            taken = {(n.parent, n.shift) for n in extended.nodes}
+            node = data.draw(st.sampled_from([n.id for n in extended.nodes if n.shift == 0] + [len(extended.nodes)]))
+            shift = data.draw(st.sampled_from([t for t in _EXTRA_SHIFTS if (node, t) not in taken]))
+            extended = blow_up_point(extended, node, shift)
+            new = extended.nodes[-1]
+            assert new.mult == _replay_step_by_step(extended.nodes, f)[new.id].order()
+        # For the same reason g stays of low degree.
+        for g in (f, X * Y, data.draw(_pulled_back(40))):
+            _assert_replay_matches_step_by_step(extended, g)
 
 
 def _load_bench_oracles():
