@@ -58,6 +58,13 @@ proximity set is read off its two axes.  A node keeps only its chart's shift
 transform of the curve, or of any other polynomial, at a center is replayed
 from the origin through the recorded charts, by runs too: a chain of shift-0
 x-chart centers costs one minimum per center, not one blowup.
+
+Two exact steps keep their answers for the last 16 inputs each (``_RECENT``):
+the squarefree check, keyed by the polynomial, and the centers of
+:func:`resolve`, keyed by the polynomial and ``max_depth``, so that a
+shallower bound still raises.  Errors are not kept, and the centers are kept
+as immutable nodes and contacts: each :func:`resolve` call builds its own
+tree on the caller's polynomial, so the tables it fills are never shared.
 """
 
 from __future__ import annotations
@@ -83,6 +90,7 @@ PolyLike = Union["AffineCurve", Poly2]
 
 MAX_DEPTH = 64  # default bound on blowup levels, for resolve, its callers and the CLI
 _ZERO = Fraction(0)  # the shift of every run node
+_RECENT = 16  # inputs each memo keeps: the squarefree check and the centers
 
 
 class IdealKind(enum.Enum):
@@ -97,6 +105,7 @@ def _as_poly(f: PolyLike) -> Poly2:
     return f.poly if isinstance(f, AffineCurve) else f
 
 
+@functools.lru_cache(maxsize=_RECENT)
 def _is_squarefree(poly: Poly2) -> bool:
     """Whether f = ``poly`` has no repeated factor over Q.
 
@@ -352,6 +361,12 @@ def resolve(f: PolyLike, max_depth: int = MAX_DEPTH) -> ResolutionTree:
     if max_depth < 0:
         raise BadRangeError(f"max_depth must be at least 0, got {max_depth}")
     poly = _as_poly(f)
+    return ResolutionTree(poly, *_centers(poly, max_depth))
+
+
+@functools.lru_cache(maxsize=_RECENT)
+def _centers(poly: Poly2, max_depth: int) -> tuple[tuple[ResolutionNode, ...], frozenset[int]]:
+    """The nodes and curve contacts of :func:`resolve`, for a ``max_depth`` >= 0."""
     nodes: list[ResolutionNode] = []
     contacts: set[int] = set()
     # Centers still to visit, as (strict transform, parent, shift, axes,
@@ -404,7 +419,7 @@ def resolve(f: PolyLike, max_depth: int = MAX_DEPTH) -> ResolutionTree:
                 child = transformed.translate(0, t) if t else transformed
             children.append((child, node.id, t, child_axes, depth + 1))
         pending.extend(reversed(children))
-    return ResolutionTree(curve=poly, nodes=tuple(nodes), curve_contacts=frozenset(contacts))
+    return tuple(nodes), frozenset(contacts)
 
 
 def blow_up_point(tree: ResolutionTree, node_id: int, shift: Fraction | int) -> ResolutionTree:

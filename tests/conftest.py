@@ -1,4 +1,5 @@
-"""Values shared by more than one test module, and one import made early.
+"""Values shared by more than one test module, one import made early, and
+the curve memos cleared before each test.
 
 When a hypothesis test fails, hypothesis's pytest plugin imports
 ``hypothesis.extra._patching`` to print a patch hint.  That import pulls in
@@ -6,8 +7,14 @@ When a hypothesis test fails, hypothesis's pytest plugin imports
 ``filterwarnings = ["error"]`` would turn it into an INTERNALERROR that hides
 every later result.  Importing the module here, with that warning ignored,
 caches it before any test runs; the filter still holds for project code.
+
+``logpairs.curves`` keeps the answers of its squarefree check and of the
+centers of ``resolve`` for recent inputs.  A test that counts the calls
+those steps make would otherwise see nothing when an earlier test used the
+same curve.
 """
 
+import sys
 import warnings
 
 import pytest
@@ -18,6 +25,15 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # no libcst: the plugin skips its patch hint too
         pass
+
+
+@pytest.fixture(autouse=True)
+def _fresh_curve_memos():
+    # Looked up, not imported: this file also runs in a session without src.
+    curves = sys.modules.get("logpairs.curves")
+    if curves is not None:
+        curves._is_squarefree.cache_clear()
+        curves._centers.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -4,9 +4,10 @@ Each entry of MUTANTS is (name, file, old text, new text, tests).  For each,
 the script applies the edit to a temporary copy of the repository, runs the
 named tests there with pytest, and calls the mutant killed when they fail
 (pytest exit code 1).  Before that it runs every named test on the unmutated
-copy, which must pass within BASELINE_LIMIT seconds.  Each mutant's run then
-has its own time limit, LIMIT_FACTOR times that baseline's duration and at
-least MIN_LIMIT seconds; a mutant that outlasts it (say, one that makes a
+copy, which must pass within BASELINE_LIMIT seconds; when it fails or times
+out, the last TAIL lines of pytest's output are printed.  Each mutant's run
+then has its own time limit, LIMIT_FACTOR times that baseline's duration and
+at least MIN_LIMIT seconds; a mutant that outlasts it (say, one that makes a
 loop endless) is stopped and reported "killed (timed out)".  A run that ends
 with pytest exit 2 to 5 (interrupted, an internal or usage error, or no test
 collected; a mutant that breaks the import of a named test gives 2 or 4) is
@@ -32,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ORACLES = "tests/test_resolution_oracles.py"
 RUNS = f"{ORACLES}::TestRuns"
 BASELINE_LIMIT = 900
+TAIL = 40
 LIMIT_FACTOR = 3
 MIN_LIMIT = 60
 SQUAREFREE = "tests/test_curves.py::TestSquarefree::test_each_branch_of_the_certificate"
@@ -206,6 +208,21 @@ MUTANTS = [
         '    f = sympy.Poly.from_dict(terms, first, second, domain="ZZ")\n',
         "    return False\n",
         [SQUAREFREE],
+    ),
+    # The memos: the centers' key and a tree for each caller.
+    (
+        "the centers memo ignores max_depth",
+        "src/logpairs/curves.py",
+        "_centers(poly, max_depth))",
+        "_centers(poly, MAX_DEPTH))",
+        ["tests/test_curves.py::TestMemo::test_a_shallower_depth_still_raises"],
+    ),
+    (
+        "resolve hands out one shared tree",
+        "src/logpairs/curves.py",
+        "\ndef resolve(",
+        "\n@functools.lru_cache(maxsize=_RECENT)\ndef resolve(",
+        ["tests/test_curves.py::TestMemo::test_an_equal_poly_gets_the_centers_in_its_own_tree"],
     ),
     # Polynomials: division and the integer evaluate path.
     (
@@ -428,17 +445,21 @@ MUTANTS = [
 ]
 
 
-def _pytest(copy: Path, tests: list[str], limit: float) -> int | None:
+def _pytest(copy: Path, tests: list[str], limit: float) -> tuple[int | None, str]:
     """pytest's exit code for ``tests`` in ``copy``, importing its own src, or
-    None when the run takes more than ``limit`` seconds and is stopped.  No
-    bytecode is cached: a restored file can share its mutant's size and
-    modification second."""
+    None when the run takes more than ``limit`` seconds and is stopped; and
+    its output, up to the stop.  No bytecode is cached: a restored file can
+    share its mutant's size and modification second."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     try:
-        return subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=limit).returncode
-    except subprocess.TimeoutExpired:
-        return None
+        run = subprocess.run(
+            command, cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, timeout=limit
+        )
+        code, out = run.returncode, run.stdout
+    except subprocess.TimeoutExpired as stopped:
+        code, out = None, stopped.stdout
+    return code, (out or b"").decode(errors="replace")
 
 
 def main(names: list[str]) -> int:
@@ -453,10 +474,11 @@ def main(names: list[str]) -> int:
         shutil.copytree(ROOT, copy, ignore=skip)
         baseline = sorted({t for m in chosen for t in m[4]})
         start = time.monotonic()
-        code = _pytest(copy, baseline, BASELINE_LIMIT)
+        code, out = _pytest(copy, baseline, BASELINE_LIMIT)
         if code != 0:
             why = f"take more than {BASELINE_LIMIT} s" if code is None else "fail"
-            print(f"the named tests {why} on the unmutated copy")
+            print(f"the named tests {why} on the unmutated copy; the end of pytest's output:")
+            print(*out.splitlines()[-TAIL:], sep="\n")
             return 2
         limit = max(MIN_LIMIT, LIMIT_FACTOR * (time.monotonic() - start))
         killed = not_run = stale = 0
@@ -469,7 +491,7 @@ def main(names: list[str]) -> int:
                 continue
             path.write_text(original.replace(old, new))
             try:
-                code = _pytest(copy, tests, limit)
+                code = _pytest(copy, tests, limit)[0]
             finally:
                 path.write_text(original)
             if code is None:

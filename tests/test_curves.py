@@ -860,6 +860,83 @@ class TestIntegerTableMatchesFractionFormulas:
                     want = all(w >= _reference_threshold(kind, a, b) for w, (_, a, b) in zip(have, rows))
                     assert tree_ideal_member(tree, c, g, kind) == want, (c, g, kind)
 
+
+def _count_calls(monkeypatch, owner, attr) -> list[int]:
+    calls = [0]
+    original = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def _twin(f: Poly2) -> Poly2:
+    """A polynomial equal to f that is not f."""
+    return Poly2(dict(f.terms))
+
+
+class TestMemo:
+    """A repeated curve reuses its squarefree answer and its centers, never a tree."""
+
+    def test_an_equal_curve_makes_no_gcd(self, monkeypatch):
+        import sympy
+
+        f = Y**2 - X**3 + X**5 * Y
+        gcd_calls = _count_calls(monkeypatch, sympy, "gcd")
+        AffineCurve(f)
+        first = gcd_calls[0]
+        AffineCurve(_twin(f))
+        assert first > 0 and gcd_calls == [first]
+
+    def test_a_repeated_factor_is_refused_every_time(self):
+        for _ in range(3):
+            with pytest.raises(InputError, match="squarefree"):
+                AffineCurve((Y - X) ** 2 * (Y + X))
+        assert curves._is_squarefree.cache_info().hits == 2
+
+    def test_an_equal_poly_gets_the_centers_in_its_own_tree(self, monkeypatch):
+        f = Y**2 - X**7
+        first = resolve(f)
+        k = dict(first.k)
+        blowups = _count_calls(monkeypatch, Poly2, "blowup_x")
+        twin = _twin(f)
+        second = resolve(twin)
+        assert blowups == [0]
+        assert second is not first and second.curve is twin
+        assert (second.nodes, second.curve_contacts) == (first.nodes, first.curve_contacts)
+        second.k[1] = 99
+        assert resolve(f).k == k == first.k
+
+    def test_a_shallower_depth_still_raises(self):
+        tower = Y**2 - Poly2.constant(3) * X**151
+        assert len(resolve(tower, 400).nodes) == 77
+        for depth in (1, 76):
+            with pytest.raises(DepthExceededError):
+                resolve(tower, depth)
+        assert len(resolve(tower, 77).nodes) == 77
+
+    def test_a_non_rational_center_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(NonRationalCenterError):
+                resolve(Y**2 - Poly2.constant(2) * X**2)
+
+    @settings(max_examples=20, deadline=None)
+    @given(_germs())
+    def test_a_hit_matches_a_fresh_resolve(self, f):
+        def read(tree):
+            return tree.nodes, tree.curve_contacts, tree.k, tree.v, tree_lct(tree)
+
+        curves._centers.cache_clear()
+        resolve(f, max_depth=100)
+        hit = read(resolve(_twin(f), max_depth=100))
+        assert curves._centers.cache_info().hits == 1
+        curves._centers.cache_clear()
+        assert hit == read(resolve(f, max_depth=100))
+
+
 def _sympy_rational_roots(coeffs):
     """Rational roots with their multiplicities, and the irrational-factor
     flag, from a direct sympy factorization of the whole polynomial."""
