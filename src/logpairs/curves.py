@@ -391,7 +391,7 @@ def _centers(poly: Poly2, max_depth: int) -> tuple[tuple[ResolutionNode, ...], f
                 node = ResolutionNode(node.id + 1, node.id, m, _ZERO, node.id, node.axis_y)
                 nodes.append(node)
             depth += run
-            transformed = Poly2._of({(i + run * (j - m), j): c for (i, j), c in transformed.terms.items()})
+            transformed = transformed.x_chart(run, run * m)
         restriction = transformed.on_x_axis_restriction()
         directions, has_irrational = _rational_roots(restriction)
         if has_irrational:
@@ -457,7 +457,7 @@ def _replay(nodes: Iterable[ResolutionNode], g: Poly2) -> dict[int, int]:
         if node.shift == 0:
             k, s = k + 1, s + orders[node.parent]
         elif node.parent is not None:
-            local = Poly2._of({(i + k * j - s, j): c for (i, j), c in h.terms.items()}) if k else h
+            local = h.x_chart(k, s) if k else h
             h, k, s = (local.blowup_x(node.shift) if node.shift is not None else local.blowup_y())[0], 0, 0
         runs[node.id] = (h, k, s)
         orders[node.id] = min(i + (k + 1) * j for i, j in h.terms) - s

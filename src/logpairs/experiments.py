@@ -51,13 +51,6 @@ MAX_GCD_FAMILY_BASE = 10**6
 MAX_GCD_FAMILY_D = 64
 
 
-def dehomogenize_at_origin_chart(target: HomogPoly) -> Poly2:
-    """Set the last variable to 1, producing a bivariate polynomial."""
-    if target.num_vars != 3:
-        raise InputError("target curve must live in the projective plane")
-    return Poly2(((e[0], e[1]), c) for e, c in target.terms)
-
-
 @dataclass(frozen=True)
 class ParamCurve:
     """Three binary integer forms of one degree d >= 1 parametrizing a plane curve.
@@ -66,7 +59,10 @@ class ParamCurve:
     common polynomial factor, and substituting them into the target must
     vanish identically; all three are checked at construction.  A common
     factor is found by Euclid on the values p(1, t), or as the factor s when
-    no form has a t^d term.
+    no form has a t^d term.  The identity takes one exact value: C, the sum
+    over the target's terms c*x^e of |c| * prod ||p_i||_1^e_i, bounds every
+    coefficient of F(1, t) for F = T(p0, p1, p2), so F vanishes exactly when
+    F(1, C + 1) does.
     """
 
     p0: Poly2
@@ -95,14 +91,11 @@ class ParamCurve:
                 g, h = h, g.divide(h)[1]
         if g.total_degree() or all((0, d) not in f.terms for f in forms):
             raise InputError("parametrization forms share a common factor")
-        total = Poly2()
-        for exps, coeff in self.target.terms:
-            part = Poly2.constant(coeff)
-            for f, e in zip(forms, exps):
-                if e:
-                    part = part * f**e
-            total = total + part
-        if not total.is_zero:
+        # F(1, t) has integer coefficients at most C in size (||.||_1 is
+        # submultiplicative), so when nonzero no root of modulus C + 1 (Cauchy).
+        norms = [sum(abs(c.numerator) for c in f.terms.values()) for f in forms]
+        t = 1 + sum(abs(c) * math.prod(map(pow, norms, exps)) for exps, c in self.target.terms)
+        if self.target.evaluate([f.evaluate(1, t) for f in forms]):
             raise InputError("parametrization does not satisfy the target equation")
 
     @classmethod
@@ -216,16 +209,14 @@ class SlopeReport:
     slope_fit: float
 
 
-def _origin_subscheme() -> Subscheme:
-    return Subscheme.of_coordinates(3, (0, 1))
-
-
 def _degree_and_multiplicity(target: HomogPoly) -> tuple[int, int]:
     """The degree d >= 1 of the target curve and its multiplicity m at the
-    distinguished point (0:0:1)."""
+    distinguished point (0:0:1), read in the chart x2 = 1."""
     if target.degree < 1:
         raise InputError("target curve must have positive degree")
-    return target.degree, multiplicity_at(dehomogenize_at_origin_chart(target), (0, 0))
+    if target.num_vars != 3:
+        raise InputError("target curve must live in the projective plane")
+    return target.degree, multiplicity_at(Poly2(((e[0], e[1]), c) for e, c in target.terms), (0, 0))
 
 
 def mdlaw_records(target: HomogPoly, points: Sequence[ProjPoint]) -> list[ExperimentRecord]:
@@ -236,7 +227,7 @@ def mdlaw_records(target: HomogPoly, points: Sequence[ProjPoint]) -> list[Experi
     module docstring.
     """
     d, m = _degree_and_multiplicity(target)
-    z_origin = _origin_subscheme()
+    z_origin = Subscheme.of_coordinates(3, (0, 1))
     records = []
     for pt in points:
         if pt.coords == ORIGIN_COORDS:

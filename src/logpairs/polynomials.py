@@ -6,7 +6,8 @@ parametrized sampling families: terms are stored sparsely as
 Blowup substitutions and division are implemented directly so that every
 transformation stays in rational arithmetic.  ``Poly2.divide`` is the one
 division loop: exact divisibility and the Euclid that finds a common factor
-of a parametrization both run on it.
+of a parametrization both run on it.  ``Poly2.x_chart`` is the one x-chart
+substitution, behind ``blowup_x`` and the runs of forced centers in ``curves``.
 
 It also owns the reading of input: ``read_number`` is the one rule by which
 every module turns a number from outside into a Fraction, with the caller's
@@ -316,10 +317,14 @@ class Poly2:
         returns ``(stripped, power)``.  The stripped power equals the
         multiplicity of the polynomial at the origin.
         """
-        # x^i * (x*y)^j = x^(i+j) * y^j, then y -> y + shift.
         power = self.order()
-        stripped = Poly2._of({(i + j - power, j): c for (i, j), c in self.terms.items()})
-        return stripped.translate(0, shift), power
+        return self.x_chart(1, power).translate(0, shift), power
+
+    def x_chart(self, k: int, s: int) -> "Poly2":
+        """f(x, x^k * y) / x^s, which moves each term (i, j) to (i + k*j - s, j):
+        k blowups in the chart y -> x*y, x^s the product of the powers they strip.
+        The caller knows that x^s divides."""
+        return Poly2._of({(i + k * j - s, j): c for (i, j), c in self.terms.items()})
 
     def blowup_y(self) -> tuple["Poly2", int]:
         """Strict transform in the chart x = x*y, y = y (the vertical direction)."""

@@ -61,8 +61,8 @@ MUTANTS = [
     (
         "run replay substitutes one step short",
         "src/logpairs/curves.py",
-        "{(i + k * j - s, j)",
-        "{(i + (k - 1) * j - s, j)",
+        "h.x_chart(k, s) if k",
+        "h.x_chart(k - 1, s) if k",
         [f"{ORACLES}::TestRunReplay"],
     ),
     (
@@ -124,8 +124,8 @@ MUTANTS = [
     (
         "run substitution one step short",
         "src/logpairs/curves.py",
-        "{(i + run * (j - m), j)",
-        "{(i + (run - 1) * (j - m), j)",
+        "transformed.x_chart(run, run * m)",
+        "transformed.x_chart(run - 1, (run - 1) * m)",
         [RUNS],
     ),
     (
@@ -414,6 +414,27 @@ MUTANTS = [
         "src/logpairs/experiments.py",
         "if g.total_degree() or all((0, d) not in f.terms for f in forms):",
         "if g.total_degree():",
+        ["tests/test_experiments.py::TestParamCurve"],
+    ),
+    (
+        "ParamCurve's bound leaves out the norm of p2",
+        "src/logpairs/experiments.py",
+        "math.prod(map(pow, norms, exps))",
+        "math.prod(map(pow, norms[:2], exps))",
+        ["tests/test_experiments.py::TestParamCurve"],
+    ),
+    (
+        "ParamCurve's bound leaves out the target's coefficients",
+        "src/logpairs/experiments.py",
+        "abs(c) * math.prod(",
+        "math.prod(",
+        ["tests/test_experiments.py::TestParamCurve"],
+    ),
+    (
+        "ParamCurve tests the identity at a fixed small point",
+        "src/logpairs/experiments.py",
+        "f.evaluate(1, t) for f in forms",
+        "f.evaluate(1, 3) for f in forms",
         ["tests/test_experiments.py::TestParamCurve"],
     ),
     (

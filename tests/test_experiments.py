@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import random
 import time
 from fractions import Fraction
 from functools import partial
@@ -39,6 +40,50 @@ def _dense_form(coeffs) -> Poly2:
     """The binary form sum of c * s^(e - j) * t^j over coeffs = (c_0, ..., c_e)."""
     e = len(coeffs) - 1
     return Poly2({(e - j, j): c for j, c in enumerate(coeffs)})
+
+
+def _expands_to_zero(forms, target) -> bool:
+    """The reference for ParamCurve's identity: T(p0, p1, p2) expanded term
+    by term in Poly2 arithmetic."""
+    total = Poly2()
+    for exps, c in target.terms:
+        part = Poly2.constant(c)
+        for f, e in zip(forms, exps):
+            part = part * f**e
+        total = total + part
+    return total.is_zero
+
+
+def _substitute(f: Poly2, u: Poly2, v: Poly2) -> Poly2:
+    """f(u, v) for forms u and v."""
+    total = Poly2()
+    for (i, j), c in f.terms.items():
+        total = total + Poly2.constant(c) * u**i * v**j
+    return total
+
+
+def _conic_param() -> ParamCurve:
+    """(s^2 : st : t^2) on x0*x2 = x1^2."""
+    target = HomogPoly.from_terms(3, [((1, 0, 1), 1), ((0, 2, 0), -1)])
+    return ParamCurve(Poly2.monomial(2, 0), Poly2.monomial(1, 1), Poly2.monomial(0, 2), target)
+
+
+# Makers of parametrizations whose identity holds, called inside the tests so
+# that a constructor that raises fails them rather than their collection.
+HOLDING = [
+    nodal_cubic_param,
+    _conic_param,
+    *(partial(pure_power_param, m, d) for d in range(2, 8) for m in range(1, d) if math.gcd(m, d) == 1),
+]
+
+
+def _dense16():
+    """A dense degree-16 target with coefficients 1-9 over three dense
+    degree-16 forms with coefficients 1-9, about 3 KB as JSON."""
+    rng = random.Random(7)
+    forms = [Poly2({(16 - j, j): rng.randint(1, 9) for j in range(17)}) for _ in range(3)]
+    terms = [((a, b, 16 - a - b), rng.randint(1, 9)) for a in range(17) for b in range(17 - a)]
+    return forms, HomogPoly.from_terms(3, terms)
 
 
 class TestParamCurve:
@@ -110,6 +155,87 @@ class TestParamCurve:
             target = nodal_cubic_param().target
         with pytest.raises(InputError, match=words):
             ParamCurve(*map(Poly2, forms), target)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(range(len(HOLDING))),
+        st.lists(st.integers(-3, 3), max_size=4),
+        st.booleans(),
+        st.integers(-2, 2),
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(-3, 3)), max_size=3),
+    )
+    @example(0, [], False, 1, [(0, 0, 1)])  # the nodal cubic and x2^3 on top of its target
+    def test_evaluation_agrees_with_the_expansion(self, index, shears, swap, k, extra):
+        # A holding identity under a unimodular change of (s, t), which keeps
+        # it and the forms' coprimality, with target k*T + P for a drawn form P
+        # of T's degree: k = 1 and P = 0 hold, anything else mostly fails.
+        # ParamCurve accepts exactly when the symbolic expansion vanishes.
+        pc = HOLDING[index]()
+        u, v = Poly2.x(), Poly2.y()
+        if swap:
+            u, v = v, u
+        for n, a in enumerate(shears):
+            if n % 2:
+                v = v + Poly2.constant(a) * u
+            else:
+                u = u + Poly2.constant(a) * v
+        forms = [_substitute(f, u, v) for f in (pc.p0, pc.p1, pc.p2)]
+        D = pc.target.degree
+        terms = [(e, k * c) for e, c in pc.target.terms]
+        terms += [((a, b, D - a - b), c) for a, b, c in extra if a + b <= D]
+        try:
+            target = HomogPoly.from_terms(3, terms)
+        except InputError:  # every term cancelled
+            assume(False)
+        holds = _expands_to_zero(forms, target)
+        if k == 1 and len(terms) == len(pc.target.terms):
+            assert holds
+        try:
+            ParamCurve(*forms, target)
+        except InputError as exc:
+            assert "target equation" in str(exc)
+            assert not holds
+            return
+        assert holds
+
+    @pytest.mark.parametrize(
+        "forms, terms, root",
+        [
+            # F(1, t) = t^2 - 9: C = 1 + 9 = 10, and t = 3 is C + 1 without p2's norm
+            (({(1, 0): 1}, {(0, 1): 1}, {(1, 0): 9}), [((0, 2, 0), 1), ((1, 0, 1), -1)], 3),
+            # F(1, t) = 9 - t^2: C = 9 + 1 = 10, and t = 3 is C + 1 without |c|
+            (({(1, 0): 1}, {(0, 1): 1}, {(1, 0): 1}), [((1, 0, 1), 9), ((0, 2, 0), -1)], 3),
+        ],
+        ids=["norm-of-p2", "coefficient"],
+    )
+    def test_near_miss_is_refused(self, forms, terms, root):
+        # F(1, t) has an integer root just below C + 1, where a bound with a
+        # factor left out would evaluate it and accept.
+        forms = [Poly2(f) for f in forms]
+        target = HomogPoly.from_terms(3, terms)
+        assert target.evaluate([f.evaluate(1, root) for f in forms]) == 0
+        assert not _expands_to_zero(forms, target)
+        with pytest.raises(InputError, match="does not satisfy the target equation"):
+            ParamCurve(*forms, target)
+
+    def test_dense_degree_16_input_is_refused_at_once(self):
+        # The symbolic expansion took about 30 s on an input of this shape.
+        forms, target = _dense16()
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="does not satisfy the target equation"):
+            ParamCurve(*forms, target)
+        assert time.perf_counter() - start < 1.0
+
+    def test_identity_evaluates_no_sample(self, monkeypatch):
+        # Construction reads the forms through Poly2.evaluate: ParamCurve.evaluate
+        # is the sampling step, and each of its calls is a sampled pair.
+        def refuse(*args):
+            raise AssertionError("ParamCurve.evaluate called while constructing")
+
+        monkeypatch.setattr(ParamCurve, "evaluate", refuse)
+        for make in HOLDING:
+            pc = make()
+            assert ParamCurve(pc.p0, pc.p1, pc.p2, pc.target) == pc
 
     @settings(max_examples=150, deadline=None)
     @given(
