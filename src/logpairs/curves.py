@@ -59,12 +59,16 @@ transform of the curve, or of any other polynomial, at a center is replayed
 from the origin through the recorded charts, by runs too: a chain of shift-0
 x-chart centers costs one minimum per center, not one blowup.
 
-Two exact steps keep their answers for the last 16 inputs each (``_RECENT``):
-the squarefree check, keyed by the polynomial, and the centers of
-:func:`resolve`, keyed by the polynomial and ``max_depth``, so that a
-shallower bound still raises.  Errors are not kept, and the centers are kept
-as immutable nodes and contacts: each :func:`resolve` call builds its own
-tree on the caller's polynomial, so the tables it fills are never shared.
+Two exact steps keep their answers for the last 16 inputs each (``_RECENT``),
+keyed by the polynomial: the squarefree check and the centers of
+:func:`resolve`, kept with the depth their tree needs (its deepest node's).
+They serve every ``max_depth`` at or above it, and a smaller one raises as a
+fresh resolve would.  That is exact: a resolve that does not raise finds the
+same tree at every bound, since a run cut short by the bound leaves a t = 0
+direction of multiplicity m >= 2 one level too deep.  A miss works under the
+caller's own bound.  Errors are not kept, and each :func:`resolve` call
+builds its own tree from the immutable nodes and contacts, so the tables it
+fills are never shared.
 """
 
 from __future__ import annotations
@@ -91,6 +95,8 @@ PolyLike = Union["AffineCurve", Poly2]
 MAX_DEPTH = 64  # default bound on blowup levels, for resolve, its callers and the CLI
 _ZERO = Fraction(0)  # the shift of every run node
 _RECENT = 16  # inputs each memo keeps: the squarefree check and the centers
+# poly -> (the depth its tree needs, (nodes, contacts)), oldest first
+_CENTERS: dict[Poly2, tuple[int, tuple[tuple[ResolutionNode, ...], frozenset[int]]]] = {}
 
 
 class IdealKind(enum.Enum):
@@ -364,9 +370,15 @@ def resolve(f: PolyLike, max_depth: int = MAX_DEPTH) -> ResolutionTree:
     return ResolutionTree(poly, *_centers(poly, max_depth))
 
 
-@functools.lru_cache(maxsize=_RECENT)
 def _centers(poly: Poly2, max_depth: int) -> tuple[tuple[ResolutionNode, ...], frozenset[int]]:
     """The nodes and curve contacts of :func:`resolve`, for a ``max_depth`` >= 0."""
+    kept = _CENTERS.get(poly)
+    if kept is not None:
+        needed, centers = kept
+        if needed > max_depth:
+            raise DepthExceededError(f"resolution needs more than {max_depth} blowup levels")
+        return centers
+    needed = 0
     nodes: list[ResolutionNode] = []
     contacts: set[int] = set()
     # Centers still to visit, as (strict transform, parent, shift, axes,
@@ -392,6 +404,7 @@ def _centers(poly: Poly2, max_depth: int) -> tuple[tuple[ResolutionNode, ...], f
                 nodes.append(node)
             depth += run
             transformed = transformed.x_chart(run, run * m)
+        needed = max(needed, depth)
         restriction = transformed.on_x_axis_restriction()
         directions, has_irrational = _rational_roots(restriction)
         if has_irrational:
@@ -419,7 +432,11 @@ def _centers(poly: Poly2, max_depth: int) -> tuple[tuple[ResolutionNode, ...], f
                 child = transformed.translate(0, t) if t else transformed
             children.append((child, node.id, t, child_axes, depth + 1))
         pending.extend(reversed(children))
-    return tuple(nodes), frozenset(contacts)
+    centers = tuple(nodes), frozenset(contacts)
+    _CENTERS[poly] = (needed, centers)
+    while len(_CENTERS) > _RECENT:  # the oldest entry goes
+        _CENTERS.pop(next(iter(_CENTERS)), None)
+    return centers
 
 
 def blow_up_point(tree: ResolutionTree, node_id: int, shift: Fraction | int) -> ResolutionTree:

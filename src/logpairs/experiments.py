@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from statistics import StatisticsError, linear_regression
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -42,9 +42,11 @@ from .polynomials import Poly2, read_shape
 
 ORIGIN_COORDS = (0, 0, 1)
 
-# Work limits, each checked before any work starts: the largest sampling
+# Work limits, each checked before any work starts: the most bits of the
+# value that checks a parametrization's target identity, the largest sampling
 # bound (about 1.2*bound^2 parameter pairs), and the most bases, the largest
 # |base| and the largest exponent d of one gcd-family run.
+MAX_IDENTITY_BITS = 10**6
 MAX_SAMPLE_BOUND = 1000
 MAX_GCD_FAMILY_RANGE = 10**6
 MAX_GCD_FAMILY_BASE = 10**6
@@ -62,7 +64,8 @@ class ParamCurve:
     no form has a t^d term.  The identity takes one exact value: C, the sum
     over the target's terms c*x^e of |c| * prod ||p_i||_1^e_i, bounds every
     coefficient of F(1, t) for F = T(p0, p1, p2), so F vanishes exactly when
-    F(1, C + 1) does.
+    F(1, C + 1) does.  An estimate of its D*log2(C + 1) bits (D = d_T*d, d_T
+    the target's degree) above ``MAX_IDENTITY_BITS`` raises before C is built.
     """
 
     p0: Poly2
@@ -94,7 +97,12 @@ class ParamCurve:
         # F(1, t) has integer coefficients at most C in size (||.||_1 is
         # submultiplicative), so when nonzero no root of modulus C + 1 (Cauchy).
         norms = [sum(abs(c.numerator) for c in f.terms.values()) for f in forms]
-        t = 1 + sum(abs(c) * math.prod(map(pow, norms, exps)) for exps, c in self.target.terms)
+        # log2(C + 1) is at most log2(2 * #terms) plus the largest log2 of a term.
+        logs, terms = [math.log2(n) for n in norms], self.target.terms
+        log_c = math.log2(2 * len(terms)) + max(math.log2(abs(c)) + sum(map(mul, e, logs)) for e, c in terms)
+        if d * self.target.degree * log_c > MAX_IDENTITY_BITS:
+            raise BadRangeError(f"the target identity's value is estimated above {MAX_IDENTITY_BITS} bits")
+        t = 1 + sum(abs(c) * math.prod(map(pow, norms, exps)) for exps, c in terms)
         if self.target.evaluate([f.evaluate(1, t) for f in forms]):
             raise InputError("parametrization does not satisfy the target equation")
 

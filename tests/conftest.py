@@ -33,7 +33,7 @@ def _fresh_curve_memos():
     curves = sys.modules.get("logpairs.curves")
     if curves is not None:
         curves._is_squarefree.cache_clear()
-        curves._centers.cache_clear()
+        curves._CENTERS.clear()
 
 
 @pytest.fixture(scope="session")

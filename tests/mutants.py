@@ -37,6 +37,9 @@ TAIL = 40
 LIMIT_FACTOR = 3
 MIN_LIMIT = 60
 SQUAREFREE = "tests/test_curves.py::TestSquarefree::test_each_branch_of_the_certificate"
+IDENTITY_BITS = "tests/test_experiments.py::TestWorkLimits::test_identity_bits"
+MEMO_DEPTH = "tests/test_curves.py::TestMemo::test_a_shallower_depth_still_raises"
+MEMO_BOUNDS = "tests/test_curves.py::TestMemo::test_every_bound_reads_as_a_fresh_resolve"
 NOT_RUN = {
     2: "interrupted by a collection error",
     3: "internal error",
@@ -209,13 +212,27 @@ MUTANTS = [
         "    return False\n",
         [SQUAREFREE],
     ),
-    # The memos: the centers' key and a tree for each caller.
+    # The memos: the centers' needed depth and a tree for each caller.
     (
-        "the centers memo ignores max_depth",
+        "a centers hit skips the depth check",
         "src/logpairs/curves.py",
-        "_centers(poly, max_depth))",
-        "_centers(poly, MAX_DEPTH))",
-        ["tests/test_curves.py::TestMemo::test_a_shallower_depth_still_raises"],
+        "        if needed > max_depth:\n",
+        "        if False:\n",
+        [MEMO_DEPTH, MEMO_BOUNDS],
+    ),
+    (
+        "a centers hit refuses the depth its tree needs",
+        "src/logpairs/curves.py",
+        "if needed > max_depth:",
+        "if needed >= max_depth:",
+        [MEMO_DEPTH, MEMO_BOUNDS],
+    ),
+    (
+        "the needed depth one short",
+        "src/logpairs/curves.py",
+        "        needed = max(needed, depth)\n",
+        "        needed = max(needed, depth - 1)\n",
+        [MEMO_BOUNDS],
     ),
     (
         "resolve hands out one shared tree",
@@ -429,6 +446,27 @@ MUTANTS = [
         "abs(c) * math.prod(",
         "math.prod(",
         ["tests/test_experiments.py::TestParamCurve"],
+    ),
+    (
+        "ParamCurve never checks the identity's bits",
+        "src/logpairs/experiments.py",
+        "        if d * self.target.degree * log_c > MAX_IDENTITY_BITS:\n",
+        "        if False:\n",
+        [IDENTITY_BITS],
+    ),
+    (
+        "ParamCurve's bit estimate leaves out the target's degree",
+        "src/logpairs/experiments.py",
+        "if d * self.target.degree * log_c >",
+        "if d * log_c >",
+        [IDENTITY_BITS],
+    ),
+    (
+        "ParamCurve's bit estimate leaves out the number of terms",
+        "src/logpairs/experiments.py",
+        "log_c = math.log2(2 * len(terms)) + max(",
+        "log_c = max(",
+        [IDENTITY_BITS],
     ),
     (
         "ParamCurve tests the identity at a fixed small point",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from logpairs import cli
 from logpairs.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, build_parser, main
 from logpairs.curves import AffineCurve, resolve
-from logpairs.polynomials import MAX_DEGREE
+from logpairs.polynomials import MAX_DEGREE, Poly2
 
 NODAL_PARAM = {
     "p0": [[[2, 1], "1"], [[0, 3], "-1"]],
@@ -108,6 +108,29 @@ def test_member_max_depth(capsys):
         assert json.loads(out)["member"] is expected
     code, _, err = run(capsys, "member", curve, "--c", "1", "--g", one, "--kind", "J", "--max-depth", "66")
     assert code == EXIT_INPUT and "more than 66" in err
+
+
+def test_member_after_a_deeper_resolve_curve_finds_no_center(capsys, monkeypatch):
+    # The germs job pattern: resolve-curve at --max-depth 400, then member at
+    # the default depth.  Four lines through the origin need a factor_list
+    # for their tangent directions; member reads the stored centers.
+    import sympy
+
+    curve = json.dumps({"f": [[[0, 4], "1"], [[2, 2], "-5"], [[4, 0], "4"]]})
+    calls = {"blowup_x": 0, "factor_list": 0}
+    for owner, name in ((Poly2, "blowup_x"), (sympy.Poly, "factor_list")):
+        original = getattr(owner, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    code, _, _ = run(capsys, "resolve-curve", curve, "--c", "1/2", "--max-depth", "400", "--json")
+    assert code == EXIT_OK and calls == {"blowup_x": 1, "factor_list": 1}
+    code, out, _ = run(capsys, "member", curve, "--c", "1/2", "--g", '[[[1,0],"1"]]', "--kind", "J", "--json")
+    assert code == EXIT_OK and json.loads(out)["member"] is True
+    assert calls == {"blowup_x": 1, "factor_list": 1}
 
 
 @st.composite

@@ -873,6 +873,16 @@ def _count_calls(monkeypatch, owner, attr) -> list[int]:
     return calls
 
 
+@st.composite
+def _towers(draw) -> Poly2:
+    """y^a - c*x^b with b up to 150, or its swap x^a - c*y^b, whose centers
+    are vertical-chart children rather than a run."""
+    a = draw(st.sampled_from([2, 3]))
+    b = draw(st.integers(a + 1, 150).filter(lambda b: math.gcd(a, b) == 1))
+    tower = Y**a - Poly2.constant(draw(_NONZERO)) * X**b
+    return _swap(tower) if draw(st.booleans()) else tower
+
+
 def _twin(f: Poly2) -> Poly2:
     """A polynomial equal to f that is not f."""
     return Poly2(dict(f.terms))
@@ -929,12 +939,44 @@ class TestMemo:
         def read(tree):
             return tree.nodes, tree.curve_contacts, tree.k, tree.v, tree_lct(tree)
 
-        curves._centers.cache_clear()
-        resolve(f, max_depth=100)
-        hit = read(resolve(_twin(f), max_depth=100))
-        assert curves._centers.cache_info().hits == 1
-        curves._centers.cache_clear()
+        curves._CENTERS.clear()
+        first = resolve(f, max_depth=100)
+        second = resolve(_twin(f), max_depth=100)
+        assert second.nodes is first.nodes  # the stored centers, not found again
+        hit = read(second)
+        curves._CENTERS.clear()
         assert hit == read(resolve(f, max_depth=100))
+
+    @settings(max_examples=25, deadline=None)
+    @given(_germs() | _towers())
+    def test_every_bound_reads_as_a_fresh_resolve(self, f):
+        # After a resolve at depth 400, a resolve at any bound d gives the
+        # nodes and contacts, or the DepthExceededError, of a fresh resolve
+        # at d; the needed depth is the deepest node's, counted here from
+        # the parents.
+        def outcome(depth):
+            try:
+                tree = resolve(f, depth)
+            except DepthExceededError as exc:
+                return type(exc), str(exc)
+            return tree.nodes, tree.curve_contacts
+
+        curves._CENTERS.clear()
+        full = resolve(f, 400)
+        depths = {None: 0}
+        for node in full.nodes:
+            depths[node.id] = depths[node.parent] + 1
+        needed = max(depths.values())
+        assert curves._CENTERS[f][0] == needed
+        for depth in range(needed + 2):
+            curves._CENTERS.clear()
+            full = resolve(f, 400)
+            hit = outcome(depth)
+            if depth >= needed:
+                assert hit[0] is full.nodes
+            curves._CENTERS.clear()
+            assert hit == outcome(depth), depth
+            assert (hit[0] is DepthExceededError) == (depth < needed)
 
 
 def _sympy_rational_roots(coeffs):

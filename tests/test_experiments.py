@@ -759,6 +759,29 @@ class TestWorkLimits:
         with pytest.raises(BadRangeError):
             sample_param_points(pc, 6)
 
+    def test_identity_bits(self, monkeypatch):
+        # The dense (s+t)^60 over s^60 and t^60 on x0^60 = x1^60: F(1, C + 1)
+        # has about 13 million bits, and is refused before any evaluation.
+        forms = [_dense_form([math.comb(60, j) for j in range(61)]), Poly2.monomial(60, 0), Poly2.monomial(0, 60)]
+        target = HomogPoly.from_terms(3, [((60, 0, 0), 1), ((0, 60, 0), -1)])
+        start = time.perf_counter()
+        with pytest.raises(BadRangeError, match="estimated above 1000000 bits"):
+            ParamCurve(*forms, target)
+        assert time.perf_counter() - start < 0.1
+        # A pure power (s^m t^(d-m) : s^d : t^d) takes 2*d^2 bits by the
+        # estimate, so d = 707 is just below the limit and d = 708 above it.
+        assert pure_power_param(1, 707).degree == 707
+        with pytest.raises(BadRangeError):
+            pure_power_param(1, 708)
+        # (s t^63 : s^64 : t^64) takes 64 * 64 * log2(2 * 2) = 8,192 bits.
+        target = HomogPoly.from_terms(3, [((64, 0, 0), 1), ((0, 1, 63), -1)])
+        forms = (Poly2.monomial(1, 63), Poly2.monomial(64, 0), Poly2.monomial(0, 64))
+        monkeypatch.setattr(experiments, "MAX_IDENTITY_BITS", 8192)
+        assert ParamCurve(*forms, target).degree == 64
+        monkeypatch.setattr(experiments, "MAX_IDENTITY_BITS", 8191)
+        with pytest.raises(BadRangeError):
+            ParamCurve(*forms, target)
+
     def test_gcd_family_range(self, monkeypatch):
         for a_range in ((1, experiments.MAX_GCD_FAMILY_RANGE + 1), (1, 10**8)):
             with pytest.raises(BadRangeError):

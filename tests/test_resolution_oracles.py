@@ -39,6 +39,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from logpairs import curves
 from logpairs.curves import (
     MAX_DEPTH,
     IdealKind,
@@ -450,6 +451,7 @@ class TestRuns:
     def test_same_result_at_every_depth_limit(self, f):
         nodes = len(resolve(f, 2000).nodes)
         for max_depth in range(1, nodes + 2):
+            curves._CENTERS.clear()  # a resolve under this bound, not the tree stored at 2000
             assert _outcome(resolve, f, max_depth) == _outcome(_resolve_step_by_step, f, max_depth), max_depth
 
     def test_node_counts_and_lcts_match_the_bench_oracles(self):
