@@ -9,10 +9,14 @@ absolute coordinate; when the law is exact (Q == 1) the float residual is
 exactly 0.0, with no tolerance needed.  Sampling and Q stay in integers:
 ``Poly2.evaluate`` returns the integral forms' values at int pairs as ints,
 only R is a Fraction, and Q is reduced by an integer gcd before its logs.
+
+``sample_param_points`` keeps the sample of the last (curve, bound) it took,
+so mdlaw and gcd-bounds on one curve and bound in one process share it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -157,6 +161,7 @@ class SampleResult:
     origin_params: tuple[tuple[int, int], ...]
 
 
+@functools.lru_cache(maxsize=1, typed=True)
 def sample_param_points(pc: ParamCurve, bound: int) -> SampleResult:
     """Evaluate the parametrization at all primitive parameter pairs with
     entries bounded by ``bound``, one representative per projective pair.
@@ -164,6 +169,9 @@ def sample_param_points(pc: ParamCurve, bound: int) -> SampleResult:
     Pairs run in sorted order, with (1, 0) just before (1, 1).  Images are
     normalized and deduplicated.  No image is all zero: at a primitive (p, q)
     that would make q*s - p*t a common factor of the forms.
+
+    The last (curve, bound) keeps its sample: an equal curve at a bound of equal
+    value and type gets it back.  No error is kept; a bad bound always raises.
     """
     if not 1 <= bound <= MAX_SAMPLE_BOUND:
         raise BadRangeError(f"bound must be in [1, {MAX_SAMPLE_BOUND}], got {bound}")
@@ -173,22 +181,15 @@ def sample_param_points(pc: ParamCurve, bound: int) -> SampleResult:
         for q in range(0 if p == 1 else 1, bound + 1)
         if math.gcd(p, q) == 1
     )
-    points: list[ProjPoint] = []
-    params: list[tuple[int, int]] = []
+    first: dict[ProjPoint, tuple[int, int]] = {}  # each image and its first pair
     origin_params: list[tuple[int, int]] = []
-    seen: set[tuple[int, ...]] = set()
     for p, q in pairs:
         pt = normalize_point(pc.evaluate(p, q))
-        coords = pt.coords
-        if coords == ORIGIN_COORDS:
+        if pt.coords == ORIGIN_COORDS:
             origin_params.append((p, q))
-            continue
-        if coords in seen:
-            continue
-        seen.add(coords)
-        points.append(pt)
-        params.append((p, q))
-    return SampleResult(points=tuple(points), params=tuple(params), origin_params=tuple(origin_params))
+        else:
+            first.setdefault(pt, (p, q))
+    return SampleResult(points=tuple(first), params=tuple(first.values()), origin_params=tuple(origin_params))
 
 
 class ExperimentRecord(NamedTuple):

@@ -46,18 +46,20 @@ from .polynomials import (
 RatLike = Union[Fraction, int, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjPoint:
     """A rational point of P^n in primitive integer coordinates.
 
-    Invariants: not all coordinates zero, gcd of all coordinates is 1, and
-    the first nonzero coordinate is positive.
+    Invariants: the coordinates are a tuple, not all zero, gcd of all
+    coordinates is 1, and the first nonzero coordinate is positive.
     """
 
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
         coords = self.coords
+        if not isinstance(coords, tuple):
+            raise NotPrimitiveError(f"coordinates {coords!r} are not a tuple")
         # One gcd settles both: 0 for an all-zero (or empty) point, > 1 for a
         # common factor.  It also rejects a coordinate that is not an int.
         try:

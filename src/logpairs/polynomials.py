@@ -171,10 +171,11 @@ class Poly2:
     """A polynomial in two variables x, y with exact rational coefficients.
 
     ``terms`` is set once, in ``__init__`` or ``_of``; ``evaluate`` keeps an
-    integer view of it, built on the first call at two ints.
+    integer view of it, built on the first call at two ints, and ``__hash__``
+    keeps its hash, computed on the first call.
     """
 
-    __slots__ = ("terms", "_ints")
+    __slots__ = ("terms", "_ints", "_hash")
 
     def __init__(self, terms: Mapping[tuple[int, int], CoeffLike] | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -223,7 +224,11 @@ class Poly2:
         return isinstance(other, Poly2) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.terms.items()))
+            return self._hash
 
     def total_degree(self) -> int:
         if not self.terms:

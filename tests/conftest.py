@@ -1,5 +1,5 @@
 """Values shared by more than one test module, one import made early, and
-the curve memos cleared before each test.
+the curve and sample memos cleared before each test.
 
 When a hypothesis test fails, hypothesis's pytest plugin imports
 ``hypothesis.extra._patching`` to print a patch hint.  That import pulls in
@@ -9,9 +9,10 @@ every later result.  Importing the module here, with that warning ignored,
 caches it before any test runs; the filter still holds for project code.
 
 ``logpairs.curves`` keeps the answers of its squarefree check and of the
-centers of ``resolve`` for recent inputs.  A test that counts the calls
-those steps make would otherwise see nothing when an earlier test used the
-same curve.
+centers of ``resolve`` for recent inputs, and ``logpairs.experiments`` keeps
+the sample of the last (curve, bound).  A test that counts the calls those
+steps make would otherwise see nothing when an earlier test used the same
+curve.
 """
 
 import sys
@@ -28,12 +29,15 @@ with warnings.catch_warnings():
 
 
 @pytest.fixture(autouse=True)
-def _fresh_curve_memos():
+def _fresh_memos():
     # Looked up, not imported: this file also runs in a session without src.
     curves = sys.modules.get("logpairs.curves")
     if curves is not None:
         curves._is_squarefree.cache_clear()
         curves._CENTERS.clear()
+    experiments = sys.modules.get("logpairs.experiments")
+    if experiments is not None:
+        experiments.sample_param_points.cache_clear()
 
 
 @pytest.fixture(scope="session")

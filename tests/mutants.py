@@ -46,11 +46,37 @@ NOT_RUN = {
     4: "usage error, as when a named test cannot be collected",
     5: "no tests collected",
 }
+SAMPLE_MEMO = "tests/test_experiments.py::TestSampleMemo"
 READER = [
     "tests/test_polynomials.py::test_read_number_rules",
     "tests/test_polynomials.py::test_read_number_reads_a_float_as_its_repr",
     "tests/test_polynomials.py::test_exponent_alone_refuses_a_literal_before_building_it",
 ]
+
+
+def _sample_memo_keyed_by(key: str) -> str:
+    """A one-entry memo in place of the sample memo's lru_cache, keyed by the
+    expression ``key`` in (pc, bound) alone, with the cache_clear that the
+    tests call."""
+    return (
+        "def _memo(sample):\n"
+        "    kept = {}\n"
+        "\n"
+        "    def memo(pc, bound):\n"
+        f"        if {key} not in kept:\n"
+        "            value = sample(pc, bound)\n"
+        "            kept.clear()\n"
+        f"            kept[{key}] = value\n"
+        f"        return kept[{key}]\n"
+        "\n"
+        "    memo.cache_clear = kept.clear\n"
+        "    memo.__wrapped__ = sample\n"
+        "    return memo\n"
+        "\n"
+        "\n"
+        "@_memo\n"
+    )
+
 
 MUTANTS = [
     # Resolution: chart shifts, runs of forced centers, the proximity recursion.
@@ -481,6 +507,42 @@ MUTANTS = [
         "if len(degrees) != 1 or 0 in degrees:",
         "if len(degrees) != 1:",
         ["tests/test_experiments.py::TestParamCurve"],
+    ),
+    # The sample memo: a hit needs an equal curve and a bound of equal value and type.
+    (
+        "the sample memo serves a stored sample for another bound",
+        "src/logpairs/experiments.py",
+        "@functools.lru_cache(maxsize=1, typed=True)\n",
+        _sample_memo_keyed_by("pc"),
+        [SAMPLE_MEMO],
+    ),
+    (
+        "the sample memo serves a stored sample for another curve",
+        "src/logpairs/experiments.py",
+        "@functools.lru_cache(maxsize=1, typed=True)\n",
+        _sample_memo_keyed_by("bound"),
+        [SAMPLE_MEMO],
+    ),
+    (
+        "the sample memo takes a float bound for its int",
+        "src/logpairs/experiments.py",
+        "@functools.lru_cache(maxsize=1, typed=True)",
+        "@functools.lru_cache(maxsize=1)",
+        [f"{SAMPLE_MEMO}::test_a_float_bound_behaves_as_without_the_memo"],
+    ),
+    (
+        "sampling keeps the last pair of an image",
+        "src/logpairs/experiments.py",
+        "first.setdefault(pt, (p, q))",
+        "first[pt] = (p, q)",
+        ["tests/test_experiments.py::TestSampling"],
+    ),
+    (
+        "ProjPoint takes coords that are not a tuple",
+        "src/logpairs/heights.py",
+        "        if not isinstance(coords, tuple):\n",
+        "        if False:\n",
+        ["tests/test_heights.py::TestNormalizePoint"],
     ),
     (
         "gcd_bounds_check blames the filter for an empty sample",

@@ -247,6 +247,34 @@ def test_mdlaw_computes_origin_multiplicity_once(capsys, monkeypatch):
     assert calls == [(0, 0)]
 
 
+def test_gcd_bounds_after_mdlaw_reads_the_same_sample(capsys, monkeypatch):
+    # The mdlaw job pattern: gcd-bounds on the param and bound of the mdlaw
+    # run before it evaluates and normalizes no point, and prints what a
+    # cold gcd-bounds run prints.
+    import logpairs.experiments as exp
+
+    param = json.dumps(NODAL_PARAM)
+    gcd_bounds = ("gcd-bounds", param, "--bound", "12", "--eps", "0.05", "--delta", "0.5")
+    code, cold, _ = run(capsys, *gcd_bounds)
+    assert code == EXIT_OK
+    exp.sample_param_points.cache_clear()
+    calls = {"evaluate": 0, "normalize_point": 0}
+    for owner, name in ((exp.ParamCurve, "evaluate"), (exp, "normalize_point")):
+        original = getattr(owner, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    code, _, _ = run(capsys, "mdlaw", param, "--bound", "12", "--json")
+    assert code == EXIT_OK and calls["evaluate"] == calls["normalize_point"] > 100
+    calls.update(evaluate=0, normalize_point=0)
+    code, warm, _ = run(capsys, *gcd_bounds)
+    assert code == EXIT_OK and calls == {"evaluate": 0, "normalize_point": 0}
+    assert warm == cold
+
+
 def test_gcd_family_ok(capsys):
     code, out, _ = run(capsys, "gcd-family", "pure", "3", "2", "-40", "40", "--json")
     assert code == EXIT_OK

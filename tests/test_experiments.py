@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -401,6 +402,76 @@ class TestSampling:
             sample = sample_param_points(pc, bound)
             assert sample.params == tuple(params), bound
             assert sample.origin_params == tuple(origin_params), bound
+
+
+# The nodal cubic and the pure powers with d <= 7, the curves of the mdlaw
+# workload; the memo tests draw bounds 1-40 for them.
+MEMO_CURVES = [make for make in HOLDING if make is not _conic_param]
+MEMO_BOUNDS = st.integers(1, 40)
+
+
+def _as_json(pc: ParamCurve) -> dict:
+    """The document of ``ParamCurve.from_json`` for pc, every list of terms
+    reversed, so that reading it rebuilds the curve rather than copying it."""
+    rows = lambda f: [[list(k), str(c)] for k, c in reversed(f.terms.items())]
+    terms = [[list(e), str(c)] for e, c in reversed(pc.target.terms)]
+    return {"p0": rows(pc.p0), "p1": rows(pc.p1), "p2": rows(pc.p2), "target": {"n": 2, "terms": terms}}
+
+
+def _fresh_sample(pc: ParamCurve, bound: int):
+    sample_param_points.cache_clear()
+    return sample_param_points(pc, bound)
+
+
+class TestSampleMemo:
+    """``sample_param_points`` keeps the sample of the last (curve, bound):
+    an equal curve at that bound gets it back, and every other call reads as
+    a sample taken with the memo cleared."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(MEMO_CURVES), MEMO_BOUNDS)
+    def test_an_equal_curve_read_from_json_gets_the_stored_sample(self, make, bound):
+        pc = make()
+        first = sample_param_points(pc, bound)
+        again = ParamCurve.from_json(json.loads(json.dumps(_as_json(pc))))
+        assert again == pc and again is not pc
+        assert sample_param_points(again, bound) is first
+        assert _fresh_sample(again, bound) == first
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(MEMO_CURVES), MEMO_BOUNDS, st.sampled_from(MEMO_CURVES), MEMO_BOUNDS)
+    # one curve at two bounds, and two curves at one bound
+    @example(nodal_cubic_param, 12, nodal_cubic_param, 13)
+    @example(partial(pure_power_param, 2, 5), 30, partial(pure_power_param, 3, 5), 30)
+    def test_another_bound_or_curve_reads_as_a_fresh_sample(self, make_first, first_bound, make, bound):
+        sample_param_points(make_first(), first_bound)
+        pc = make()
+        got = sample_param_points(pc, bound)
+        assert got == _fresh_sample(pc, bound)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(MEMO_CURVES), MEMO_BOUNDS)
+    def test_a_bad_bound_raises_right_after_a_good_call(self, make, bound):
+        pc = make()
+        first = sample_param_points(pc, bound)
+        for bad in (0, experiments.MAX_SAMPLE_BOUND + 1):
+            with pytest.raises(BadRangeError, match=f"got {bad}$"):
+                sample_param_points(pc, bad)
+        # the errors were not kept, and did not displace the stored sample
+        assert sample_param_points(pc, bound) is first
+
+    @pytest.mark.parametrize("make", [nodal_cubic_param, partial(pure_power_param, 3, 7)], ids=["nodal", "pure37"])
+    def test_a_float_bound_behaves_as_without_the_memo(self, make):
+        pc = make()
+        with pytest.raises(TypeError) as unmemoized:
+            sample_param_points.__wrapped__(pc, 35.0)
+        for before in ((), (35,), (35.0,)):
+            if before:
+                with contextlib.suppress(TypeError):
+                    sample_param_points(pc, *before)
+            with pytest.raises(TypeError) as memoized:
+                sample_param_points(pc, 35.0)
+            assert str(memoized.value) == str(unmemoized.value)
 
 
 class TestMdlaw:

@@ -62,6 +62,23 @@ class TestNormalizePoint:
         with pytest.raises(ValueError):
             ProjPoint((-1, 2, 3))
 
+    def test_coords_must_be_a_tuple(self):
+        # a list would print like the tuple, compare unequal to it and hash
+        # with a TypeError
+        for coords in ([1, 2, 3], range(1, 4), iter((1, 2, 3)), "123"):
+            with pytest.raises(NotPrimitiveError, match="not a tuple"):
+                ProjPoint(coords)
+        assert ProjPoint((1, 2, 3)) == normalize_point([1, 2, 3])
+        assert hash(normalize_point([1, 2, 3])) == hash(ProjPoint((1, 2, 3)))
+
+    def test_a_point_holds_its_coords_in_a_slot(self):
+        # no per-point __dict__: a kept sample holds about 1,500 points
+        point = ProjPoint((1, 2, 3))
+        assert ProjPoint.__slots__ == ("coords",)
+        assert not hasattr(point, "__dict__")
+        with pytest.raises(AttributeError):
+            point.coords = (1, 0, 0)
+
     def test_invariant_errors_are_typed(self):
         # the gcd is taken over signed coordinates, so a common factor is
         # caught whatever the signs

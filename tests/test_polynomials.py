@@ -65,6 +65,25 @@ class TestArithmetic:
             assert f.translate(a, b).translate(-a, -b) == f
 
 
+class TestHash:
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)),
+            st.fractions(min_value=-9, max_value=9, max_denominator=4),
+            max_size=6,
+        )
+    )
+    def test_equal_polynomials_hash_equal_and_as_their_terms(self, terms):
+        # An integral coefficient given as an int and as a Fraction, in either
+        # order of the terms, makes equal polynomials with equal hashes.
+        p = Poly2(terms)
+        q = Poly2({k: int(c) if c.denominator == 1 else c for k, c in reversed(terms.items())})
+        r = Poly2.from_json([[list(k), str(c)] for k, c in terms.items()])
+        assert p == q == r
+        assert hash(p) == hash(q) == hash(r) == hash(frozenset(p.terms.items()))
+        assert hash(p) == hash(frozenset(p.terms.items()))  # the kept value
+
+
 class TestBlowupSubstitutions:
     def test_chart_x_identity(self):
         # f(x, x*(y+t)) must equal x^k times the strict transform
