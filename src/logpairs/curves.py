@@ -33,20 +33,21 @@ a smooth branch transverse to that divisor, which needs no further blowup
 (Casas-Alvero, Singularities of Plane Curves, ch. 3): its contact is
 recorded at the node that found it and its strict transform is never built.
 
-Most centers of a deep germ come in runs.  After a blowup at a center of
-multiplicity m, when every term (i, j) of the strict transform with j < m
-has a = i + j - m >= 0, the restriction to the new divisor is c*y^m alone
-and the next center is the point t = 0 of the same multiplicity m.  Each
-such blowup maps (i, j) to (i + j - m, j), lowering a by m - j, so the next
-k centers are forced, k the least a // (m - j) + 1 over those terms: their
-nodes are made at once, and the transform after them is the one
-substitution (i, j) -> (i + k*(j - m), j).  Runs are long because the
-centers of one Euclid step on the Puiseux exponents share one chart and one
-multiplicity: a run and the center that starts it make up to a partial
-quotient's worth of centers.  So y^a - c*x^b, whose resolution has the sum
-of the partial quotients of b/a as its number of centers (Casas-Alvero,
-Singularities of Plane Curves, ch. 3-5), costs a few blowups per partial
-quotient instead of one per center.
+Most centers of a deep germ come in runs, in either chart.  After a blowup
+at a center of multiplicity m, when every term (i, j) of the strict
+transform with j < m has a = i + j - m >= 0, the restriction to the new
+divisor is c*y^m alone and the next center is the point t = 0 of the same
+multiplicity m.  Each such blowup maps (i, j) to (i + j - m, j), lowering a
+by m - j, so the next k centers are forced, k the least a // (m - j) + 1
+over those terms: their nodes are made at once, and the transform after
+them is the one substitution (i, j) -> (i + k*(j - m), j).  The vertical
+chart (x*y, y) is the x chart of f(y, x), so its runs are those of f(y, x).
+Runs are long because the centers of one Euclid step on the Puiseux
+exponents share one chart and one multiplicity: a run and the center that
+starts it make up to a partial quotient's worth of centers.  So y^a - c*x^b
+and its mirror, whose resolutions have the sum of the partial quotients of
+b/a as their number of centers (Casas-Alvero, Singularities of Plane Curves,
+ch. 3-5), cost a few blowups per partial quotient instead of one per center.
 
 Chart bookkeeping keeps exceptional divisors along coordinate axes: after a
 blowup, the finite-direction chart is (x, y) -> (x, x*(y + t)) with the new
@@ -56,19 +57,19 @@ two exceptional divisors pass through, one per axis, so a center's
 proximity set is read off its two axes.  A node keeps only its chart's shift
 (None for the vertical chart) and its two axes; the order of the strict
 transform of the curve, or of any other polynomial, at a center is replayed
-from the origin through the recorded charts, by runs too: a chain of shift-0
-x-chart centers costs one minimum per center, not one blowup.
+from the origin through the recorded charts, by runs too: a chain of centers
+of either chart costs one minimum per center, not one blowup.
 
 Two exact steps keep their answers for the last 16 inputs each (``_RECENT``),
 keyed by the polynomial: the squarefree check and the centers of
 :func:`resolve`, kept with the depth their tree needs (its deepest node's).
-They serve every ``max_depth`` at or above it, and a smaller one raises as a
-fresh resolve would.  That is exact: a resolve that does not raise finds the
-same tree at every bound, since a run cut short by the bound leaves a t = 0
-direction of multiplicity m >= 2 one level too deep.  A miss works under the
-caller's own bound.  Errors are not kept, and each :func:`resolve` call
-builds its own tree from the immutable nodes and contacts, so the tables it
-fills are never shared.
+They serve every ``max_depth`` at or above it; a smaller one runs a fresh
+resolve, which raises.  That is exact: a resolve that does not raise finds
+the same tree at every bound, since a run cut short by the bound leaves a
+t = 0 or vertical direction of multiplicity m >= 2 one level too deep.  A
+miss works under the caller's own bound.  Errors are not kept, and each
+:func:`resolve` call builds its own tree from the immutable nodes and
+contacts, so the tables it fills are never shared.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ from .snc import ResolvedPairData, SNCPair
 PolyLike = Union["AffineCurve", Poly2]
 
 MAX_DEPTH = 64  # default bound on blowup levels, for resolve, its callers and the CLI
-_ZERO = Fraction(0)  # the shift of every run node
+_ZERO = Fraction(0)  # the shift of every x-run node
 _RECENT = 16  # inputs each memo keeps: the squarefree check and the centers
 # poly -> (the depth its tree needs, (nodes, contacts)), oldest first
 _CENTERS: dict[Poly2, tuple[int, tuple[tuple[ResolutionNode, ...], frozenset[int]]]] = {}
@@ -209,16 +210,17 @@ def _rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fraction, int]],
     return sorted(roots), has_irrational
 
 
-def _run_length(transformed: Poly2, m: int, limit: int) -> int:
+def _run_length(exponents: Iterable[tuple[int, int]], m: int, limit: int) -> int:
     """How many centers after one of multiplicity m are forced (see the
-    module docstring), at most limit; ``transformed`` is the strict transform
-    made by blowing that center up.
+    module docstring), at most limit; ``exponents`` are the terms of the
+    strict transform that blowing that center up makes in the run's chart.
 
     A term (i, j) with j < m and a = i + j - m < 0 gives 0.  At m = 1 a
-    center on one divisor is only reached tangent to it, so its transform
-    has the constant term (0, 0), and no run starts at a transverse leaf.
+    center on one divisor is only reached tangent to it, which puts the
+    constant term (0, 0) among the exponents of a run that would start at a
+    transverse leaf: an x run on x = 0 alone, a vertical one on y = 0 alone.
     """
-    return min([limit, *((i + j - m) // (m - j) + 1 for i, j in transformed.terms if j < m)])
+    return min([limit, *((i + j - m) // (m - j) + 1 for i, j in exponents if j < m)])
 
 
 @dataclass(frozen=True)
@@ -271,9 +273,7 @@ class ResolutionNode(NamedTuple):
         the new divisor lies along x = 0 at (0, shift) in the x chart, where
         the divisor along this node's y-axis still passes only at shift 0,
         and along y = 0 in the y chart, which keeps this node's x-axis."""
-        if shift is None:
-            return self.axis_x, self.id
-        return self.id, self.axis_y if shift == 0 else None
+        return (self.axis_x, self.id) if shift is None else (self.id, self.axis_y if shift == 0 else None)
 
 
 @dataclass(frozen=True)
@@ -366,23 +366,19 @@ def resolve(f: PolyLike, max_depth: int = MAX_DEPTH) -> ResolutionTree:
     """
     if max_depth < 0:
         raise BadRangeError(f"max_depth must be at least 0, got {max_depth}")
-    poly = _as_poly(f)
-    return ResolutionTree(poly, *_centers(poly, max_depth))
+    return ResolutionTree(poly := _as_poly(f), *_centers(poly, max_depth))
 
 
 def _centers(poly: Poly2, max_depth: int) -> tuple[tuple[ResolutionNode, ...], frozenset[int]]:
     """The nodes and curve contacts of :func:`resolve`, for a ``max_depth`` >= 0."""
-    kept = _CENTERS.get(poly)
-    if kept is not None:
-        needed, centers = kept
-        if needed > max_depth:
-            raise DepthExceededError(f"resolution needs more than {max_depth} blowup levels")
+    needed, centers = _CENTERS.get(poly, (max_depth + 1, None))
+    if needed <= max_depth:
         return centers
     needed = 0
     nodes: list[ResolutionNode] = []
     contacts: set[int] = set()
     # Centers still to visit, as (strict transform, parent, shift, axes,
-    # depth).  Children are pushed in reverse so that they pop in order and
+    # depth).  Directions are pushed in reverse so that they pop in order and
     # node ids follow a depth-first pre-order.  Only singular points are
     # pushed: the origin when the curve is singular there, and the tangent
     # directions that are not transverse leaves.
@@ -394,29 +390,32 @@ def _centers(poly: Poly2, max_depth: int) -> tuple[tuple[ResolutionNode, ...], f
         transformed, m = local.blowup_x()
         node = ResolutionNode(len(nodes) + 1, parent, m, shift, *axes)
         nodes.append(node)
-        run = _run_length(transformed, m, max_depth - depth)
-        if run:
+        # A term x^m in ``local`` leaves a constant term in the transform: no x
+        # run follows, but a vertical one may, an x run of f(y, x), which takes
+        # (i, j) in ``local`` to (i + j - m, i).  Run nodes take child_axes(None)
+        # or child_axes(0), written out: a run is all of a deep tree's nodes.
+        vertical = (0, 0) in transformed.terms
+        exponents = [(i + j - m, i) for i, j in local.terms] if vertical else transformed.terms
+        run = _run_length(exponents, m, max_depth - depth)
+        if vertical and run:
+            nodes.extend(ResolutionNode(p + 1, p, m, None, node.axis_x, p) for p in range(node.id, node.id + run))
+            transformed = (local := local.x_chart(run, run * m, mirror=True)).x_chart(1, m)
+        elif run:
             # The transform after the run keeps its term (0, m), so the run's
             # last node has no vertical direction and ``local`` is not read.
-            for _ in range(run):
-                # child_axes(0), written out: a run is all of a deep tree's nodes.
-                node = ResolutionNode(node.id + 1, node.id, m, _ZERO, node.id, node.axis_y)
-                nodes.append(node)
-            depth += run
+            nodes.extend(ResolutionNode(p + 1, p, m, _ZERO, p, node.axis_y) for p in range(node.id, node.id + run))
             transformed = transformed.x_chart(run, run * m)
+        node, depth = nodes[-1], depth + run
         needed = max(needed, depth)
         restriction = transformed.on_x_axis_restriction()
         directions, has_irrational = _rational_roots(restriction)
         if has_irrational:
-            raise NonRationalCenterError(
-                "tangent directions include an irreducible factor of degree >= 2 over Q"
-            )
+            raise NonRationalCenterError("tangent directions include an irreducible factor of degree >= 2 over Q")
         # The vertical direction (None) takes what the restriction's degree
         # leaves of m.
         if len(restriction) - 1 < m:
             directions.append((None, m - len(restriction) + 1))
-        children = []
-        for t, mult in directions:
+        for t, mult in reversed(directions):
             child_axes = node.child_axes(t)
             if mult == 1 and None in child_axes:
                 # A simple direction on the new divisor alone is a smooth
@@ -426,12 +425,8 @@ def _centers(poly: Poly2, max_depth: int) -> tuple[tuple[ResolutionNode, ...], f
                 # recorded and no transform is built.
                 contacts.add(node.id)
                 continue
-            if t is None:
-                child = local.blowup_y()[0]
-            else:
-                child = transformed.translate(0, t) if t else transformed
-            children.append((child, node.id, t, child_axes, depth + 1))
-        pending.extend(reversed(children))
+            child = local.x_chart(1, m, mirror=True) if t is None else transformed.translate(0, t)
+            pending.append((child, node.id, t, child_axes, depth + 1))
     centers = tuple(nodes), frozenset(contacts)
     _CENTERS[poly] = (needed, centers)
     while len(_CENTERS) > _RECENT:  # the oldest entry goes
@@ -463,21 +458,26 @@ def _replay(nodes: Iterable[ResolutionNode], g: Poly2) -> dict[int, int]:
     the recorded charts (parents come first).
 
     A shift-0 x-chart center maps each term (i, j) to (i + j - m, j), m the
-    order at its parent; k of them in a row map a transform h to
-    (i + k*j - s, j), s the sum of their orders.  So h is kept with (k, s)
-    and blown up only where a center leaves the run.
+    order at its parent, and a vertical one to its mirror (i, i + j - m); k
+    of one chart in a row map a transform h to (i + k*j - s, j), or to
+    (i, j + k*i - s), s the sum of their orders.  So h is kept with (k, s)
+    and the chart, and blown up only where a center leaves the run.
     """
-    orders: dict[int, int] = {}
-    runs: dict[int, tuple[Poly2, int, int]] = {}
+    # The root continues a vertical run of k = -1 below a parent of order 0.
+    orders: dict[int | None, int] = {None: 0}
+    runs: dict[int | None, tuple[Poly2, int, int, bool]] = {None: (g, -1, 0, True)}
     for node in nodes:
-        h, k, s = runs.get(node.parent, (g, 0, 0))
-        if node.shift == 0:
+        h, k, s, vertical = runs[node.parent]
+        if node.shift is None if vertical else node.shift == 0:
             k, s = k + 1, s + orders[node.parent]
-        elif node.parent is not None:
-            local = h.x_chart(k, s) if k else h
-            h, k, s = (local.blowup_x(node.shift) if node.shift is not None else local.blowup_y())[0], 0, 0
-        runs[node.id] = (h, k, s)
-        orders[node.id] = min(i + (k + 1) * j for i, j in h.terms) - s
+        elif node.shift is None or node.shift == 0:  # a run in the other chart
+            h, k, s, vertical = h.x_chart(k, s, vertical) if k else h, 1, orders[node.parent], not vertical
+        else:
+            h, k, s = (h.x_chart(k, s, vertical) if k else h).blowup_x(node.shift)[0], 0, 0
+        runs[node.id] = (h, k, s, vertical)
+        k, terms = k + 1, h.terms
+        orders[node.id] = (min(k * i + j for i, j in terms) if vertical else min(i + k * j for i, j in terms)) - s
+    del orders[None]
     return orders
 
 

@@ -42,7 +42,7 @@ from .heights import (
     normalize_point,
     weil_arch_ratio,
 )
-from .polynomials import Poly2, read_shape
+from .polynomials import Poly2, exact_int, read_shape
 
 ORIGIN_COORDS = (0, 0, 1)
 
@@ -161,7 +161,7 @@ class SampleResult:
     origin_params: tuple[tuple[int, int], ...]
 
 
-@functools.lru_cache(maxsize=1, typed=True)
+@functools.lru_cache(maxsize=1)
 def sample_param_points(pc: ParamCurve, bound: int) -> SampleResult:
     """Evaluate the parametrization at all primitive parameter pairs with
     entries bounded by ``bound``, one representative per projective pair.
@@ -170,9 +170,10 @@ def sample_param_points(pc: ParamCurve, bound: int) -> SampleResult:
     normalized and deduplicated.  No image is all zero: at a primitive (p, q)
     that would make q*s - p*t a common factor of the forms.
 
-    The last (curve, bound) keeps its sample: an equal curve at a bound of equal
-    value and type gets it back.  No error is kept; a bad bound always raises.
+    The last (curve, bound) keeps its sample for an equal curve at an equal
+    bound, read by :func:`exact_int`.  No error is kept; a bad bound raises.
     """
+    bound = exact_int(bound, "bound", BadRangeError)
     if not 1 <= bound <= MAX_SAMPLE_BOUND:
         raise BadRangeError(f"bound must be in [1, {MAX_SAMPLE_BOUND}], got {bound}")
     pairs = (

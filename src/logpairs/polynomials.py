@@ -6,8 +6,8 @@ parametrized sampling families: terms are stored sparsely as
 Blowup substitutions and division are implemented directly so that every
 transformation stays in rational arithmetic.  ``Poly2.divide`` is the one
 division loop: exact divisibility and the Euclid that finds a common factor
-of a parametrization both run on it.  ``Poly2.x_chart`` is the one x-chart
-substitution, behind ``blowup_x`` and the runs of forced centers in ``curves``.
+of a parametrization both run on it.  ``Poly2.x_chart`` is the one chart
+substitution, behind both blowups and the runs of forced centers in ``curves``.
 
 It also owns the reading of input: ``read_number`` is the one rule by which
 every module turns a number from outside into a Fraction, with the caller's
@@ -322,19 +322,19 @@ class Poly2:
         returns ``(stripped, power)``.  The stripped power equals the
         multiplicity of the polynomial at the origin.
         """
-        power = self.order()
-        return self.x_chart(1, power).translate(0, shift), power
+        return self.x_chart(1, power := self.order()).translate(0, shift), power
 
-    def x_chart(self, k: int, s: int) -> "Poly2":
+    def x_chart(self, k: int, s: int, mirror: bool = False) -> "Poly2":
         """f(x, x^k * y) / x^s, which moves each term (i, j) to (i + k*j - s, j):
         k blowups in the chart y -> x*y, x^s the product of the powers they strip.
-        The caller knows that x^s divides."""
+        With ``mirror``, f(x * y^k, y) / y^s, the same for f(y, x).  The power divides."""
+        if mirror:
+            return Poly2._of({(i, j + k * i - s): c for (i, j), c in self.terms.items()})
         return Poly2._of({(i + k * j - s, j): c for (i, j), c in self.terms.items()})
 
     def blowup_y(self) -> tuple["Poly2", int]:
         """Strict transform in the chart x = x*y, y = y (the vertical direction)."""
-        power = self.order()
-        return Poly2._of({(i, i + j - power): c for (i, j), c in self.terms.items()}), power
+        return self.x_chart(1, power := self.order(), mirror=True), power
 
     def on_x_axis_restriction(self) -> list[Fraction]:
         """Coefficients of f(0, y) as a dense list indexed by the power of y."""

@@ -83,30 +83,79 @@ MUTANTS = [
     (
         "replay mirrors every chart shift",
         "src/logpairs/curves.py",
-        "local.blowup_x(node.shift)",
-        "local.blowup_x(-node.shift)",
+        ".blowup_x(node.shift)",
+        ".blowup_x(-node.shift)",
         [f"{ORACLES}::TestCurvettes", f"{ORACLES}::TestChangeOfCoordinates"],
     ),
     (
         "run replay substitutes one step short",
         "src/logpairs/curves.py",
-        "h.x_chart(k, s) if k",
-        "h.x_chart(k - 1, s) if k",
+        "(h.x_chart(k, s, vertical) if k",
+        "(h.x_chart(k - 1, s, vertical) if k",
         [f"{ORACLES}::TestRunReplay"],
     ),
     (
         "run replay reads each order one step short",
         "src/logpairs/curves.py",
-        "min(i + (k + 1) * j for",
-        "min(i + k * j for",
+        "k, terms = k + 1, h.terms",
+        "k, terms = k, h.terms",
+        [f"{ORACLES}::TestRunReplay"],
+    ),
+    (
+        "replay leaves a vertical run without swapping back",
+        "src/logpairs/curves.py",
+        "h.x_chart(k, s, vertical) if k else h, 1,",
+        "h.x_chart(k, s) if k else h, 1,",
+        [f"{ORACLES}::TestRunReplay"],
+    ),
+    (
+        "replay leaves a vertical run for a shift without swapping back",
+        "src/logpairs/curves.py",
+        "(h.x_chart(k, s, vertical) if k else h).blowup_x",
+        "(h.x_chart(k, s) if k else h).blowup_x",
+        [f"{ORACLES}::TestRunReplay"],
+    ),
+    (
+        "replay keeps a run across a change of chart",
+        "src/logpairs/curves.py",
+        "if node.shift is None if vertical else node.shift == 0:",
+        "if node.shift is None or node.shift == 0:",
         [f"{ORACLES}::TestRunReplay"],
     ),
     (
         "run node written with axis_y None",
         "src/logpairs/curves.py",
-        "ResolutionNode(node.id + 1, node.id, m, _ZERO, node.id, node.axis_y)",
-        "ResolutionNode(node.id + 1, node.id, m, _ZERO, node.id, None)",
+        "ResolutionNode(p + 1, p, m, _ZERO, p, node.axis_y)",
+        "ResolutionNode(p + 1, p, m, _ZERO, p, None)",
         [RUNS],
+    ),
+    (
+        "vertical run node with its axes swapped",
+        "src/logpairs/curves.py",
+        "ResolutionNode(p + 1, p, m, None, node.axis_x, p)",
+        "ResolutionNode(p + 1, p, m, None, p, node.axis_x)",
+        [RUNS],
+    ),
+    (
+        "vertical run one center short",
+        "src/logpairs/curves.py",
+        "local.x_chart(run, run * m, mirror=True)",
+        "local.x_chart(run - 1, (run - 1) * m, mirror=True)",
+        [RUNS],
+    ),
+    (
+        "vertical run test reads the x chart",
+        "src/logpairs/curves.py",
+        "[(i + j - m, i) for i, j in local.terms]",
+        "[(i + j - m, j) for i, j in local.terms]",
+        [RUNS],
+    ),
+    (
+        "vertical runs never start",
+        "src/logpairs/curves.py",
+        "vertical = (0, 0) in transformed.terms",
+        "vertical = False",
+        [f"{RUNS}::test_a_run_costs_no_blowup_per_center"],
     ),
     (
         "blow_up_point takes a center the tree already has",
@@ -146,8 +195,8 @@ MUTANTS = [
     (
         "run rule reads only j < m - 1",
         "src/logpairs/curves.py",
-        "transformed.terms if j < m)])",
-        "transformed.terms if j < m - 1)])",
+        "exponents if j < m)])",
+        "exponents if j < m - 1)])",
         [RUNS],
     ),
     (
@@ -242,15 +291,15 @@ MUTANTS = [
     (
         "a centers hit skips the depth check",
         "src/logpairs/curves.py",
-        "        if needed > max_depth:\n",
-        "        if False:\n",
+        "    if needed <= max_depth:\n",
+        "    if centers is not None:\n",
         [MEMO_DEPTH, MEMO_BOUNDS],
     ),
     (
         "a centers hit refuses the depth its tree needs",
         "src/logpairs/curves.py",
-        "if needed > max_depth:",
-        "if needed >= max_depth:",
+        "if needed <= max_depth:",
+        "if needed < max_depth:",
         [MEMO_DEPTH, MEMO_BOUNDS],
     ),
     (
@@ -508,26 +557,26 @@ MUTANTS = [
         "if len(degrees) != 1:",
         ["tests/test_experiments.py::TestParamCurve"],
     ),
-    # The sample memo: a hit needs an equal curve and a bound of equal value and type.
+    # The sample memo: a hit needs an equal curve and an equal bound.
     (
         "the sample memo serves a stored sample for another bound",
         "src/logpairs/experiments.py",
-        "@functools.lru_cache(maxsize=1, typed=True)\n",
+        "@functools.lru_cache(maxsize=1)\n",
         _sample_memo_keyed_by("pc"),
         [SAMPLE_MEMO],
     ),
     (
         "the sample memo serves a stored sample for another curve",
         "src/logpairs/experiments.py",
-        "@functools.lru_cache(maxsize=1, typed=True)\n",
+        "@functools.lru_cache(maxsize=1)\n",
         _sample_memo_keyed_by("bound"),
         [SAMPLE_MEMO],
     ),
     (
-        "the sample memo takes a float bound for its int",
+        "sampling reads its bound without the number reader",
         "src/logpairs/experiments.py",
-        "@functools.lru_cache(maxsize=1, typed=True)",
-        "@functools.lru_cache(maxsize=1)",
+        '    bound = exact_int(bound, "bound", BadRangeError)\n',
+        "",
         [f"{SAMPLE_MEMO}::test_a_float_bound_behaves_as_without_the_memo"],
     ),
     (

@@ -462,16 +462,23 @@ class TestSampleMemo:
 
     @pytest.mark.parametrize("make", [nodal_cubic_param, partial(pure_power_param, 3, 7)], ids=["nodal", "pure37"])
     def test_a_float_bound_behaves_as_without_the_memo(self, make):
+        # The bound is read by exact_int, inside the memo: 35.0 samples as 35,
+        # 35.5 raises BadRangeError, and True reads as 1, memoized or not.
         pc = make()
-        with pytest.raises(TypeError) as unmemoized:
-            sample_param_points.__wrapped__(pc, 35.0)
-        for before in ((), (35,), (35.0,)):
+        unmemoized = sample_param_points.__wrapped__
+        expected = unmemoized(pc, 35)
+        assert unmemoized(pc, 35.0) == expected and unmemoized(pc, True) == unmemoized(pc, 1)
+        with pytest.raises(BadRangeError, match="not an integer") as refused:
+            unmemoized(pc, 35.5)
+        for before in ((), (35,), (35.0,), (35.5,), (1,)):
             if before:
-                with contextlib.suppress(TypeError):
+                with contextlib.suppress(BadRangeError):
                     sample_param_points(pc, *before)
-            with pytest.raises(TypeError) as memoized:
-                sample_param_points(pc, 35.0)
-            assert str(memoized.value) == str(unmemoized.value)
+            assert sample_param_points(pc, 35.0) == expected
+            with pytest.raises(BadRangeError) as memoized:
+                sample_param_points(pc, 35.5)
+            assert str(memoized.value) == str(refused.value)
+        assert sample_param_points(pc, True) == unmemoized(pc, 1)
 
 
 class TestMdlaw:

@@ -1,5 +1,6 @@
 """The mutant runner says why its baseline run failed: it prints the end of
-pytest's output, not only its verdict."""
+pytest's output, not only its verdict.  Every mutant it knows still applies
+to the source and names tests that exist, checked here without running it."""
 
 import importlib.util
 from pathlib import Path
@@ -13,10 +14,15 @@ def test_value():
 '''
 
 
-def _runner_on(root: Path, monkeypatch):
+def _runner():
     spec = importlib.util.spec_from_file_location("mutant_runner", RUNNER)
     runner = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(runner)
+    return runner
+
+
+def _runner_on(root: Path, monkeypatch):
+    runner = _runner()
     (root / "src").mkdir()
     (root / "src" / "m.py").write_text("VALUE = 1\n")
     (root / "test_m.py").write_text(TEST)
@@ -42,3 +48,19 @@ def test_a_baseline_that_times_out_is_reported(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(runner, "BASELINE_LIMIT", 2)
     assert runner.main([]) == 2
     assert capsys.readouterr().out.startswith("the named tests take more than 2 s on the unmutated copy")
+
+
+def test_every_mutant_applies_once_and_names_tests_that_exist():
+    # The runner reports an edit that no longer applies as stale, but only in
+    # its own long run; a change that rewrites a mutated line fails here.
+    runner = _runner()
+    names = [name for name, *_ in runner.MUTANTS]
+    assert len(set(names)) == len(names)
+    for name, file, old, new, tests in runner.MUTANTS:
+        assert old != new, name
+        assert (runner.ROOT / file).read_text().count(old) == 1, f"{name}: the old text is not in {file} exactly once"
+        for test in tests:
+            path, *parts = test.split("::")
+            assert (runner.ROOT / path).is_file(), f"{name}: no test file {path}"
+            text = (runner.ROOT / path).read_text()
+            assert all(part in text for part in parts), f"{name}: {test} is not in {path}"

@@ -397,6 +397,12 @@ def _tower(a: int, b: int, c=3, swap: bool = False) -> Poly2:
     return u**a - _const(c) * v**b
 
 
+def _swap(f: Poly2) -> Poly2:
+    """f(y, x), the mirror image in the diagonal, whose runs of vertical centers
+    are the x-chart runs of f."""
+    return Poly2({(j, i): c for (i, j), c in f.terms.items()})
+
+
 _TOWER_BS = [*range(1, 1001, 37), 299, 300, 301, 997, 999, 1000]
 
 _TOWER_PRODUCTS = [
@@ -419,9 +425,7 @@ def _tower_products(draw) -> Poly2:
         f = f * (Y ** draw(st.integers(1, 5)) - Poly2.constant(draw(_RATIONAL)) * X ** draw(st.integers(1, 150)))
     for r in draw(st.lists(st.none() | _RATIONAL, max_size=2, unique=True)):
         f = f * _line(r)
-    if draw(st.booleans()):
-        f = Poly2({(j, i): c for (i, j), c in f.terms.items()})
-    return f
+    return _swap(f) if draw(st.booleans()) else f
 
 
 class TestRuns:
@@ -446,7 +450,15 @@ class TestRuns:
         _assert_same_as_step_by_step(f, 400)
 
     @pytest.mark.parametrize(
-        "f", [_tower(2, 41), _tower(3, 31, swap=True), _tower(5, 37), _two_pairs(15), _tower(2, 41) * _lines(0)]
+        "f",
+        [
+            _tower(2, 41),
+            _tower(2, 41, swap=True),
+            _tower(3, 31, swap=True),
+            _tower(5, 37),
+            _two_pairs(15),
+            _tower(2, 41) * _lines(0),
+        ],
     )
     def test_same_result_at_every_depth_limit(self, f):
         nodes = len(resolve(f, 2000).nodes)
@@ -478,20 +490,28 @@ class TestRuns:
 
     @pytest.mark.parametrize(
         "f, nodes, most",
-        [(_tower(2, 297), 150, 3), (_two_pairs(201), 201, 6), (_two_pairs(201, Fraction(2, 3), Fraction(3, 5)), 201, 6)],
+        [
+            (_tower(2, 297), 150, 3),
+            (_tower(2, 297, swap=True), 150, 3),
+            (_two_pairs(201), 201, 6),
+            (_swap(_two_pairs(201)), 201, 6),
+            (_two_pairs(201, Fraction(2, 3), Fraction(3, 5)), 201, 6),
+        ],
+        ids=["tower", "swapped-tower", "two-pairs", "swapped-two-pairs", "rational-two-pairs"],
     )
     def test_a_run_costs_no_blowup_per_center(self, monkeypatch, f, nodes, most):
-        # Blown up one center at a time, these germs take one blowup_x per node;
-        # with runs, a few per partial quotient.  The same holds for the
-        # replay of a pullback along the tree.
+        # Blown up one center at a time, these germs take one blowup_x or
+        # blowup_y per node; with runs of either chart, a few per partial
+        # quotient.  The same holds for the replay of a pullback along the tree.
         calls = []
-        blowup_x = Poly2.blowup_x
+        for name in ("blowup_x", "blowup_y"):
 
-        def counted(self, *args):
-            calls.append(1)
-            return blowup_x(self, *args)
+            def counted(self, *args, blowup=getattr(Poly2, name)):
+                calls.append(1)
+                return blowup(self, *args)
 
-        monkeypatch.setattr(Poly2, "blowup_x", counted)
+            monkeypatch.setattr(Poly2, name, counted)
+        curves._CENTERS.clear()
         tree = resolve(f, 2000)
         assert len(tree.nodes) == nodes
         assert len(calls) <= most
@@ -534,9 +554,29 @@ def _assert_replay_matches_step_by_step(tree: ResolutionTree, g: Poly2) -> None:
 _EXTRA_SHIFTS = [Fraction(t) for t in (0, 1, -1, Fraction(1, 2), Fraction(-2, 3), 3, Fraction(-5, 4))]
 
 
+def _assert_extra_blowups_replay(f: Poly2, data, inside) -> None:
+    """One to four extra centers on resolve(f), each on a node that ``inside``
+    picks (a center inside a run) or on the last node made, so that a chart
+    child of an extra center starts a chain the tree did not record.  Each
+    extra center's multiplicity and then the pullbacks of a few g match the
+    step-by-step reference."""
+    extended = resolve(f, 2000)
+    for _ in range(data.draw(st.integers(1, 4))):
+        taken = {(n.parent, n.shift) for n in extended.nodes}
+        node = data.draw(st.sampled_from([n.id for n in extended.nodes if inside(n)] + [len(extended.nodes)]))
+        shift = data.draw(st.sampled_from([t for t in _EXTRA_SHIFTS if (node, t) not in taken]))
+        extended = blow_up_point(extended, node, shift)
+        new = extended.nodes[-1]
+        assert new.mult == _replay_step_by_step(extended.nodes, f)[new.id].order()
+    # An extra center's shift expands g's transform densely, so g stays of
+    # low degree.
+    for g in (f, X * Y, data.draw(_pulled_back(40))):
+        _assert_replay_matches_step_by_step(extended, g)
+
+
 class TestRunReplay:
-    # ``_replay`` takes each chain of shift-0 x-chart centers in one
-    # substitution; the reference blows up every center on its own.
+    # ``_replay`` takes each chain of shift-0 x-chart centers, or of vertical
+    # ones, in one substitution; the reference blows up every center on its own.
     @settings(max_examples=40, deadline=None)
     @given(_deep_towers(), st.lists(_pulled_back(), min_size=1, max_size=4))
     def test_ord_along_on_deep_towers(self, f, gs):
@@ -545,24 +585,32 @@ class TestRunReplay:
         for g in [f, *gs]:
             _assert_replay_matches_step_by_step(tree, g)
 
-    # A swapped tower's vertical charts raise the y-degree of its transforms
-    # to about b, which an extra center's shift would expand densely.
     @settings(max_examples=40, deadline=None)
     @given(_deep_towers(swaps=False), st.data())
     def test_extra_blowups_inside_runs(self, f, data):
-        extended = resolve(f, 2000)
-        for _ in range(data.draw(st.integers(1, 4))):
-            # A center inside a run, or the last one made, so that a shift-0
-            # child of an extra center starts a chain the tree did not record.
-            taken = {(n.parent, n.shift) for n in extended.nodes}
-            node = data.draw(st.sampled_from([n.id for n in extended.nodes if n.shift == 0] + [len(extended.nodes)]))
-            shift = data.draw(st.sampled_from([t for t in _EXTRA_SHIFTS if (node, t) not in taken]))
-            extended = blow_up_point(extended, node, shift)
-            new = extended.nodes[-1]
-            assert new.mult == _replay_step_by_step(extended.nodes, f)[new.id].order()
-        # For the same reason g stays of low degree.
-        for g in (f, X * Y, data.draw(_pulled_back(40))):
-            _assert_replay_matches_step_by_step(extended, g)
+        _assert_extra_blowups_replay(f, data, lambda n: n.shift == 0)
+
+    # A swapped tower's vertical charts raise the y-degree of its transforms
+    # to about b, which an extra center's shift expands densely: b <= 60
+    # keeps the reference cheap.
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3]), _RATIONAL, st.data())
+    def test_extra_blowups_inside_vertical_runs(self, a, c, data):
+        f = _tower(a, data.draw(st.integers(4, 60).filter(lambda b: b % a)), c, swap=True)
+        _assert_extra_blowups_replay(f, data, lambda n: n.shift is None and n.parent is not None)
+
+    @pytest.mark.parametrize("f", [_tower(2, 41, swap=True), _tower(3, 40, Fraction(-5, 7), swap=True)])
+    def test_a_branch_leaving_a_vertical_run(self, f):
+        # Nodes 1 to n make a vertical chain from the root.  x - y^n / t passes
+        # through each of them and meets node n's divisor at the point t, off
+        # the curve, where the extra center is.
+        tree = resolve(f, 2000)
+        for n in (2, 5, 9):
+            assert all(node.shift is None for node in tree.nodes[:n])
+            for t in (Fraction(1), Fraction(-2, 3), Fraction(3)):
+                extended, g = blow_up_point(tree, n, t), X - _const(1 / t) * Y**n
+                assert _replay_step_by_step(extended.nodes, g)[extended.nodes[-1].id].order() == 1
+                _assert_replay_matches_step_by_step(extended, g)
 
 
 def _load_bench_oracles():
