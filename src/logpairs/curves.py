@@ -60,16 +60,16 @@ transform of the curve, or of any other polynomial, at a center is replayed
 from the origin through the recorded charts, by runs too: a chain of centers
 of either chart costs one minimum per center, not one blowup.
 
-Two exact steps keep their answers for the last 16 inputs each (``_RECENT``),
-keyed by the polynomial: the squarefree check and the centers of
-:func:`resolve`, kept with the depth their tree needs (its deepest node's).
-They serve every ``max_depth`` at or above it; a smaller one runs a fresh
-resolve, which raises.  That is exact: a resolve that does not raise finds
-the same tree at every bound, since a run cut short by the bound leaves a
-t = 0 or vertical direction of multiplicity m >= 2 one level too deep.  A
-miss works under the caller's own bound.  Errors are not kept, and each
-:func:`resolve` call builds its own tree from the immutable nodes and
-contacts, so the tables it fills are never shared.
+Two exact steps keep their answer for the last input each, keyed by the
+polynomial: the squarefree check and the centers of :func:`resolve`, kept
+with the depth their tree needs (its deepest node's).  They serve every
+``max_depth`` at or above it; a smaller one runs a fresh resolve, which
+raises.  That is exact: a resolve that does not raise finds the same tree
+at every bound, since a run cut short by the bound leaves a t = 0 or
+vertical direction of multiplicity m >= 2 one level too deep.  A miss works
+under the caller's own bound; only one that finishes replaces the kept
+centers.  Errors are not kept, and each :func:`resolve` builds its own tree
+from the immutable nodes and contacts, so its tables are never shared.
 """
 
 from __future__ import annotations
@@ -88,15 +88,14 @@ from .errors import (
     NonRationalCenterError,
     ZeroInputError,
 )
-from .polynomials import Poly2, clear_denominators, read_number, read_shape
+from .polynomials import Poly2, clear_denominators, exact_int, read_number, read_rows, read_shape
 from .snc import ResolvedPairData, SNCPair
 
 PolyLike = Union["AffineCurve", Poly2]
 
 MAX_DEPTH = 64  # default bound on blowup levels, for resolve, its callers and the CLI
 _ZERO = Fraction(0)  # the shift of every x-run node
-_RECENT = 16  # inputs each memo keeps: the squarefree check and the centers
-# poly -> (the depth its tree needs, (nodes, contacts)), oldest first
+# poly -> (the depth its tree needs, (nodes, contacts)), for the last resolve that finished
 _CENTERS: dict[Poly2, tuple[int, tuple[tuple[ResolutionNode, ...], frozenset[int]]]] = {}
 
 
@@ -112,7 +111,7 @@ def _as_poly(f: PolyLike) -> Poly2:
     return f.poly if isinstance(f, AffineCurve) else f
 
 
-@functools.lru_cache(maxsize=_RECENT)
+@functools.lru_cache(maxsize=1)
 def _is_squarefree(poly: Poly2) -> bool:
     """Whether f = ``poly`` has no repeated factor over Q.
 
@@ -351,10 +350,10 @@ class PullbackOrders:
 
 
 def multiplicity_at(f: PolyLike, pt: tuple) -> int:
-    """Order of the lowest form of f recentred at pt; 0 iff pt is off the curve."""
-    poly = _as_poly(f)
-    px, py = (read_number(c, InputError) for c in pt)
-    return poly.translate(px, py).order()
+    """Order of the lowest form of f recentred at pt, a pair of rational
+    numbers; 0 iff pt is off the curve.  Any other pt raises ``InputError``."""
+    [(px, py)] = read_rows([pt], lambda x, y: (read_number(x, InputError), read_number(y, InputError)), InputError)
+    return _as_poly(f).translate(px, py).order()
 
 
 def resolve(f: PolyLike, max_depth: int = MAX_DEPTH) -> ResolutionTree:
@@ -362,8 +361,10 @@ def resolve(f: PolyLike, max_depth: int = MAX_DEPTH) -> ResolutionTree:
 
     Returns the tree of blown-up centers with multiplicities and proximity
     data.  A smooth germ (or a point off the curve) yields an empty tree.
-    A negative ``max_depth`` raises ``BadRangeError`` before any work.
+    A ``max_depth`` that is negative or not an integer (read by ``exact_int``:
+    3.0 and "3" are 3) raises ``BadRangeError`` before any work.
     """
+    max_depth = exact_int(max_depth, "max_depth", BadRangeError)
     if max_depth < 0:
         raise BadRangeError(f"max_depth must be at least 0, got {max_depth}")
     return ResolutionTree(poly := _as_poly(f), *_centers(poly, max_depth))
@@ -428,9 +429,8 @@ def _centers(poly: Poly2, max_depth: int) -> tuple[tuple[ResolutionNode, ...], f
             child = local.x_chart(1, m, mirror=True) if t is None else transformed.translate(0, t)
             pending.append((child, node.id, t, child_axes, depth + 1))
     centers = tuple(nodes), frozenset(contacts)
+    _CENTERS.clear()
     _CENTERS[poly] = (needed, centers)
-    while len(_CENTERS) > _RECENT:  # the oldest entry goes
-        _CENTERS.pop(next(iter(_CENTERS)), None)
     return centers
 
 

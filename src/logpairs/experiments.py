@@ -10,8 +10,8 @@ exactly 0.0, with no tolerance needed.  Sampling and Q stay in integers:
 ``Poly2.evaluate`` returns the integral forms' values at int pairs as ints,
 only R is a Fraction, and Q is reduced by an integer gcd before its logs.
 
-``sample_param_points`` keeps the sample of the last (curve, bound) it took,
-so mdlaw and gcd-bounds on one curve and bound in one process share it.
+``sample_param_points`` keeps its last input, as the memos of ``curves`` do:
+mdlaw and gcd-bounds on one curve and bound in one process share a sample.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ every later result.  Importing the module here, with that warning ignored,
 caches it before any test runs; the filter still holds for project code.
 
 ``logpairs.curves`` keeps the answers of its squarefree check and of the
-centers of ``resolve`` for recent inputs, and ``logpairs.experiments`` keeps
-the sample of the last (curve, bound).  A test that counts the calls those
+centers of ``resolve`` for the last input each, and ``logpairs.experiments``
+keeps the sample of the last (curve, bound).  A test that counts the calls those
 steps make would otherwise see nothing when an earlier test used the same
 curve.
 """

@@ -40,6 +40,7 @@ SQUAREFREE = "tests/test_curves.py::TestSquarefree::test_each_branch_of_the_cert
 IDENTITY_BITS = "tests/test_experiments.py::TestWorkLimits::test_identity_bits"
 MEMO_DEPTH = "tests/test_curves.py::TestMemo::test_a_shallower_depth_still_raises"
 MEMO_BOUNDS = "tests/test_curves.py::TestMemo::test_every_bound_reads_as_a_fresh_resolve"
+MEMO_TRAFFIC = "tests/test_curves.py::TestMemoTraffic"
 NOT_RUN = {
     2: "interrupted by a collection error",
     3: "internal error",
@@ -313,8 +314,44 @@ MUTANTS = [
         "resolve hands out one shared tree",
         "src/logpairs/curves.py",
         "\ndef resolve(",
-        "\n@functools.lru_cache(maxsize=_RECENT)\ndef resolve(",
+        "\n@functools.lru_cache(maxsize=1)\ndef resolve(",
         ["tests/test_curves.py::TestMemo::test_an_equal_poly_gets_the_centers_in_its_own_tree"],
+    ),
+    (
+        "the centers memo never replaces its entry",
+        "src/logpairs/curves.py",
+        "    _CENTERS.clear()\n    _CENTERS[poly] = (needed, centers)\n",
+        "    if not _CENTERS:\n        _CENTERS[poly] = (needed, centers)\n",
+        [MEMO_TRAFFIC],
+    ),
+    (
+        "a centers miss drops the kept entry before it runs",
+        "src/logpairs/curves.py",
+        "    needed = 0\n",
+        "    needed = 0\n    _CENTERS.clear()\n",
+        [MEMO_DEPTH],
+    ),
+    (
+        "the squarefree memo keeps nothing",
+        "src/logpairs/curves.py",
+        "@functools.lru_cache(maxsize=1)\ndef _is_squarefree(",
+        "@functools.lru_cache(maxsize=0)\ndef _is_squarefree(",
+        [MEMO_TRAFFIC],
+    ),
+    (
+        "resolve reads its depth without the integer reader",
+        "src/logpairs/curves.py",
+        '    max_depth = exact_int(max_depth, "max_depth", BadRangeError)\n',
+        "",
+        ["tests/test_curves.py::TestResolve::test_depth_is_read_as_an_integer"],
+    ),
+    (
+        "multiplicity_at unpacks its point without the shape reader",
+        "src/logpairs/curves.py",
+        "[(px, py)] = read_rows([pt], lambda x, y: (read_number(x, InputError), read_number(y, InputError)), "
+        "InputError)",
+        "px, py = (read_number(c, InputError) for c in pt)",
+        ["tests/test_curves.py::TestMultiplicityAt"],
     ),
     # Polynomials: division and the integer evaluate path.
     (

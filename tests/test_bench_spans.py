@@ -17,6 +17,8 @@ import sympy
 from logpairs.curves import AffineCurve, _rational_roots
 from logpairs.polynomials import Poly2
 
+from oracles import count_calls
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
@@ -35,23 +37,11 @@ def test_span_target_is_callable(name, module, cls, attr):
     assert callable(getattr(owner, attr))
 
 
-def _count_calls(monkeypatch, owner, attr) -> list[int]:
-    calls = [0]
-    original = getattr(owner, attr)
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, attr, counted)
-    return calls
-
-
 def test_sympy_spans_fire(monkeypatch):
     # curves.sympy_gcd and curves.sympy_factor wrap these two sympy names;
     # the benchmark expects both to record calls on germs and towers.
-    gcd_calls = _count_calls(monkeypatch, sympy, "gcd")
-    factor_calls = _count_calls(monkeypatch, sympy.Poly, "factor_list")
+    gcd_calls = count_calls(monkeypatch, sympy, "gcd")
+    factor_calls = count_calls(monkeypatch, sympy.Poly, "factor_list")
     AffineCurve(Poly2({(0, 2): 1, (3, 0): -1}))
     assert gcd_calls[0] > 0
     _rational_roots([Fraction(-2), Fraction(0), Fraction(1)])

@@ -34,6 +34,8 @@ from logpairs.errors import BadRangeError, DepthExceededError, InputError, NonRa
 from logpairs.polynomials import Poly2
 from logpairs.snc import PairClass, classify, classify_resolved, loci_divisors, vojta_reduced_divisor
 
+from oracles import count_calls, swap
+
 X, Y = Poly2.x(), Poly2.y()
 ONE = Poly2.constant(1)
 
@@ -84,11 +86,6 @@ def _sympy_is_squarefree(poly: Poly2) -> bool:
     return all(mult == 1 for _, mult in sympy.sqf_list(expr)[1])
 
 
-def _swap(f: Poly2) -> Poly2:
-    """f(y, x): the mirror image in the diagonal."""
-    return Poly2({(j, i): c for (i, j), c in f.terms.items()})
-
-
 def _degrees(f: Poly2) -> tuple[int, int]:
     return max(i for i, _ in f.terms), max(j for _, j in f.terms)
 
@@ -133,10 +130,10 @@ class TestSquarefree:
         for _ in range(10):
             base = _random_factor(rng) * _random_factor(rng) ** 2
             if _degrees(base)[1] > _degrees(base)[0]:
-                base = _swap(base)
+                base = swap(base)
             while _degrees(base)[1] >= _degrees(base)[0]:
                 base = base * (X + Poly2.constant(_big_rational(rng)))
-            for f in (base, _swap(_random_p_y(rng)) ** 2, Y * _swap(_random_p_y(rng)) ** 2):
+            for f in (base, swap(_random_p_y(rng)) ** 2, Y * swap(_random_p_y(rng)) ** 2):
                 assert _degrees(f)[1] < _degrees(f)[0]
                 assert _sympy_is_squarefree(f) is False
                 assert _is_squarefree(f) is False
@@ -146,7 +143,7 @@ class TestSquarefree:
         # f is squarefree; a squarefree p(x) has f_y = 0.
         rng = random.Random(9)
         for _ in range(10):
-            p_x = _swap(_random_p_y(rng))
+            p_x = swap(_random_p_y(rng))
             for f in (Y * p_x, p_x):
                 assert _degrees(f)[1] < _degrees(f)[0]
                 assert _sympy_is_squarefree(f) is True
@@ -170,7 +167,7 @@ class TestSquarefree:
         ],
     )
     def test_each_branch_of_the_certificate(self, f, expected):
-        for g in (f, _swap(f)):
+        for g in (f, swap(f)):
             assert _sympy_is_squarefree(g) is expected
             assert _is_squarefree(g) is expected
 
@@ -185,7 +182,7 @@ class TestSquarefree:
                 factor = Poly2(terms)
                 if factor.total_degree() > 0:
                     f = f * factor ** rng.choice([1, 1, 2])
-            for g in (f, _swap(f)):
+            for g in (f, swap(f)):
                 assert _is_squarefree(g) == _sympy_is_squarefree(g)
 
 
@@ -211,6 +208,15 @@ class TestMultiplicityAt:
     def test_rational_point(self):
         assert multiplicity_at(SMOOTH, (Fraction(1, 2), Fraction(1, 4))) == 1
         assert multiplicity_at(SMOOTH, (Fraction(1, 2), Fraction(1, 3))) == 0
+
+    @pytest.mark.parametrize("pt", [(0,), (0, 0, 0), "00", 5], ids=["one", "three", "string", "int"])
+    def test_a_point_that_is_not_a_pair_is_refused(self, pt):
+        with pytest.raises(InputError):
+            multiplicity_at(CUSP, pt)
+
+    def test_a_pair_as_a_list_or_of_strings(self):
+        assert multiplicity_at(CUSP, [0, 0]) == 2
+        assert multiplicity_at(SMOOTH, ("1/2", "1/4")) == 1
 
 
 class TestResolve:
@@ -266,6 +272,17 @@ class TestResolve:
         ):
             with pytest.raises(BadRangeError, match="max_depth must be at least 0"):
                 call()
+
+    def test_depth_is_read_as_an_integer(self):
+        for depth in (3.0, "3"):
+            assert resolve(CUSP, depth).nodes == resolve(CUSP, 3).nodes
+        for depth in (1.5, "x"):
+            with pytest.raises(BadRangeError):
+                resolve(CUSP, depth)
+            with pytest.raises(BadRangeError):
+                lct(CUSP, max_depth=depth)
+            with pytest.raises(BadRangeError):
+                ideal_member(CUSP, 1, X, IdealKind.J, max_depth=depth)
 
     def test_depth_zero_resolves_only_a_smooth_germ(self):
         assert resolve(SMOOTH, max_depth=0).nodes == ()
@@ -861,18 +878,6 @@ class TestIntegerTableMatchesFractionFormulas:
                     assert tree_ideal_member(tree, c, g, kind) == want, (c, g, kind)
 
 
-def _count_calls(monkeypatch, owner, attr) -> list[int]:
-    calls = [0]
-    original = getattr(owner, attr)
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, attr, counted)
-    return calls
-
-
 @st.composite
 def _towers(draw) -> Poly2:
     """y^a - c*x^b with b up to 150, or its swap x^a - c*y^b, whose centers
@@ -880,7 +885,7 @@ def _towers(draw) -> Poly2:
     a = draw(st.sampled_from([2, 3]))
     b = draw(st.integers(a + 1, 150).filter(lambda b: math.gcd(a, b) == 1))
     tower = Y**a - Poly2.constant(draw(_NONZERO)) * X**b
-    return _swap(tower) if draw(st.booleans()) else tower
+    return swap(tower) if draw(st.booleans()) else tower
 
 
 def _twin(f: Poly2) -> Poly2:
@@ -895,7 +900,7 @@ class TestMemo:
         import sympy
 
         f = Y**2 - X**3 + X**5 * Y
-        gcd_calls = _count_calls(monkeypatch, sympy, "gcd")
+        gcd_calls = count_calls(monkeypatch, sympy, "gcd")
         AffineCurve(f)
         first = gcd_calls[0]
         AffineCurve(_twin(f))
@@ -911,7 +916,7 @@ class TestMemo:
         f = Y**2 - X**7
         first = resolve(f)
         k = dict(first.k)
-        blowups = _count_calls(monkeypatch, Poly2, "blowup_x")
+        blowups = count_calls(monkeypatch, Poly2, "blowup_x")
         twin = _twin(f)
         second = resolve(twin)
         assert blowups == [0]
@@ -979,6 +984,43 @@ class TestMemo:
             curves._CENTERS.clear()
             assert hit == outcome(depth), depth
             assert (hit[0] is DepthExceededError) == (depth < needed)
+
+
+class TestMemoTraffic:
+    """The benchmark's job patterns through the public entry points: germs
+    run resolve-curve and then member for H, J and I, towers resolve-curve and
+    then ideal_member.  Each curve costs one squarefree check and one centers
+    computation, and the centers memo keeps one entry after every job."""
+
+    def test_each_curve_is_checked_and_resolved_once(self, monkeypatch):
+        blowups = count_calls(monkeypatch, Poly2, "blowup_x")
+        computed = [0]
+        centers = curves._centers
+
+        def counted(poly, max_depth):
+            before = blowups[0]
+            found = centers(poly, max_depth)
+            computed[0] += blowups[0] > before  # a hit blows up nothing
+            return found
+
+        monkeypatch.setattr(curves, "_centers", counted)
+        tower = Y**2 - Poly2.constant(3) * X**151
+        two_branches = (Y**2 - X**3) * (Y**3 - Poly2.constant(2) * X**5)
+        for f in (CUSP.poly, X * Y * (Y - X), two_branches, tower):
+            curve = json.dumps({"f": [[[i, j], str(c)] for (i, j), c in f.terms.items()]})
+            argvs = [["resolve-curve", curve, "--max-depth", "400", "--json"]]
+            if f is not tower:
+                member = ["member", curve, "--c", "1/2", "--g", '[[[0, 1], "1"]]', "--json", "--kind"]
+                argvs += [[*member, kind] for kind in "HJI"]
+            misses, computed[0] = curves._is_squarefree.cache_info().misses, 0
+            for argv in argvs:
+                assert cli.main(argv) == 0
+                assert len(curves._CENTERS) <= 1
+            if f is tower:
+                read = AffineCurve.from_json(json.loads(curve))
+                curves.ideal_member(read, Fraction(1, 2), X, IdealKind.J, max_depth=400)
+                assert len(curves._CENTERS) <= 1
+            assert (curves._is_squarefree.cache_info().misses - misses, computed[0]) == (1, 1), f
 
 
 def _sympy_rational_roots(coeffs):

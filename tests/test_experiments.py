@@ -36,6 +36,8 @@ from logpairs.heights import HomogPoly, Subscheme, counting_gcd, normalize_point
 from logpairs.places import log_fraction
 from logpairs.polynomials import Poly2
 
+from oracles import substitute
+
 
 def _dense_form(coeffs) -> Poly2:
     """The binary form sum of c * s^(e - j) * t^j over coeffs = (c_0, ..., c_e)."""
@@ -53,14 +55,6 @@ def _expands_to_zero(forms, target) -> bool:
             part = part * f**e
         total = total + part
     return total.is_zero
-
-
-def _substitute(f: Poly2, u: Poly2, v: Poly2) -> Poly2:
-    """f(u, v) for forms u and v."""
-    total = Poly2()
-    for (i, j), c in f.terms.items():
-        total = total + Poly2.constant(c) * u**i * v**j
-    return total
 
 
 def _conic_param() -> ParamCurve:
@@ -180,7 +174,7 @@ class TestParamCurve:
                 v = v + Poly2.constant(a) * u
             else:
                 u = u + Poly2.constant(a) * v
-        forms = [_substitute(f, u, v) for f in (pc.p0, pc.p1, pc.p2)]
+        forms = [substitute(f, u, v) for f in (pc.p0, pc.p1, pc.p2)]
         D = pc.target.degree
         terms = [(e, k * c) for e, c in pc.target.terms]
         terms += [((a, b, D - a - b), c) for a, b, c in extra if a + b <= D]

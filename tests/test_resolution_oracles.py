@@ -56,6 +56,8 @@ from logpairs.curves import (
 from logpairs.errors import DepthExceededError, NonRationalCenterError
 from logpairs.polynomials import Poly2
 
+from oracles import substitute, swap
+
 X, Y = Poly2.x(), Poly2.y()
 ONE = Poly2.constant(1)
 
@@ -236,14 +238,6 @@ def _const(c) -> Poly2:
     return Poly2.constant(Fraction(c))
 
 
-def _substitute(g: Poly2, u: Poly2, w: Poly2) -> Poly2:
-    """g(u, w)."""
-    value = Poly2()
-    for (i, j), a in g.terms.items():
-        value = value + _const(a) * u**i * w**j
-    return value
-
-
 def _two_pairs(k: int, c1=1, c2=-1) -> Poly2:
     """(y^2 - c1*x^3)^2 + c2*x^k*y, Puiseux characteristic (4; 6, 2k - 3)."""
     return (Y**2 - _const(c1) * X**3) ** 2 + _const(c2) * X**k * Y
@@ -397,12 +391,6 @@ def _tower(a: int, b: int, c=3, swap: bool = False) -> Poly2:
     return u**a - _const(c) * v**b
 
 
-def _swap(f: Poly2) -> Poly2:
-    """f(y, x), the mirror image in the diagonal, whose runs of vertical centers
-    are the x-chart runs of f."""
-    return Poly2({(j, i): c for (i, j), c in f.terms.items()})
-
-
 _TOWER_BS = [*range(1, 1001, 37), 299, 300, 301, 997, 999, 1000]
 
 _TOWER_PRODUCTS = [
@@ -425,7 +413,7 @@ def _tower_products(draw) -> Poly2:
         f = f * (Y ** draw(st.integers(1, 5)) - Poly2.constant(draw(_RATIONAL)) * X ** draw(st.integers(1, 150)))
     for r in draw(st.lists(st.none() | _RATIONAL, max_size=2, unique=True)):
         f = f * _line(r)
-    return _swap(f) if draw(st.booleans()) else f
+    return swap(f) if draw(st.booleans()) else f
 
 
 class TestRuns:
@@ -494,7 +482,7 @@ class TestRuns:
             (_tower(2, 297), 150, 3),
             (_tower(2, 297, swap=True), 150, 3),
             (_two_pairs(201), 201, 6),
-            (_swap(_two_pairs(201)), 201, 6),
+            (swap(_two_pairs(201)), 201, 6),
             (_two_pairs(201, Fraction(2, 3), Fraction(3, 5)), 201, 6),
         ],
         ids=["tower", "swapped-tower", "two-pairs", "swapped-two-pairs", "rational-two-pairs"],
@@ -641,7 +629,7 @@ def _curvette_orders(tree: ResolutionTree, g: Poly2) -> dict[int, int]:
             while n.parent is not None:
                 u, w = (u, u * (w + _const(n.shift))) if n.shift is not None else (u * w, w)
                 n = tree.node(n.parent)
-            value = _substitute(g, u, w)
+            value = substitute(g, u, w)
             if value:
                 seen.append(value.order())
         orders[node.id] = min(seen)
@@ -713,8 +701,8 @@ class TestChangeOfCoordinates:
     def test_newton_answer_after_a_change_of_coordinates(self, f, change):
         u, w = _CHANGES[change]
         threshold, cases = _howald(f)
-        tree = resolve(_substitute(f, u, w))
+        tree = resolve(substitute(f, u, w))
         assert tree_lct(tree) == threshold
-        pulled = {(i, j): _substitute(X**i * Y**j, u, w) for _, i, j, _ in cases}
+        pulled = {(i, j): substitute(X**i * Y**j, u, w) for _, i, j, _ in cases}
         for c, i, j, expected in cases:
             assert tree_ideal_member(tree, c, pulled[i, j], IdealKind.J) == expected, (c, i, j)
