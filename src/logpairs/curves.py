@@ -115,20 +115,22 @@ def _as_poly(f: PolyLike) -> Poly2:
 def _is_squarefree(poly: Poly2) -> bool:
     """Whether f = ``poly`` has no repeated factor over Q.
 
-    Write f in Z[u][v], v the variable of lower degree, and its v-columns
-    (the coefficients of the powers of v) as u^l_k * d_k(u) with d_k(0) != 0.
-    Then f = c(u) * p(u, v), with the content c = u^L * gcd(d_k) for L the
-    least l_k and p primitive.  As p has no factor in u alone, f is
-    squarefree exactly when c and p are, and c is exactly when L <= 1 and
-    gcd(d_k), prime to u, is; a column with one term makes that gcd 1.
+    Write f in Z[u][v], v the variable of lower degree, as c(u) * p(u, v)
+    with c the content (the gcd of the v-columns, the coefficients of the
+    powers of v) and p primitive.  As p has no factor in u alone, f is
+    squarefree exactly when c and p are.  A column with one term fixes c as
+    a constant times u^L, L the least power of u in a column, and u^2 | f is
+    refused first, so then c is squarefree.  Otherwise the bivariate gcds
+    below decide.
 
-    p is certified by one univariate gcd.  At a value a where the leading
-    column of f does not vanish, neither c(a) nor the leading coefficient
-    of p does, so the discriminant of p in v, taken at a, is that of
-    p(a, v).  If f(a, v) = c(a) * p(a, v) is squarefree, that discriminant
-    is nonzero, hence so is p's, and p is squarefree (characteristic 0).
-    a runs over 1, -1 and 2, not 0, where a germ is singular.  When no value
-    certifies, the bivariate gcds below decide, so the answer is exact.
+    When c is fixed, p is certified by one univariate gcd.  At a value a
+    where the leading column of f does not vanish, neither c(a) nor the
+    leading coefficient of p does, so the discriminant of p in v, taken at
+    a, is that of p(a, v).  If f(a, v) = c(a) * p(a, v) is squarefree, that
+    discriminant is nonzero, hence so is p's, and p is squarefree
+    (characteristic 0).  a runs over 1, -1 and 2, not 0, where a germ is
+    singular.  When no value certifies, the bivariate gcds below decide, so
+    the answer is exact.
     """
     import sympy
 
@@ -149,23 +151,14 @@ def _is_squarefree(poly: Poly2) -> bool:
         columns.setdefault(k, {})[e] = c
     if min(min(column) for column in columns.values()) > 1:
         return False  # u^2 divides f
-    if all(len(column) > 1 for column in columns.values()):
-        content = None
-        for column in columns.values():
-            low = min(column)
-            d = sympy.Poly.from_dict({(e - low,): c for e, c in column.items()}, second, domain="ZZ")
-            content = d if content is None else sympy.gcd(content, d)
-            if content.degree() == 0:
-                break
-        if content.degree() > 0 and sympy.gcd(content, content.diff()).degree() > 0:
-            return False
-    top = max(columns)
-    for a in (1, -1, 2):
-        values = {(k,): sum(c * a**e for e, c in column.items()) for k, column in columns.items()}
-        if values[(top,)]:
-            p = sympy.Poly.from_dict(values, first, domain="ZZ")
-            if sympy.gcd(p, p.diff()).degree() == 0:
-                return True
+    if any(len(column) == 1 for column in columns.values()):
+        top = max(columns)
+        for a in (1, -1, 2):
+            values = {(k,): sum(c * a**e for e, c in column.items()) for k, column in columns.items()}
+            if values[(top,)]:
+                p = sympy.Poly.from_dict(values, first, domain="ZZ")
+                if sympy.gcd(p, p.diff()).degree() == 0:
+                    return True
     # A repeated factor h^2 | f divides into both f_v and f_u, so either gcd
     # settles it when constant; the one with f_v is cheaper.
     f = sympy.Poly.from_dict(terms, first, second, domain="ZZ")

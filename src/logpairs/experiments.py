@@ -161,7 +161,7 @@ class SampleResult:
     origin_params: tuple[tuple[int, int], ...]
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1, typed=True)
 def sample_param_points(pc: ParamCurve, bound: int) -> SampleResult:
     """Evaluate the parametrization at all primitive parameter pairs with
     entries bounded by ``bound``, one representative per projective pair.
@@ -171,7 +171,8 @@ def sample_param_points(pc: ParamCurve, bound: int) -> SampleResult:
     that would make q*s - p*t a common factor of the forms.
 
     The last (curve, bound) keeps its sample for an equal curve at an equal
-    bound, read by :func:`exact_int`.  No error is kept; a bad bound raises.
+    bound of the same type, so that True is not taken for 1; the bound is
+    read by :func:`exact_int`.  No error is kept; a bad bound raises.
     """
     bound = exact_int(bound, "bound", BadRangeError)
     if not 1 <= bound <= MAX_SAMPLE_BOUND:

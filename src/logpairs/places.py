@@ -67,8 +67,8 @@ def read_prime(p) -> int:
 
 def _rational(q) -> Rat:
     """An int or Fraction as it is, so that a computed value of any size is
-    taken; anything else by :func:`read_number`."""
-    return q if isinstance(q, (int, Fraction)) else read_number(q, InputError)
+    taken; anything else, a bool too, by :func:`read_number`."""
+    return q if isinstance(q, (int, Fraction)) and not isinstance(q, bool) else read_number(q, InputError)
 
 
 @dataclass(frozen=True)

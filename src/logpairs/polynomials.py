@@ -37,11 +37,12 @@ _SHAPE_ERRORS = (ArithmeticError, LookupError, TypeError, ValueError)
 def read_number(value, error: type[InputError]) -> Fraction:
     """A number supplied by a caller, as a Fraction: a Fraction as it is, an int
     or a "p/q", decimal or exponent-notation string as ``Fraction`` reads it, a
-    float as the decimal ``repr`` writes.  Anything else raises ``error``, and
-    a numerator or denominator of more than MAX_DIGITS digits BadRangeError.
-    Up to MAX_DIGITS ASCII digits after an optional "-" are read by ``int``."""
+    float as the decimal ``repr`` writes.  Anything else, a bool too, raises
+    ``error``, and a numerator or denominator of more than MAX_DIGITS digits
+    BadRangeError.  Up to MAX_DIGITS ASCII digits after an optional "-" are
+    read by ``int``."""
     text = repr(value) if isinstance(value, float) else value
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         if -_DIGITS_BOUND < text < _DIGITS_BOUND:
             return Fraction(text)
     elif isinstance(text, str):

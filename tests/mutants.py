@@ -48,6 +48,7 @@ NOT_RUN = {
     5: "no tests collected",
 }
 SAMPLE_MEMO = "tests/test_experiments.py::TestSampleMemo"
+BOOL = "tests/test_constructors.py::test_a_bool_is_not_a_number"
 READER = [
     "tests/test_polynomials.py::test_read_number_rules",
     "tests/test_polynomials.py::test_read_number_reads_a_float_as_its_repr",
@@ -259,7 +260,7 @@ MUTANTS = [
         "    c = Fraction(c)\n",
         ["tests/test_constructors.py::test_same_number_same_meaning"],
     ),
-    # The squarefree test: the content, the univariate certificate, the fallback.
+    # The squarefree test: u^2 | f, the univariate certificate, the fallback.
     (
         "squarefree test takes u^2 | f for squarefree",
         "src/logpairs/curves.py",
@@ -268,10 +269,10 @@ MUTANTS = [
         [SQUAREFREE],
     ),
     (
-        "squarefree test skips the content gcd",
+        "the certificate runs without a one-term column",
         "src/logpairs/curves.py",
-        "if all(len(column) > 1 for column in columns.values()):",
-        "if False:",
+        "if any(len(column) == 1 for column in columns.values()):",
+        "if True:",
         [SQUAREFREE],
     ),
     (
@@ -433,6 +434,20 @@ MUTANTS = [
         "abs(int(exponent)) > MAX_DIGITS + len(text)",
         "abs(int(exponent)) > MAX_DIGITS",
         READER,
+    ),
+    (
+        "read_number takes a bool as an int",
+        "src/logpairs/polynomials.py",
+        "if isinstance(text, int) and not isinstance(text, bool):",
+        "if isinstance(text, int):",
+        [*READER, BOOL],
+    ),
+    (
+        "places reads a bool as an int",
+        "src/logpairs/places.py",
+        "isinstance(q, (int, Fraction)) and not isinstance(q, bool)",
+        "isinstance(q, (int, Fraction))",
+        [BOOL],
     ),
     (
         "integer literals read without the ASCII test",
@@ -598,16 +613,23 @@ MUTANTS = [
     (
         "the sample memo serves a stored sample for another bound",
         "src/logpairs/experiments.py",
-        "@functools.lru_cache(maxsize=1)\n",
+        "@functools.lru_cache(maxsize=1, typed=True)\n",
         _sample_memo_keyed_by("pc"),
         [SAMPLE_MEMO],
     ),
     (
         "the sample memo serves a stored sample for another curve",
         "src/logpairs/experiments.py",
-        "@functools.lru_cache(maxsize=1)\n",
+        "@functools.lru_cache(maxsize=1, typed=True)\n",
         _sample_memo_keyed_by("bound"),
         [SAMPLE_MEMO],
+    ),
+    (
+        "the sample memo takes True for 1",
+        "src/logpairs/experiments.py",
+        "@functools.lru_cache(maxsize=1, typed=True)\n",
+        "@functools.lru_cache(maxsize=1)\n",
+        [f"{SAMPLE_MEMO}::test_a_float_bound_behaves_as_without_the_memo"],
     ),
     (
         "sampling reads its bound without the number reader",

@@ -19,10 +19,13 @@ from logpairs.errors import (
     InputError,
     MalformedConfigurationError,
     MalformedPolynomialError,
+    NotPrimeError,
+    NotPrimitiveError,
     ZeroInputError,
 )
-from logpairs.experiments import ParamCurve
+from logpairs.experiments import ParamCurve, nodal_cubic_param, sample_param_points
 from logpairs.heights import HomogPoly, ProjPoint, Subscheme, normalize_point
+from logpairs.places import is_prime, padic_valuation
 from logpairs.polynomials import MAX_DEGREE, Poly2
 from logpairs.snc import ResolvedPairData, SNCPair
 
@@ -246,3 +249,23 @@ def test_same_number_same_meaning():
     ):
         with pytest.raises(InputError):
             call()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: curves.resolve(Poly2({(0, 2): 1, (3, 0): -1}), True), BadRangeError, id="resolve"),
+        pytest.param(lambda: sample_param_points(nodal_cubic_param(), True), BadRangeError, id="sample_param_points"),
+        pytest.param(lambda: Poly2({(0, 2): True}), MalformedPolynomialError, id="Poly2-coefficient"),
+        pytest.param(lambda: Poly2.from_json([[[True, 0], 1]]), MalformedPolynomialError, id="Poly2-exponent"),
+        pytest.param(lambda: normalize_point((True, 1)), NotPrimitiveError, id="normalize_point"),
+        pytest.param(lambda: padic_valuation(True, 2), InputError, id="padic_valuation"),
+        pytest.param(lambda: is_prime(True), NotPrimeError, id="is_prime"),
+        pytest.param(lambda: SNCPair.build([("E", True)]), MalformedConfigurationError, id="SNCPair"),
+    ],
+)
+def test_a_bool_is_not_a_number(call, error):
+    # True == 1 in Python, but a bool, a JSON true too, is not a number: each
+    # reader refuses it with its own error instead of reading 1.
+    with pytest.raises(error, match="True is not a rational number"):
+        call()

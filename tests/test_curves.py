@@ -159,11 +159,15 @@ class TestSquarefree:
             ((Y - X) * (Y - X - (X - ONE) * (X + ONE) * (X - Poly2.constant(2))), True),
             # Swapped, the leading column (y - 1)^2 vanishes at a = 1, where f is 1.
             (((X - ONE) * Y + ONE) ** 2, False),
-            # The content x^2 + 1 has no column that is a monomial.
+            # No column is a monomial, so the content x^2 + 1 is not fixed and
+            # the bivariate gcds decide; f(1, y) = 4(y - 1) would certify the first.
             ((X**2 + ONE) ** 2 * (Y - X), False),
             ((X**2 + ONE) * (Y - X) * (Y + X), True),
             # u^2 divides f (L = 2).
             (X**2 * (Y - ONE), False),
+            # The content x + 1, with no column a monomial.
+            ((X + ONE) * (Y - X), True),
+            ((X + ONE) ** 2 * (Y - X), False),
         ],
     )
     def test_each_branch_of_the_certificate(self, f, expected):
@@ -172,8 +176,8 @@ class TestSquarefree:
             assert _is_squarefree(g) is expected
 
     def test_small_coefficient_products(self):
-        # With small integer coefficients the content gcd runs, and no tried a
-        # certifies, far more often than with the large rationals above.
+        # With small integer coefficients no column is a monomial, or no tried
+        # a certifies, far more often than with the large rationals above.
         rng = random.Random(10)
         for _ in range(60):
             f = ONE
@@ -184,6 +188,25 @@ class TestSquarefree:
                     f = f * factor ** rng.choice([1, 1, 2])
             for g in (f, swap(f)):
                 assert _is_squarefree(g) == _sympy_is_squarefree(g)
+
+    def test_content_without_a_one_term_column(self):
+        # f = c(x)^e * p(x, y), c of two or more terms and no y-column of f a
+        # single term: the content is not fixed, and the bivariate gcds decide.
+        rng = random.Random(11)
+        nonzero = [-2, -1, 1, 2]
+        answers = set()
+        for _ in range(40):
+            middle = (rng.randint(1, 2), 0)
+            c = Poly2({(0, 0): rng.choice(nonzero), middle: rng.randint(-2, 2), (3, 0): rng.choice(nonzero)})
+            # each of the two or three y-columns of p has two terms
+            p = Poly2({(i, j): rng.choice(nonzero) for j in range(rng.randint(2, 3)) for i in rng.sample(range(3), 2)})
+            f = c ** rng.randint(1, 2) * p
+            columns = Counter(j for _, j in f.terms)
+            assert _degrees(f)[1] < _degrees(f)[0] and min(columns.values()) >= 2
+            for g in (f, swap(f)):
+                answers.add(_sympy_is_squarefree(g))
+                assert _is_squarefree(g) == _sympy_is_squarefree(g)
+        assert answers == {True, False}
 
 
 class TestMultiplicityAt:

@@ -457,13 +457,15 @@ class TestSampleMemo:
     @pytest.mark.parametrize("make", [nodal_cubic_param, partial(pure_power_param, 3, 7)], ids=["nodal", "pure37"])
     def test_a_float_bound_behaves_as_without_the_memo(self, make):
         # The bound is read by exact_int, inside the memo: 35.0 samples as 35,
-        # 35.5 raises BadRangeError, and True reads as 1, memoized or not.
+        # and 35.5 and True raise BadRangeError, memoized or not.
         pc = make()
         unmemoized = sample_param_points.__wrapped__
         expected = unmemoized(pc, 35)
-        assert unmemoized(pc, 35.0) == expected and unmemoized(pc, True) == unmemoized(pc, 1)
+        assert unmemoized(pc, 35.0) == expected
         with pytest.raises(BadRangeError, match="not an integer") as refused:
             unmemoized(pc, 35.5)
+        with pytest.raises(BadRangeError, match="True is not a rational number"):
+            unmemoized(pc, True)
         for before in ((), (35,), (35.0,), (35.5,), (1,)):
             if before:
                 with contextlib.suppress(BadRangeError):
@@ -472,7 +474,10 @@ class TestSampleMemo:
             with pytest.raises(BadRangeError) as memoized:
                 sample_param_points(pc, 35.5)
             assert str(memoized.value) == str(refused.value)
-        assert sample_param_points(pc, True) == unmemoized(pc, 1)
+        # True equals 1 and hashes as 1, but the stored bound-1 sample is no answer for it.
+        assert sample_param_points(pc, 1) == unmemoized(pc, 1)
+        with pytest.raises(BadRangeError, match="True is not a rational number"):
+            sample_param_points(pc, True)
 
 
 class TestMdlaw:

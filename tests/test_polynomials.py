@@ -249,7 +249,8 @@ def test_negative_exponents_rejected_with_typed_errors():
 
 
 @pytest.mark.parametrize(
-    "exponents", [(1.5, 0), (0, Fraction(1, 2)), ("1.5", 0), ("x", 0), (None, 0), (math.inf, 0), (math.nan, 0)]
+    "exponents",
+    [(1.5, 0), (0, Fraction(1, 2)), ("1.5", 0), ("x", 0), (None, 0), (math.inf, 0), (math.nan, 0), (True, 0)],
 )
 def test_non_integral_exponents_rejected(exponents):
     with pytest.raises(MalformedPolynomialError):
@@ -259,7 +260,7 @@ def test_non_integral_exponents_rejected(exponents):
 
 
 def test_integral_exponents_of_any_type_accepted():
-    assert Poly2.from_json([[["1", 2.0], "3"], [[Fraction(2), True], 1]]) == Poly2({(1, 2): 3, (2, 1): 1})
+    assert Poly2.from_json([[["1", 2.0], "3"], [[Fraction(2), 1], 1]]) == Poly2({(1, 2): 3, (2, 1): 1})
     assert Poly2.from_json([[[1, 0], "1"], [[0, 1], "1"]]) == X + Y
 
 
@@ -299,7 +300,8 @@ def test_read_number_reads_a_float_as_its_repr(x):
 def test_read_number_rules():
     q = Fraction(1, 10 ** (MAX_DIGITS + 5))
     assert read_number(q, MalformedPolynomialError) is q  # a Fraction is not read again
-    assert read_number(True, MalformedPolynomialError) == 1
+    with pytest.raises(MalformedPolynomialError, match="True is not a rational number"):
+        read_number(True, MalformedPolynomialError)  # a bool is not a number
     assert read_number(0.1, MalformedPolynomialError) == Fraction(1, 10)
     assert read_number(" -0.0e-5 ", MalformedPolynomialError) == 0
     assert read_number(10**MAX_DIGITS - 1, MalformedPolynomialError) == 10**MAX_DIGITS - 1
