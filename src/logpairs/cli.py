@@ -107,16 +107,21 @@ def _resolve_curve_json(tree: curves.ResolutionTree, threshold: Fraction, per_c:
     or a class name, none of which JSON escapes; object keys are sorted as
     strings, as ``sort_keys`` does."""
 
-    def table(values: dict[int, int]) -> str:
-        return _json_block([f'"{i}": {x}' for i, x in sorted((str(i), x) for i, x in values.items())], "  ")
+    # Node ids sorted as strings, each with its k and v (both in node order).
+    rows = sorted(zip(map(str, tree.k), tree.k.values(), tree.v.values()))
 
-    def node(n: curves.ResolutionNode) -> str:
-        near = ",\n        ".join([str(a) for a in sorted([a for a in (n.axis_x, n.axis_y) if a is not None])])
-        near = f"[\n        {near}\n      ]" if near else "[]"
-        parent = "null" if n.parent is None else n.parent
-        fields = f'"id": {n.id},\n      "mult": {n.mult},\n      "parent": {parent},\n      "proximate_to": {near}'
-        return f"{{\n      {fields}\n    }}"
+    def table(column: int) -> str:
+        return _json_block([f'"{row[0]}": {row[column]}' for row in rows], "  ")
 
+    def near(ax: int | None, ay: int | None) -> str:
+        """A node's proximity list: its axes in increasing order, None left out."""
+        if ax is not None and ay is not None:
+            return "[\n        %d,\n        %d\n      ]" % (min(ax, ay), max(ax, ay))
+        one = ay if ax is None else ax
+        return "[]" if one is None else "[\n        %d\n      ]" % one
+
+    node = '{\n      "id": %d,\n      "mult": %d,\n      "parent": %s,\n      "proximate_to": %s\n    }'
+    nodes = [node % (i, m, "null" if p is None else p, near(ax, ay)) for i, p, m, _, ax, ay in tree.nodes]
     classes = [
         f'"{c}": ' + _json_block([f'"class": "{k}"', f'"discrep": "{d}"', f'"totaldiscrep": "{td}"'], "    ")
         for c, (k, d, td) in sorted(per_c.items())
@@ -124,10 +129,10 @@ def _resolve_curve_json(tree: curves.ResolutionTree, threshold: Fraction, per_c:
     return _json_block(
         [
             '"classification": ' + _json_block(classes, "  "),
-            '"k": ' + table(tree.k),
+            '"k": ' + table(1),
             f'"lct": "{threshold}"',
-            '"nodes": ' + _json_block([node(n) for n in tree.nodes], "  ", "[]"),
-            '"v": ' + table(tree.v),
+            '"nodes": ' + _json_block(nodes, "  ", "[]"),
+            '"v": ' + table(2),
         ],
         "",
     )

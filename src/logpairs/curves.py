@@ -301,7 +301,7 @@ class ResolutionTree:
     def labels(self) -> tuple[str, ...]:
         """Divisor labels of the resolved model: ``E<id>`` per node in creation
         order, then the strict transform ``C``."""
-        return (*(f"E{node.id}" for node in self.nodes), "C")
+        return (*[f"E{node.id}" for node in self.nodes], "C")
 
     @functools.cached_property
     def dual_edges(self) -> frozenset[frozenset[str]]:
@@ -502,7 +502,7 @@ def pair_discrepancies(tree: ResolutionTree, c: Fraction | int) -> ResolvedPairD
     return ResolvedPairData(
         ids=tree.labels,
         den=q,
-        a_num=(*(q * k - w for k, w in zip(tree.k.values(), pv)), -p),
+        a_num=(*[q * k - w for k, w in zip(tree.k.values(), pv)], -p),
         b_num=(*pv, p),
         exceptional=(True,) * len(tree.nodes) + (False,),
     )
@@ -511,10 +511,9 @@ def pair_discrepancies(tree: ResolutionTree, c: Fraction | int) -> ResolvedPairD
 def tree_lct(tree: ResolutionTree) -> Fraction:
     """Log canonical threshold from an already computed tree."""
     num, den = 1, 1
-    for node in tree.nodes:
-        k1, v = tree.k[node.id] + 1, tree.v[node.id]
-        if k1 * den < num * v:
-            num, den = k1, v
+    for k, v in zip(tree.k.values(), tree.v.values()):  # both in node order
+        if (k + 1) * den < num * v:
+            num, den = k + 1, v
     return Fraction(num, den)
 
 

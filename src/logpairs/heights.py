@@ -118,11 +118,11 @@ class HomogPoly:
             if not isinstance(exps, tuple) or len(exps) != self.num_vars:
                 raise MalformedPolynomialError(f"term {exps!r} is not a tuple of {self.num_vars} exponents")
             for e in exps:
-                if not isinstance(e, int) or e < 0:
+                if type(e) is not int or e < 0:  # a bool is not an int
                     raise MalformedPolynomialError(f"term {exps!r} has a negative or non-int exponent")
             if sum(exps) != self.degree:
                 raise MalformedPolynomialError(f"term {exps} is not of degree {self.degree}")
-            if not isinstance(coeff, int) or coeff == 0:
+            if type(coeff) is not int or coeff == 0:
                 raise MalformedPolynomialError(f"coefficient {coeff!r} is not a nonzero int")
             if exps in seen:
                 raise MalformedPolynomialError(f"duplicate exponent vector {exps}")

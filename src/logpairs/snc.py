@@ -13,7 +13,9 @@ compares below every rational.
 
 The minimum formulas run in integers: coefficients (``int`` or ``Fraction``)
 are scaled by the lcm of their denominators, the minima are taken over ints
-once per pair, and one ``Fraction`` is built at the end.  A discrepancy
+once per pair, and one ``Fraction`` is built at the end.  The edge set is
+checked and indexed once per ``(labels, edges)`` input, the last one kept,
+so the edge minimum runs over pairs of label indices.  A discrepancy
 table on a resolved model is likewise stored as integers over one
 denominator; its ``Fraction`` rows are built only when read.
 """
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -46,18 +47,33 @@ class PairClass(enum.Enum):
 
 
 def _check_table(labels: Sequence[str], den: int, *columns: Sequence[int]) -> None:
-    """Unique labels, a positive int ``den``, and one int per label in each column."""
+    """Unique labels, a positive int ``den``, and one int per label in each
+    column; a bool is not an int."""
     if len(set(labels)) != len(labels):
         raise MalformedConfigurationError("divisor labels must be unique")
-    if not isinstance(den, int) or den < 1:
+    if type(den) is not int or den < 1:
         raise MalformedConfigurationError(f"denominator must be a positive integer, got {den!r}")
     for column in columns:
         if len(column) != len(labels):
             raise MalformedConfigurationError(f"{len(labels)} labels but a column of {len(column)}")
-        try:
-            math.gcd(*column)  # one pass in C that rejects any entry that is not an int
-        except TypeError as exc:
-            raise MalformedConfigurationError(f"table entries must be integers: {exc}") from None
+        if not {*map(type, column)} <= {int}:  # one pass in C
+            raise MalformedConfigurationError(f"table entries must be integers, got {column!r}")
+
+
+@functools.lru_cache(maxsize=1)
+def _edge_index(labels: tuple[str, ...], edges: frozenset[frozenset[str]]) -> tuple[tuple[int, int], ...]:
+    """Each edge, checked to join two distinct known labels, as their indices
+    in ``labels``.  The pairs of one model, one per value of c, share it."""
+    index = {label: i for i, label in enumerate(labels)}
+    pairs = []
+    for e in edges:
+        if len(e) != 2:
+            raise MalformedConfigurationError(f"edge {set(e)} must join two distinct divisors")
+        a, b = e
+        if a not in index or b not in index:
+            raise MalformedConfigurationError(f"edge {set(e)} references unknown labels")
+        pairs.append((index[a], index[b]))
+    return tuple(pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,13 +82,17 @@ class SNCPair:
 
     Divisor ``labels[i]`` has coefficient ``nums[i] / den``; ``edges`` holds
     unordered label pairs of divisors with nonempty intersection.  Labels are
-    unique, numerators are ints, edges join two existing labels.  Whether
-    the data comes from an actual geometric model is the caller's
-    responsibility.  :meth:`build` reads ``(label, coefficient)`` rows.
+    a tuple of unique str, numerators are ints (not bools), and edges are a
+    frozenset of frozensets, each joining two existing labels.  Whether the
+    data comes from an actual geometric model is the caller's responsibility.
+    :meth:`build` reads ``(label, coefficient)`` rows.
 
     Construction also takes the largest numerator and ``den`` times the
     discrepancy (None when some coefficient exceeds 1) once from the
-    integers.  ``den`` is not canonical, so pairs compare by ``divisors``.
+    integers.  The edge set is checked and made into pairs of label indices
+    once per ``(labels, edges)`` input, the last one kept, and the minimum
+    runs over those pairs.  ``den`` is not canonical, so pairs compare by
+    ``divisors``.
     """
 
     labels: tuple[str, ...]
@@ -84,19 +104,18 @@ class SNCPair:
 
     def __post_init__(self) -> None:
         labels, den, nums, edges = self.labels, self.den, self.nums, self.edges
+        # Checked first, so that the edge memo's key hashes.
+        if type(labels) is not tuple or type(edges) is not frozenset or not (
+            {*map(type, labels)} <= {str} and {*map(type, edges)} <= {frozenset}
+        ):
+            raise MalformedConfigurationError("labels must be a tuple of str, edges a frozenset of frozensets")
         _check_table(labels, den, nums)
-        known = set(labels)
-        for e in edges:
-            if len(e) != 2:
-                raise MalformedConfigurationError(f"edge {set(e)} must join two distinct divisors")
-            if not e <= known:
-                raise MalformedConfigurationError(f"edge {set(e)} references unknown labels")
+        pairs = _edge_index(labels, edges)
         # The maximum is 0 for an empty configuration; a coefficient above 1
         # settles the discrepancy before any edge is read.
         top, low = max(nums, default=0), None
         if top <= den:
-            scaled = dict(zip(labels, nums))
-            low = min((den - scaled[a] - scaled[b] for a, b in edges), default=den)
+            low = min((den - nums[i] - nums[j] for i, j in pairs), default=den)
             low = min(den, den - top, low)
         self.__dict__.update(_top=top, _low=low)
 
@@ -199,11 +218,12 @@ class ResolvedPairData:
     exceptional: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        _check_table(self.ids, self.den, self.a_num, self.b_num, self.exceptional)
-        for i, b in zip(self.ids, self.b_num):
-            if b < 0:
-                b = Fraction(b, self.den)
-                raise NegativeBError(f"divisor {i} has negative pullback multiplicity {b}")
+        _check_table(self.ids, self.den, self.a_num, self.b_num)
+        if len(self.exceptional) != len(self.ids) or not {*map(type, self.exceptional)} <= {bool}:
+            raise MalformedConfigurationError(f"exceptional {self.exceptional!r} is not one bool per divisor")
+        if min(self.b_num, default=0) < 0:  # then name the first negative one
+            i, b = next((i, Fraction(b, self.den)) for i, b in zip(self.ids, self.b_num) if b < 0)
+            raise NegativeBError(f"divisor {i} has negative pullback multiplicity {b}")
 
     @classmethod
     def build(cls, rows: Iterable[tuple[str, Fraction, Fraction, bool]]) -> "ResolvedPairData":

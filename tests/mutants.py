@@ -48,6 +48,7 @@ NOT_RUN = {
     5: "no tests collected",
 }
 SAMPLE_MEMO = "tests/test_experiments.py::TestSampleMemo"
+EDGE_MEMO = "tests/test_snc.py::TestEdgeMemo"
 BOOL = "tests/test_constructors.py::test_a_bool_is_not_a_number"
 READER = [
     "tests/test_polynomials.py::test_read_number_rules",
@@ -56,23 +57,23 @@ READER = [
 ]
 
 
-def _sample_memo_keyed_by(key: str) -> str:
-    """A one-entry memo in place of the sample memo's lru_cache, keyed by the
-    expression ``key`` in (pc, bound) alone, with the cache_clear that the
-    tests call."""
+def _memo_keyed_by(params: str, key: str) -> str:
+    """A one-entry memo in place of the lru_cache of a function of
+    ``params``, keyed by the expression ``key`` in them alone, with the
+    cache_clear that the tests call."""
     return (
-        "def _memo(sample):\n"
+        "def _memo(fn):\n"
         "    kept = {}\n"
         "\n"
-        "    def memo(pc, bound):\n"
+        f"    def memo({params}):\n"
         f"        if {key} not in kept:\n"
-        "            value = sample(pc, bound)\n"
+        f"            value = fn({params})\n"
         "            kept.clear()\n"
         f"            kept[{key}] = value\n"
         f"        return kept[{key}]\n"
         "\n"
         "    memo.cache_clear = kept.clear\n"
-        "    memo.__wrapped__ = sample\n"
+        "    memo.__wrapped__ = fn\n"
         "    return memo\n"
         "\n"
         "\n"
@@ -477,8 +478,8 @@ MUTANTS = [
     (
         "JSON proximity list in axis order",
         "src/logpairs/cli.py",
-        "[str(a) for a in sorted([a for a in (n.axis_x, n.axis_y) if a is not None])]",
-        "[str(a) for a in [a for a in (n.axis_x, n.axis_y) if a is not None]]",
+        "% (min(ax, ay), max(ax, ay))",
+        "% (ax, ay)",
         ["tests/test_cli.py::test_resolve_curve_json_on_deep_trees"],
     ),
     (
@@ -501,6 +502,42 @@ MUTANTS = [
         "except (ValueError, RecursionError) as exc:",
         "except json.JSONDecodeError as exc:",
         ["tests/test_cli.py::test_malformed_input_exits_3"],
+    ),
+    # The SNC constructors and the edge memo.
+    (
+        "the edge minimum reads one endpoint twice",
+        "src/logpairs/snc.py",
+        "den - nums[i] - nums[j] for i, j in pairs",
+        "den - nums[i] - nums[i] for i, j in pairs",
+        ["tests/test_snc.py::TestIntegerRouteMatchesFractionFormula"],
+    ),
+    (
+        "the edge check is kept for the last labels only",
+        "src/logpairs/snc.py",
+        "@functools.lru_cache(maxsize=1)\ndef _edge_index(",
+        _memo_keyed_by("labels, edges", "labels") + "def _edge_index(",
+        [EDGE_MEMO],
+    ),
+    (
+        "the edge check is kept for the last edges only",
+        "src/logpairs/snc.py",
+        "@functools.lru_cache(maxsize=1)\ndef _edge_index(",
+        _memo_keyed_by("labels, edges", "edges") + "def _edge_index(",
+        [EDGE_MEMO],
+    ),
+    (
+        "_check_table takes a bool den",
+        "src/logpairs/snc.py",
+        "if type(den) is not int or den < 1:",
+        "if not isinstance(den, int) or den < 1:",
+        ["tests/test_snc.py::TestValidation::test_rejections_are_typed"],
+    ),
+    (
+        "HomogPoly takes a bool exponent",
+        "src/logpairs/heights.py",
+        "if type(e) is not int or e < 0:",
+        "if not isinstance(e, int) or e < 0:",
+        ["tests/test_constructors.py::test_constructor_and_parser_reject_alike"],
     ),
     # Heights and the height-law experiments.
     (
@@ -614,14 +651,14 @@ MUTANTS = [
         "the sample memo serves a stored sample for another bound",
         "src/logpairs/experiments.py",
         "@functools.lru_cache(maxsize=1, typed=True)\n",
-        _sample_memo_keyed_by("pc"),
+        _memo_keyed_by("pc, bound", "pc"),
         [SAMPLE_MEMO],
     ),
     (
         "the sample memo serves a stored sample for another curve",
         "src/logpairs/experiments.py",
         "@functools.lru_cache(maxsize=1, typed=True)\n",
-        _sample_memo_keyed_by("bound"),
+        _memo_keyed_by("pc, bound", "bound"),
         [SAMPLE_MEMO],
     ),
     (

@@ -72,6 +72,9 @@ CASES = [
             (3, [("100", 1)]),
             (3, [((1, 0, 0), TOO_LONG)]),
             (3, [((1e300, 0, 0), 1)]),
+            # A bool is not an int, as exponent or as coefficient.
+            (3, [((True, False, False), 1)]),
+            (3, [((1, 0, 0), True)]),
         ],
     ),
     *_cases(
@@ -92,6 +95,7 @@ CASES = [
             ([("E0", 1), ("E1", 1)], [("E0", "E0")]),
             ([("E0", 1)], [("E0", "E9")]),
             (["E1"], []),
+            ([("E", True)], []),
         ],
     ),
     *_cases(
@@ -104,6 +108,8 @@ CASES = [
             ([("E", 0, -1, True)],),
             ([("E", 0, 1, True), ("E", 0, 2, True)],),
             (["E011"],),
+            ([("E", True, 0, True)],),
+            ([("E", 0, False, True)],),
         ],
     ),
     *_cases(

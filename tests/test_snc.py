@@ -12,6 +12,7 @@ from logpairs.snc import (
     PairClass,
     ResolvedPairData,
     SNCPair,
+    _edge_index,
     classify,
     classify_via_totaldiscrep,
     discrep,
@@ -250,6 +251,20 @@ class TestValidation:
                 SNCPair(("E",), den, (1,), frozenset())
         with pytest.raises(MalformedConfigurationError):
             ResolvedPairData(("E1",), 1, (0,), (1,), ())
+        # Labels are a tuple of str, and edges a frozenset of frozensets.
+        ef = ("E", "F")
+        for labels, edges in [
+            (ef, frozenset({5})),
+            (ef, frozenset({ef})),
+            (ef, frozenset({"EF"})),
+            (ef, {frozenset(ef)}),
+            (list(ef), frozenset()),
+            ((["E"], "F"), frozenset()),
+        ]:
+            with pytest.raises(MalformedConfigurationError):
+                SNCPair(labels, 1, (0, 0), edges)
+        with pytest.raises(MalformedConfigurationError, match="denominator must be a positive integer"):
+            SNCPair(("E",), True, (1,), frozenset())
 
     @pytest.mark.parametrize("c", ["abc", "1/0", float("nan"), float("inf"), float("-inf"), None, [1]])
     def test_unreadable_coefficient_is_typed(self, c):
@@ -321,3 +336,41 @@ class TestIntegerRouteMatchesFractionFormula:
         for got, want in ((discrep(p), reference_discrep(p)), (totaldiscrep(p), reference_totaldiscrep(p))):
             assert got == want
             assert type(got) is (float if want == NEG_INFINITY else Fraction)
+
+
+class TestEdgeMemo:
+    """The edge check keeps its last (labels, edges) input; each pair reads as
+    the reference formulas and as a pair built with the memo cleared."""
+
+    LABELS, NUMS = ("E0", "E1", "E2"), (1, 2, 4)  # over 8
+    CHAIN = frozenset({frozenset(("E0", "E1")), frozenset(("E1", "E2"))})
+    LOOSE = frozenset({frozenset(("E0", "E2"))})
+
+    def check(self, labels, nums, edges):
+        built = SNCPair(labels, 8, nums, edges)
+        _edge_index.cache_clear()
+        fresh = SNCPair(labels, 8, nums, edges)
+        assert discrep(built) == reference_discrep(built) == discrep(fresh)
+        assert totaldiscrep(built) == reference_totaldiscrep(built) == totaldiscrep(fresh)
+
+    def test_one_labels_tuple_with_two_edge_sets(self):
+        for edges in (self.CHAIN, self.LOOSE, self.CHAIN, self.LOOSE):
+            self.check(self.LABELS, self.NUMS, edges)
+        assert discrep(SNCPair(self.LABELS, 8, self.NUMS, self.CHAIN)) == Fraction(1, 4)
+        assert discrep(SNCPair(self.LABELS, 8, self.NUMS, self.LOOSE)) == Fraction(3, 8)
+
+    def test_one_edge_set_with_the_labels_in_two_orders(self):
+        # The same coefficients by label, so the same discrepancies, but the
+        # edge E0-E2 joins other indices in each order.
+        rotated, nums = ("E1", "E2", "E0"), (2, 4, 1)
+        for labels, ns in [(self.LABELS, self.NUMS), (rotated, nums)] * 2:
+            self.check(labels, ns, self.LOOSE)
+            assert discrep(SNCPair(labels, 8, ns, self.LOOSE)) == Fraction(3, 8)
+
+    @pytest.mark.parametrize("bad", [frozenset({frozenset(("E0", "E9"))}), frozenset({frozenset({"E0"})})])
+    def test_a_malformed_edge_set_raises_every_time(self, bad):
+        for _ in range(2):
+            SNCPair(self.LABELS, 8, self.NUMS, self.CHAIN)
+            for _ in range(2):
+                with pytest.raises(MalformedConfigurationError, match="edge"):
+                    SNCPair(self.LABELS, 8, self.NUMS, bad)
